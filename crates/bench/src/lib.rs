@@ -1,8 +1,7 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's per-experiment index); the benches
-//! under `benches/` measure the efficiency claims of Section 3.2.
+//! paper's evaluation (see DESIGN.md's per-experiment index).
 
 use snoop_mva::{MvaError, MvaModel, MvaSolution, ResilientOptions, ResilientSolution};
 use snoop_protocol::ModSet;

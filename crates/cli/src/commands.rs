@@ -35,7 +35,6 @@ commands:
   eval       batch-evaluate scenarios       --scenarios FILE.json --backends mva,sim
   serve      persistent evaluation daemon   --listen 127.0.0.1:7077 [--store DIR]
   top        live daemon dashboard          --url http://127.0.0.1:7077 [--once]
-  perf       perf-regression gate           diff BASELINE CURRENT [--threshold-pct 10]
   validate   MVA vs discrete-event sim      --n 8 --protocol WO --sharing 5
   gtpn       MVA vs GTPN (small N)          --n 2 --protocol WO --sharing 5
   stress     Section 4.3 stress test        --protocol WO --n 10
@@ -55,9 +54,6 @@ commands:
   measure    measure workload params from a trace simulation  --n 4
   traffic    bus-traffic decomposition      --protocol WO --sharing 5
   waits      bus-wait distribution (DES)    --n 8 --sharing 5
-  bench      emit BENCH_{sweep,gtpn,sim,exec}.json timing data
-             --threads 4 --out-dir . [--quick] [--stage sweep|gtpn|sim|exec|all]
-             [--metrics-out FILE] [--run-id ID] [--git-sha SHA]
   help       this text
 
 protocols: WO, WO+1, WO+1+4, … or write-once, illinois, berkeley, dragon,
@@ -67,11 +63,11 @@ solver flags (solve, sweep): --max-damping-retries K (default 4, 0 = plain
 iteration only) and --solve-deadline-ms MS (wall-clock cap per attempt,
 0 = none); sweep also takes --keep-going (report unsolvable points as
 FAILED rows instead of aborting the sweep).
-parallelism: --threads K on figure, validate, gtpn, sensitivity and bench
+parallelism: --threads K on figure, validate, gtpn and sensitivity
 (0 = auto: SNOOP_THREADS or available cores; results are identical for
 every thread count).
-observability: --metrics-out FILE on figure, validate, gtpn, eval,
-sensitivity and bench writes solver metrics JSON (span timers, counters,
+observability: --metrics-out FILE on figure, validate, gtpn, eval and
+sensitivity writes solver metrics JSON (span timers, counters,
 latency histograms with p50/p90/p99/p999, convergence summaries; schema
 snoop-metrics-v2, a superset of v1) and prints a profile table to
 stderr; SNOOP_PROBE_RING sets the event-recorder ring capacity (default
@@ -80,12 +76,6 @@ stderr; SNOOP_PROBE_RING sets the event-recorder ring capacity (default
 trace-event timeline (open in chrome://tracing or Perfetto) with one
 span per engine batch job, tagged with scenario hash, backend and cache
 hit/miss. Collection is observational only — outputs stay bit-identical.
-perf gate: `snoop perf diff BASELINE CURRENT` compares two BENCH_*.json
-or metrics files stage by stage and exits nonzero when a stage's time
-regressed beyond --threshold-pct (default 10; --min-ms floors the
-absolute delta that can count as a regression). Fields named *speedup*
-are higher-is-better: they regress when the ratio drops beyond the
-threshold instead.
 engine: eval runs a snoop-scenario-v1 batch file through the unified
 evaluation engine; --backends is a comma list of mva, mva-resilient,
 sim, gtpn and --cache FILE persists the content-addressed result cache
@@ -135,55 +125,17 @@ deprecated spellings (still accepted as hidden aliases): `sweep --max-n`
 (use --n) and the positional panel of `table` (use --panel).
 ";
 
-/// A command failure: the message to print, and whether the generic
-/// "run `snoop help` for usage" hint should follow it (a perf-gate
-/// regression is a *verdict*, not a usage error, so it suppresses the
-/// hint).
-#[derive(Debug)]
-pub struct Failure {
-    /// The user-facing error text.
-    pub message: String,
-    /// Whether `main` should append the usage hint.
-    pub usage_hint: bool,
-}
-
-impl Failure {
-    /// A failure that is not a usage error (no help hint).
-    pub fn verdict(message: String) -> Self {
-        Failure { message, usage_hint: false }
-    }
-
-    /// Whether the message contains `needle` (test convenience, mirrors
-    /// `str::contains`).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn contains(&self, needle: &str) -> bool {
-        self.message.contains(needle)
-    }
-}
-
-impl From<String> for Failure {
-    fn from(message: String) -> Self {
-        Failure { message, usage_hint: true }
-    }
-}
-
-impl std::fmt::Display for Failure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
 /// Dispatches a command line; returns the text to print.
 ///
 /// # Errors
 ///
-/// Returns a user-facing [`Failure`] for unknown commands or bad flags.
-pub fn run(argv: &[String]) -> Result<String, Failure> {
+/// Returns a user-facing message for unknown commands or bad flags.
+pub fn run(argv: &[String]) -> Result<String, String> {
     if argv.is_empty() {
         return Ok(HELP.to_string());
     }
     let args = ParsedArgs::parse(argv)?;
-    let result = match args.command.as_str() {
+    match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(HELP.to_string()),
         "solve" => cmd_solve(&args),
         "sweep" => cmd_sweep(&args),
@@ -192,7 +144,6 @@ pub fn run(argv: &[String]) -> Result<String, Failure> {
         "eval" => with_observability(&args, || cmd_eval(&args)),
         "serve" => cmd_serve(&args),
         "top" => crate::top::cmd_top(&args),
-        "perf" => return crate::perf::cmd_perf(&args),
         "validate" => with_observability(&args, || cmd_validate(&args)),
         "gtpn" => with_observability(&args, || cmd_gtpn(&args)),
         "stress" => cmd_stress(&args),
@@ -208,10 +159,8 @@ pub fn run(argv: &[String]) -> Result<String, Failure> {
         "measure" => cmd_measure(&args),
         "traffic" => cmd_traffic(&args),
         "waits" => cmd_waits(&args),
-        "bench" => with_observability(&args, || crate::bench::cmd_bench(&args)),
         other => Err(format!("unknown command {other:?}")),
-    };
-    result.map_err(Failure::from)
+    }
 }
 
 /// Runs `body` with the requested observability layers collecting:
@@ -377,7 +326,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
 
     // Warm-started escalation-ladder sweep through the engine: the
     // resilient backend chains each N from the previous N's converged
-    // state, exactly like the legacy `resilient_speedup_series`.
+    // state.
     let options = resilient_flags(args)?;
     let engine = Engine::new().with_backend(ResilientMvaBackend {
         max_damping_retries: options.max_damping_retries,
@@ -1343,7 +1292,7 @@ fn cmd_asymptote(_args: &ParsedArgs) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn run_tokens(tokens: &[&str]) -> Result<String, Failure> {
+    fn run_tokens(tokens: &[&str]) -> Result<String, String> {
         run(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
@@ -1527,95 +1476,22 @@ mod tests {
     }
 
     #[test]
-    fn bench_emits_timing_json() {
-        let dir = std::env::temp_dir().join("snoop_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = run_tokens(&[
-            "bench",
-            "--quick",
-            "--threads",
-            "2",
-            "--out-dir",
-            dir.to_str().unwrap(),
-            "--run-id",
-            "nightly-17",
-        ])
-        .unwrap();
-        assert!(out.contains("bit-identical: true"), "{out}");
-        let sweep = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(sweep.contains("\"benchmark\": \"figure_4_1_resilient_sweep\""));
-        assert!(sweep.contains("\"bit_identical\": true"));
-        // Run metadata: schema tag, thread count, quick-mode flag and the
-        // --run-id passthrough, present in every BENCH file exactly once.
-        assert!(sweep.contains("\"schema\": \"snoop-bench-v1\""));
-        assert!(sweep.contains("\"threads\": 2"));
-        assert_eq!(sweep.matches("\"threads\"").count(), 1, "{sweep}");
-        assert!(sweep.contains("\"quick\": true"));
-        assert!(sweep.contains("\"run_id\": \"nightly-17\""));
-        let gtpn = std::fs::read_to_string(dir.join("BENCH_gtpn.json")).unwrap();
-        assert!(gtpn.contains("\"benchmark\": \"write_once_gtpn\""));
-        assert!(gtpn.contains("\"explore_bit_identical\": true"));
-        assert!(gtpn.contains("\"states\": 204"));
-        assert!(gtpn.contains("\"schema\": \"snoop-bench-v1\""));
-        let sim = std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap();
-        assert!(sim.contains("\"benchmark\": \"sim_replications\""));
-        assert!(sim.contains("\"bit_identical\": true"));
-        assert!(sim.contains("\"schema\": \"snoop-bench-v1\""));
-        let exec = std::fs::read_to_string(dir.join("BENCH_exec.json")).unwrap();
-        assert!(exec.contains("\"benchmark\": \"exec_dispatch\""));
-        assert!(exec.contains("\"dispatch_ns_per_job\""));
-        // Every file records the host's hardware parallelism so CI can
-        // tell whether a measured speedup is meaningful on that runner.
-        for json in [&sweep, &gtpn, &sim, &exec] {
-            assert!(json.contains("\"host_parallelism\": "), "{json}");
-        }
-    }
-
-    #[test]
-    fn bench_stage_flag_limits_the_run() {
-        let dir = std::env::temp_dir().join("snoop_bench_stage_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = run_tokens(&[
-            "bench",
-            "--quick",
-            "--threads",
-            "2",
-            "--stage",
-            "exec",
-            "--out-dir",
-            dir.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("exec:"), "{out}");
-        assert!(dir.join("BENCH_exec.json").exists());
-        // Only the requested stage's file is written.
-        for skipped in ["BENCH_sweep.json", "BENCH_gtpn.json", "BENCH_sim.json"] {
-            assert!(!dir.join(skipped).exists(), "{skipped} written despite --stage exec");
-        }
-        let err = run_tokens(&[
-            "bench",
-            "--stage",
-            "bogus",
-            "--out-dir",
-            dir.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("--stage"), "{err}");
-    }
-
-    #[test]
     fn metrics_out_emits_per_stage_spans() {
         let dir = std::env::temp_dir().join("snoop_metrics_test");
         std::fs::create_dir_all(&dir).unwrap();
+        let scenarios_path = dir.join("scenarios.json");
+        let mut scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 2);
+        scenario.sim.warmup_references = 300;
+        scenario.sim.measured_references = 2_000;
+        scenario.sim.replications = 2;
+        std::fs::write(&scenarios_path, Scenario::batch_to_json(&[scenario])).unwrap();
         let path = dir.join("metrics.json");
         run_tokens(&[
-            "bench",
-            "--quick",
-            "--threads",
-            "2",
-            "--out-dir",
-            dir.to_str().unwrap(),
+            "eval",
+            "--scenarios",
+            scenarios_path.to_str().unwrap(),
+            "--backends",
+            "mva,sim,gtpn",
             "--metrics-out",
             path.to_str().unwrap(),
         ])
@@ -1625,7 +1501,8 @@ mod tests {
         for key in ["\"spans\"", "\"counters\"", "\"events\"", "\"histograms\""] {
             assert!(json.contains(key), "missing {key}");
         }
-        // The bench run exercises every instrumented stage.
+        // One small batch through all three backends exercises every
+        // instrumented stage.
         for span in [
             "mva_solve",
             "fixed_point_solve",
@@ -1634,7 +1511,10 @@ mod tests {
             "sim_replications",
             "sim_run",
         ] {
-            assert!(json.contains(&format!("\"{span}\"")) || json.contains(&format!("/{span}\"")), "missing span {span}: {json}");
+            assert!(
+                json.contains(&format!("\"{span}\"")) || json.contains(&format!("/{span}\"")),
+                "missing span {span}: {json}"
+            );
         }
         assert!(json.contains("fixed_point.iterations"), "{json}");
         assert!(json.contains("fixed_point.residual_trajectory"), "{json}");
@@ -1822,7 +1702,7 @@ mod tests {
         let err =
             run_tokens(&["eval", "--scenarios", "/nonexistent/batch.json"]).unwrap_err();
         assert!(err.contains("cannot read --scenarios file"), "{err}");
-        assert!(err.message.contains("/nonexistent/batch.json"), "{err}");
+        assert!(err.contains("/nonexistent/batch.json"), "{err}");
     }
 
     #[test]
@@ -1841,7 +1721,7 @@ mod tests {
         std::fs::write(&path, "{\"schema\":\"snoop-scenario-v1\"}").unwrap();
         let err = run_tokens(&["eval", "--scenarios", path.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("scenarios"), "{err}");
-        assert!(err.message.contains("broken.json"), "{err}");
+        assert!(err.contains("broken.json"), "{err}");
     }
 
     #[test]
@@ -1954,7 +1834,6 @@ mod tests {
         assert!(err.contains("invalid address"), "{err}");
         assert!(err.contains("s 0xZZ"), "{err}");
         assert!(err.contains("^"), "{err}");
-        assert!(err.usage_hint, "parse errors are usage errors");
     }
 
     #[test]

@@ -16,9 +16,7 @@
 use std::process::ExitCode;
 
 mod args;
-mod bench;
 mod commands;
-mod perf;
 mod top;
 
 fn main() -> ExitCode {
@@ -28,18 +26,9 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        Err(failure) => {
-            if failure.usage_hint {
-                eprintln!("snoop: {}", failure.message);
-                eprintln!("run `snoop help` for usage");
-            } else {
-                // A gate verdict (e.g. a perf regression): the full
-                // report goes to stdout like a successful run's would,
-                // with a one-line summary on stderr.
-                print!("{}", failure.message);
-                let summary = failure.message.trim_end().lines().last().unwrap_or("failed");
-                eprintln!("snoop: {summary}");
-            }
+        Err(message) => {
+            eprintln!("snoop: {message}");
+            eprintln!("run `snoop help` for usage");
             ExitCode::FAILURE
         }
     }

@@ -223,45 +223,6 @@ fn eval_trace_out_emits_valid_chrome_trace() {
 }
 
 #[test]
-fn perf_diff_gate_passes_and_fails_end_to_end() {
-    let dir = std::env::temp_dir().join("snoop_perf_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("base.json");
-    let same = dir.join("same.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&base, r#"{"serial_ms": 100.0, "parallel_ms": 40.0}"#).unwrap();
-    std::fs::write(&same, r#"{"serial_ms": 100.0, "parallel_ms": 40.0}"#).unwrap();
-    std::fs::write(&slow, r#"{"serial_ms": 101.0, "parallel_ms": 90.0}"#).unwrap();
-
-    let ok = snoop(&["perf", "diff", base.to_str().unwrap(), same.to_str().unwrap()]);
-    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
-    let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert!(stdout.contains("ok: no stage regressed"), "{stdout}");
-
-    let bad = snoop(&[
-        "perf",
-        "diff",
-        base.to_str().unwrap(),
-        slow.to_str().unwrap(),
-        "--threshold-pct",
-        "25",
-    ]);
-    assert!(!bad.status.success());
-    let stdout = String::from_utf8_lossy(&bad.stdout);
-    // The delta table goes to stdout even on failure; only the offending
-    // stage is flagged.
-    assert!(stdout.contains("delta %"), "{stdout}");
-    assert!(stdout.contains("parallel_ms"), "{stdout}");
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-    let serial_row =
-        stdout.lines().find(|l| l.trim_start().starts_with("serial_ms")).unwrap();
-    assert!(!serial_row.contains("REGRESSED"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(stderr.contains("perf regression"), "{stderr}");
-    assert!(!stderr.contains("snoop help"), "gate verdicts are not usage errors");
-}
-
-#[test]
 fn dot_output_pipes_cleanly() {
     let out = snoop(&["dot", "--protocol", "berkeley"]);
     assert!(out.status.success());

@@ -176,8 +176,7 @@ impl Evaluator for MvaBackend {
 
 /// The MVA behind the resilient escalation ladder
 /// ([`MvaModel::solve_resilient`]), optionally warm-starting sweep-adjacent
-/// batch members from each other like
-/// [`crate::sweep::resilient_speedup_series`] does.
+/// batch members from each other.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientMvaBackend {
     /// Retries beyond the first plain attempt (the ladder depth).
@@ -185,10 +184,9 @@ pub struct ResilientMvaBackend {
     /// Optional wall-clock deadline per attempt.
     pub deadline: Option<std::time::Duration>,
     /// Warm-start each group member from the previous member's converged
-    /// state (members are ordered by `N` by the engine). This mirrors the
-    /// sweep path exactly — including its cold-retry fallback — and can
-    /// change iteration *counts* (not solutions beyond the solver
-    /// tolerance), so it is off by default.
+    /// state (members are ordered by `N` by the engine), retrying a failed
+    /// warm solve cold. This can change iteration *counts* (not solutions
+    /// beyond the solver tolerance), so it is off by default.
     pub warm_start_chains: bool,
 }
 
@@ -212,9 +210,8 @@ impl ResilientMvaBackend {
         }
     }
 
-    /// Solves one system size on `model`, warm-started from `seed`, with
-    /// the same fallback contract as the resilient sweep: a failed warm
-    /// solve is retried cold before being reported as failed.
+    /// Solves one system size on `model`, warm-started from `seed`: a
+    /// failed warm solve is retried cold before being reported as failed.
     fn solve_chained(
         &self,
         model: &MvaModel,
@@ -284,8 +281,8 @@ impl Evaluator for ResilientMvaBackend {
             Ok(model) => model,
             Err(e) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
         };
-        // The sweep's warm chain: seed each size from the previous
-        // converged [w_bus, w_mem, R], dropping the seed after a failure.
+        // The warm chain: seed each size from the previous converged
+        // [w_bus, w_mem, R], dropping the seed after a failure.
         let mut seed: Option<[f64; 3]> = None;
         scenarios
             .iter()
@@ -479,6 +476,70 @@ mod tests {
             let chained = chained.as_ref().unwrap();
             // Same solution within tolerance; iteration counts may differ.
             assert!((chained.speedup - cold.speedup).abs() < 1e-6 * cold.speedup);
+        }
+    }
+
+    /// Iterations summed over a warm- or cold-chained resilient run of
+    /// one (protocol, sharing) series through the engine; panics on any
+    /// failed point.
+    fn chained_iterations(mods: ModSet, sharing: SharingLevel, warm: bool) -> usize {
+        let engine = super::super::Engine::new().with_backend(ResilientMvaBackend {
+            warm_start_chains: warm,
+            ..Default::default()
+        });
+        let scenarios: Vec<Scenario> = crate::paper::TABLE_N
+            .iter()
+            .map(|&n| Scenario::appendix_a(mods, sharing, n))
+            .collect();
+        let results = engine.evaluate_batch(&scenarios);
+        assert_eq!(results.len(), crate::paper::TABLE_N.len());
+        results
+            .iter()
+            .map(|r| match &r.result {
+                Ok(e) => e.provenance.iterations,
+                Err(err) => panic!("{mods} {sharing} scenario {} (warm={warm}): {err}", r.scenario),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn warm_start_beats_cold_on_table_4_1_configs() {
+        // Over the paper's Table 4.1 protocol/sharing grid, warm-chained
+        // sweeps spend strictly fewer total iterations than cold ones.
+        for (mods, sharing) in crate::sweep::figure_4_1_grid() {
+            let warm = chained_iterations(mods, sharing, true);
+            let cold = chained_iterations(mods, sharing, false);
+            assert!(warm < cold, "{mods} {sharing}: warm {warm} vs cold {cold}");
+        }
+    }
+
+    #[test]
+    fn failed_points_degrade_gracefully() {
+        // An unreachable tolerance defeats every strategy at every size:
+        // the chain must still return one (failed) result per size rather
+        // than aborting, and each failure must carry a reason.
+        let engine = super::super::Engine::new()
+            .with_backend(ResilientMvaBackend { warm_start_chains: true, ..Default::default() });
+        let scenarios: Vec<Scenario> = [1, 2, 4]
+            .iter()
+            .map(|&n| {
+                let mut s = scenario(n);
+                s.solver.max_iterations = 8;
+                s.solver.tolerance = 0.0;
+                s.solver.damping = 1.0;
+                s
+            })
+            .collect();
+        let results = engine.evaluate_batch(&scenarios);
+        assert_eq!(results.len(), 3);
+        for r in &results {
+            match &r.result {
+                Err(EvalError::Failed { backend, reason }) => {
+                    assert_eq!(*backend, BackendId::ResilientMva);
+                    assert!(!reason.is_empty());
+                }
+                other => panic!("expected a failed point, got {other:?}"),
+            }
         }
     }
 

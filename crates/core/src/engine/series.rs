@@ -1,10 +1,5 @@
 //! Series of engine [`Evaluation`]s and the table/CSV/gnuplot renderers
-//! the CLI's `table`, `figure` and `sweep` commands print.
-//!
-//! The renderers here are byte-identical to the legacy
-//! [`crate::report`] renderers over [`crate::sweep::SpeedupSeries`] for
-//! MVA-produced points, so rewiring the CLI onto the engine changed no
-//! output.
+//! the CLI's `figure` command prints.
 
 use std::fmt::Write as _;
 
@@ -110,19 +105,9 @@ mod tests {
     use super::super::batch::Engine;
     use super::super::scenario::Scenario;
     use super::*;
-    use crate::report;
-    use crate::solver::SolverOptions;
-    use crate::sweep::speedup_series;
 
-    /// Builds the same series through the legacy sweep and the engine.
-    fn both_paths(sizes: &[usize]) -> (Vec<crate::sweep::SpeedupSeries>, Vec<EvaluationSeries>) {
-        let legacy = vec![speedup_series(
-            ModSet::new(),
-            SharingLevel::Five,
-            sizes,
-            &SolverOptions::default(),
-        )
-        .unwrap()];
+    /// Write-Once at 5% sharing over `sizes`, solved through the engine.
+    fn sample_series(sizes: &[usize]) -> Vec<EvaluationSeries> {
         let engine = Engine::new().with_backend(MvaBackend);
         let scenarios: Vec<Scenario> = sizes
             .iter()
@@ -130,37 +115,42 @@ mod tests {
             .collect();
         let points = engine.evaluate_batch_ok(&scenarios);
         assert_eq!(points.len(), sizes.len());
-        let series =
-            vec![EvaluationSeries { mods: ModSet::new(), sharing: SharingLevel::Five, points }];
-        (legacy, series)
+        vec![EvaluationSeries { mods: ModSet::new(), sharing: SharingLevel::Five, points }]
     }
 
     #[test]
-    fn table_matches_the_legacy_renderer_byte_for_byte() {
-        let (legacy, engine) = both_paths(&[1, 5, 10]);
-        assert_eq!(
-            report::speedup_table("Table 4.1(a)", &legacy),
-            speedup_table("Table 4.1(a)", &engine)
-        );
-    }
-
-    #[test]
-    fn csv_matches_the_legacy_renderer_byte_for_byte() {
-        let (legacy, engine) = both_paths(&[1, 5, 10]);
-        assert_eq!(report::speedup_csv(&legacy), speedup_csv(&engine));
-    }
-
-    #[test]
-    fn gnuplot_matches_the_legacy_renderer_byte_for_byte() {
-        let (legacy, engine) = both_paths(&[1, 5, 10]);
-        assert_eq!(
-            report::gnuplot_script("Figure 4.1", &legacy),
-            gnuplot_script("Figure 4.1", &engine)
-        );
+    fn table_contains_headers_and_values() {
+        let t = speedup_table("Table 4.1(a)", &sample_series(&[1, 10]));
+        assert!(t.contains("Table 4.1(a)"));
+        assert!(t.contains("5%"));
+        assert!(t.contains("WO"));
+        assert!(t.lines().count() >= 3);
     }
 
     #[test]
     fn empty_series_render_a_placeholder() {
         assert!(speedup_table("t", &[]).contains("(no data)"));
+    }
+
+    #[test]
+    fn csv_has_one_line_per_point_plus_header() {
+        let csv = speedup_csv(&sample_series(&[1, 10]));
+        assert_eq!(csv.lines().count(), 3);
+        assert!(csv.starts_with("protocol,sharing,n,"));
+        assert!(csv.contains("WO,5%,1,"));
+    }
+
+    #[test]
+    fn gnuplot_script_is_well_formed() {
+        let script = gnuplot_script("Figure 4.1", &sample_series(&[1, 10]));
+        assert!(script.contains("set output"));
+        assert!(script.contains("$data0 << EOD"));
+        assert!(script.contains("plot "));
+        // One data block per series, terminated.
+        assert_eq!(script.matches("<< EOD").count(), 1);
+        assert_eq!(script.matches("\nEOD\n").count(), 1);
+        // Data rows: n and speedup per point.
+        assert!(script.contains("\n1 "));
+        assert!(script.contains("\n10 "));
     }
 }

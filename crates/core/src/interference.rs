@@ -240,4 +240,37 @@ mod tests {
         // p itself is size-independent.
         assert!((large.p - small.p).abs() < 1e-12);
     }
+
+    #[test]
+    fn interference_ablation_moves_write_once_speedup_by_under_one_percent() {
+        // Zeroing the Appendix-B masses (the submodel switched off) and
+        // re-solving Write-Once at N = 10: the submodel's contribution to
+        // speedup, in percent, pinned to ±0.05 percentage points.
+        use crate::solver::{MvaModel, SolverOptions};
+        let cases = [
+            ("stress", WorkloadParams::stress(), 0.47),
+            ("1%", WorkloadParams::appendix_a(SharingLevel::One), 0.09),
+            ("5%", WorkloadParams::appendix_a(SharingLevel::Five), 0.29),
+            ("20%", WorkloadParams::appendix_a(SharingLevel::Twenty), 0.62),
+        ];
+        for (label, params, expected_pct) in cases {
+            let full =
+                ModelInputs::derive(&params, ModSet::new(), &TimingModel::default()).unwrap();
+            let ablated = ModelInputs {
+                shared_miss_mass: 0.0,
+                sw_broadcast_mass: 0.0,
+                csupply_weighted_mass: 0.0,
+                dirty_supply_mass: 0.0,
+                ..full
+            };
+            let options = SolverOptions::default();
+            let with = MvaModel::new(full).solve(10, &options).unwrap().speedup;
+            let without = MvaModel::new(ablated).solve(10, &options).unwrap().speedup;
+            let delta_pct = (without / with - 1.0) * 100.0;
+            assert!(
+                (delta_pct - expected_pct).abs() <= 0.05,
+                "{label}: ablation delta {delta_pct:+.3}% vs pinned {expected_pct:+.2}%"
+            );
+        }
+    }
 }

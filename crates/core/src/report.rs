@@ -1,85 +1,7 @@
-//! Text rendering of result tables (the paper's Table 4.1 layout) and CSV
-//! export for the figure data.
+//! Paper-vs-model comparison tables (the speedup table, CSV and gnuplot
+//! renderers live in [`crate::engine::series`]).
 
 use std::fmt::Write as _;
-
-use crate::sweep::SpeedupSeries;
-
-/// Renders a family of series as a Table-4.1-style fixed-width table:
-/// one row per (sharing level, protocol) with speedups across `N`.
-pub fn speedup_table(title: &str, series: &[SpeedupSeries]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    if series.is_empty() {
-        let _ = writeln!(out, "(no data)");
-        return out;
-    }
-    let _ = write!(out, "{:<10} {:<10}", "sharing", "protocol");
-    for p in &series[0].points {
-        let _ = write!(out, " {:>7}", p.n);
-    }
-    let _ = writeln!(out);
-    for s in series {
-        let _ = write!(out, "{:<10} {:<10}", s.sharing.to_string(), s.mods.to_string());
-        for p in &s.points {
-            let _ = write!(out, " {:>7.3}", p.speedup);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// Renders series as CSV: `protocol,sharing,n,speedup,u_bus,u_mem,w_bus,r`.
-pub fn speedup_csv(series: &[SpeedupSeries]) -> String {
-    let mut out = String::from("protocol,sharing,n,speedup,bus_utilization,memory_utilization,w_bus,r\n");
-    for s in series {
-        for p in &s.points {
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-                s.mods,
-                s.sharing,
-                p.n,
-                p.speedup,
-                p.bus_utilization,
-                p.memory_utilization,
-                p.w_bus,
-                p.r
-            );
-        }
-    }
-    out
-}
-
-/// Renders a gnuplot script (with inline data blocks) that draws the
-/// series as a Figure-4.1-style plot. Pipe into `gnuplot -persist`, or
-/// write to a file and run `gnuplot file.gp` to produce `figure.svg`.
-pub fn gnuplot_script(title: &str, series: &[SpeedupSeries]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "set terminal svg size 800,560 dynamic");
-    let _ = writeln!(out, "set output 'figure.svg'");
-    let _ = writeln!(out, "set title {title:?}");
-    let _ = writeln!(out, "set xlabel 'Number of processors'");
-    let _ = writeln!(out, "set ylabel 'Speedup'");
-    let _ = writeln!(out, "set key bottom right");
-    let _ = writeln!(out, "set grid");
-    for (i, s) in series.iter().enumerate() {
-        let _ = writeln!(out, "$data{i} << EOD");
-        for p in &s.points {
-            let _ = writeln!(out, "{} {}", p.n, p.speedup);
-        }
-        let _ = writeln!(out, "EOD");
-    }
-    let plots: Vec<String> = series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!("$data{i} using 1:2 with linespoints title '{} {}'", s.mods, s.sharing)
-        })
-        .collect();
-    let _ = writeln!(out, "plot {}", plots.join(", \\\n     "));
-    out
-}
 
 /// Renders a paper-vs-model comparison table with relative errors; rows are
 /// `(label, paper_value, model_value)`.
@@ -100,57 +22,6 @@ pub fn comparison_table(title: &str, rows: &[(String, f64, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverOptions;
-    use crate::sweep::speedup_series;
-    use snoop_protocol::ModSet;
-    use snoop_workload::params::SharingLevel;
-
-    fn sample_series() -> Vec<SpeedupSeries> {
-        vec![speedup_series(
-            ModSet::new(),
-            SharingLevel::Five,
-            &[1, 10],
-            &SolverOptions::default(),
-        )
-        .unwrap()]
-    }
-
-    #[test]
-    fn table_contains_headers_and_values() {
-        let t = speedup_table("Table 4.1(a)", &sample_series());
-        assert!(t.contains("Table 4.1(a)"));
-        assert!(t.contains("5%"));
-        assert!(t.contains("WO"));
-        assert!(t.lines().count() >= 3);
-    }
-
-    #[test]
-    fn empty_table_is_handled() {
-        let t = speedup_table("empty", &[]);
-        assert!(t.contains("(no data)"));
-    }
-
-    #[test]
-    fn csv_has_one_line_per_point_plus_header() {
-        let csv = speedup_csv(&sample_series());
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("protocol,sharing,n,"));
-        assert!(csv.contains("WO,5%,1,"));
-    }
-
-    #[test]
-    fn gnuplot_script_is_well_formed() {
-        let script = gnuplot_script("Figure 4.1", &sample_series());
-        assert!(script.contains("set output"));
-        assert!(script.contains("$data0 << EOD"));
-        assert!(script.contains("plot "));
-        // One data block per series, terminated.
-        assert_eq!(script.matches("<< EOD").count(), 1);
-        assert_eq!(script.matches("\nEOD\n").count(), 1);
-        // Data rows: n and speedup per point.
-        assert!(script.contains("\n1 "));
-        assert!(script.contains("\n10 "));
-    }
 
     #[test]
     fn comparison_table_reports_worst_error() {

@@ -23,10 +23,11 @@
 //! diagnostics come back inside [`MvaError::SolveExhausted`]; the pipeline
 //! never panics and never returns non-finite values.
 //!
-//! Sweeps build on the same entry point through
-//! [`crate::sweep::resilient_speedup_series`], which warm-starts each
-//! system size from the previous size's converged state and degrades
-//! gracefully on failure instead of aborting the sweep.
+//! Sweeps build on the same entry point through the engine's
+//! [`crate::engine::ResilientMvaBackend`]: with `warm_start_chains` it
+//! warm-starts each system size from the previous size's converged state,
+//! and a size that defeats the ladder becomes a failed result instead of
+//! aborting the sweep.
 
 use std::fmt;
 use std::time::Duration;

@@ -501,9 +501,8 @@ mod tests {
 
     #[test]
     fn period_2_cycle_is_caught_quickly() {
-        // Regression guard for the ISSUE acceptance criterion: a known
-        // period-2 oscillating map must be diagnosed in < 50 iterations
-        // even with a generous budget.
+        // Regression guard: a known period-2 oscillating map must be
+        // diagnosed in < 50 iterations even with a generous budget.
         let err = FixedPoint::new(Options { max_iterations: 10_000, ..Options::default() })
             .solve(vec![3.0], |x, out| out[0] = -x[0] - 4.0)
             .unwrap_err();

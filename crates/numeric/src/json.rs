@@ -198,8 +198,11 @@ pub fn format_f64(v: f64) -> String {
     }
 }
 
-/// Appends `s` as a quoted, escaped JSON string.
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string: `"` and `\\` are
+/// backslash-escaped, `\n`, `\r` and `\t` take their short escapes and
+/// every other control character becomes `\u00XX`. This is the one
+/// JSON string escaper of the workspace.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -215,6 +218,13 @@ fn write_json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// `s` as a quoted, escaped JSON string (see [`write_json_string`]).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
 }
 
 struct Parser<'a> {
@@ -517,5 +527,13 @@ mod tests {
         let v = JsonValue::String("a\u{1}b".into());
         assert_eq!(v.render(), "\"a\\u0001b\"");
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn json_string_escapes_the_awkward_characters() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\t\r"), "\"\\t\\r\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -57,6 +57,8 @@ pub mod trace;
 
 use hist::Hist;
 
+use crate::json::json_string;
+
 /// Identifier of the JSON layout emitted by [`Snapshot::to_json`].
 ///
 /// v2 is a strict superset of v1: it adds the `histograms` section and
@@ -64,8 +66,7 @@ use hist::Hist;
 /// so v1 readers keep working on v2 files.
 pub const SCHEMA: &str = "snoop-metrics-v2";
 
-/// The previous snapshot schema; still accepted by every reader in the
-/// workspace (`snoop perf diff`, `snoop top`).
+/// The previous snapshot schema; still accepted by `snoop top`.
 pub const SCHEMA_V1: &str = "snoop-metrics-v1";
 
 /// Default number of recent samples an event recorder retains; older
@@ -416,22 +417,6 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Escapes a metric name for inclusion in a JSON string literal.
-fn json_escape(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
     /// Renders the snapshot as stable JSON (schema [`SCHEMA`]).
     ///
@@ -457,8 +442,8 @@ impl Snapshot {
             let comma = if i + 1 < self.spans.len() { "," } else { "" };
             let _ = writeln!(
                 json,
-                "    \"{}\": {{\"calls\": {}, \"total_ms\": {:.6}, \"mean_ms\": {:.6}}}{}",
-                json_escape(path),
+                "    {}: {{\"calls\": {}, \"total_ms\": {:.6}, \"mean_ms\": {:.6}}}{}",
+                json_string(path),
                 s.count,
                 total_ms,
                 mean_ms,
@@ -468,7 +453,7 @@ impl Snapshot {
         json.push_str("  },\n  \"counters\": {\n");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            let _ = writeln!(json, "    \"{}\": {value}{comma}", json_escape(name));
+            let _ = writeln!(json, "    {}: {value}{comma}", json_string(name));
         }
         json.push_str("  },\n  \"events\": {\n");
         for (i, (name, e)) in self.events.iter().enumerate() {
@@ -483,11 +468,11 @@ impl Snapshot {
             }
             let _ = writeln!(
                 json,
-                "    \"{}\": {{\"count\": {}, \"dropped\": {}, \
+                "    {}: {{\"count\": {}, \"dropped\": {}, \
                  \"dropped_capacity\": {}, \
                  \"dropped_non_finite\": {}, \"mean\": {:.9e}, \
                  \"min\": {min:.9e}, \"max\": {max:.9e}, \"recent\": [{recent}]}}{comma}",
-                json_escape(name),
+                json_string(name),
                 e.count,
                 e.dropped,
                 e.dropped,
@@ -511,10 +496,10 @@ impl Snapshot {
             }
             let _ = writeln!(
                 json,
-                "    \"{}\": {{\"count\": {}, \"rejected\": {}, \
+                "    {}: {{\"count\": {}, \"rejected\": {}, \
                  \"sum\": {:.9e}, \"mean\": {:.9e}, \"min\": {:.9e}, \
                  \"max\": {:.9e}, {quantiles}\"buckets\": [{buckets}]}}{comma}",
-                json_escape(name),
+                json_string(name),
                 h.count(),
                 h.rejected(),
                 h.sum(),
@@ -889,22 +874,18 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_hostile_names() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\tname"), "tab\\u0009name");
-        assert_eq!(json_escape("nl\nname"), "nl\\u000aname");
-        assert_eq!(json_escape("cr\rname"), "cr\\u000dname");
-        assert_eq!(json_escape("nul\u{0}name"), "nul\\u0000name");
-    }
-
-    #[test]
     fn snapshot_json_with_hostile_names_parses() {
+        // Quotes, backslashes and control characters must round-trip
+        // through the snapshot JSON and the parser unchanged, in every
+        // section.
+        let name = "probe_test_hostile \"quoted\" back\\slash\nline\r\ttab\u{1}ctl";
         let _session = session();
         {
-            let _span = span("probe_test_hostile\nspan\t\"quoted\"");
+            let _span = span(name);
         }
-        counter_add("probe_test_hostile\rcounter\\path", 1);
-        record("probe_test_hostile\u{1}event", 0.5);
+        counter_add(name, 3);
+        record(name, 0.25);
+        hist_record(name, 2.0);
         let json = snapshot().to_json();
         let doc = crate::json::JsonValue::parse(&json)
             .unwrap_or_else(|e| panic!("snapshot JSON must stay parseable: {e}\n{json}"));
@@ -912,10 +893,11 @@ mod tests {
             doc.get("schema").and_then(crate::json::JsonValue::as_str),
             Some(SCHEMA)
         );
-        let counters = doc.get("counters").unwrap();
-        assert!(
-            counters.get("probe_test_hostile\rcounter\\path").is_some(),
-            "escaped name must round-trip through the parser"
-        );
+        for section in ["spans", "counters", "events", "histograms"] {
+            assert!(
+                doc.get(section).and_then(|s| s.get(name)).is_some(),
+                "{section}: name did not round-trip unchanged\n{json}"
+            );
+        }
     }
 }

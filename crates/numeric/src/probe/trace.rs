@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use super::json_escape;
+use crate::json::json_string;
 
 /// Identifier of the JSON layout emitted by [`Trace::to_chrome_json`]
 /// (carried in the document's `otherData`; the event layout itself is
@@ -330,13 +330,13 @@ impl Trace {
                 if j > 0 {
                     args.push_str(", ");
                 }
-                let _ = write!(args, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
+                let _ = write!(args, "{}: {}", json_string(k), json_string(v));
             }
             let _ = writeln!(
                 json,
-                "    {{\"name\": \"{}\", \"cat\": \"snoop\", \"ph\": \"{}\", \
+                "    {{\"name\": {}, \"cat\": \"snoop\", \"ph\": \"{}\", \
                  \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{{args}}}}}{comma}",
-                json_escape(&e.name),
+                json_string(&e.name),
                 e.phase,
                 e.tid,
             );

@@ -8,6 +8,8 @@
 
 use std::io::{Read, Write};
 
+use snoop_numeric::json::json_string;
+
 /// Upper bound on the request line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -296,26 +298,6 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     }
 }
 
-/// Serializes a string as a JSON string literal (the subset of escaping
-/// the daemon's own messages need).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,12 +397,5 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
         assert!(text.contains("9\r\nline one\n\r\n"), "{text}");
         assert!(text.ends_with("0\r\n\r\n"), "{text}");
-    }
-
-    #[test]
-    fn json_string_escapes_the_awkward_characters() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

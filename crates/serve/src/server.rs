@@ -38,7 +38,7 @@ use snoop_mva::engine::{
     SimBackend, StoreConfig, StoreError,
 };
 use snoop_numeric::exec::ExecOptions;
-use snoop_numeric::json::format_f64;
+use snoop_numeric::json::{format_f64, json_string};
 use snoop_numeric::probe;
 
 use crate::access_log::{AccessLog, AccessLogConfig};
@@ -567,8 +567,8 @@ impl Shared {
                 "{{\"ts\":{ts:.3},\"method\":{},\"path\":{},\"status\":{},\
                  \"bytes\":{bytes},\"queue_wait_ms\":{},\"service_ms\":{},\
                  \"jobs\":{},\"cache_hits\":{}}}",
-                http::json_string(&request.method),
-                http::json_string(&request.path),
+                json_string(&request.method),
+                json_string(&request.path),
                 meta.status,
                 format_f64(waited_ms),
                 format_f64(service_ms),
@@ -603,7 +603,7 @@ impl Shared {
             ("GET", "/healthz") => {
                 probe::counter_add("serve.requests.healthz", 1);
                 let git_sha = match &self.git_sha {
-                    Some(sha) => http::json_string(sha),
+                    Some(sha) => json_string(sha),
                     None => "null".to_string(),
                 };
                 let body = format!(
@@ -612,7 +612,7 @@ impl Shared {
                      \"workers\":{},\"queue_bound\":{},\"requests\":{}}}\n",
                     self.depth.load(Ordering::Relaxed),
                     format_f64(self.started.elapsed().as_secs_f64()),
-                    http::json_string(env!("CARGO_PKG_VERSION")),
+                    json_string(env!("CARGO_PKG_VERSION")),
                     self.workers,
                     self.queue_bound,
                     self.requests.load(Ordering::Relaxed),
@@ -732,7 +732,7 @@ impl Shared {
                              \"backend\":\"{}\",\"key\":{},\"cached\":{},\
                              \"queue_wait_ms\":{},\"evaluation\":{}}}\n",
                             outcome.backend,
-                            http::json_string(&outcome.key),
+                            json_string(&outcome.key),
                             eval.provenance.cached,
                             format_f64(waited_ms),
                             eval.to_json(),
@@ -744,8 +744,8 @@ impl Shared {
                             "{{\"scenario\":{index},\"hash\":\"{hash:016x}\",\
                              \"backend\":\"{}\",\"key\":{},\"error\":{}}}\n",
                             outcome.backend,
-                            http::json_string(&outcome.key),
-                            http::json_string(&e.to_string()),
+                            json_string(&outcome.key),
+                            json_string(&e.to_string()),
                         )
                     }
                 };

@@ -24,7 +24,6 @@
 
 pub mod config;
 pub mod event;
-pub mod measure;
 pub mod probabilistic;
 pub mod runner;
 pub mod stats;

@@ -27,7 +27,7 @@ use snoop_workload::timing::TimingModel;
 use snoop_workload::trace::{TraceConfig, TraceGenerator, TraceRecord, TraceSource};
 
 use crate::event::Calendar;
-use crate::measure::ParameterCounters;
+use snoop_workload::measure::ParameterCounters;
 use crate::SimError;
 
 /// Policy for distributed-write (modification 4) broadcasts.
@@ -97,16 +97,6 @@ impl TraceSimConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), SimError> {
-        if self.trace.processors != self.n {
-            return Err(SimError::InvalidConfig(
-                "trace processor count must match n".into(),
-            ));
-        }
-        self.params.validate()?;
-        self.drive_config().validate()
-    }
-
     /// The [`TraceSource`]-based driving configuration this legacy
     /// configuration describes (`tau` is taken from the workload
     /// parameters, everything else carries over).
@@ -125,10 +115,9 @@ impl TraceSimConfig {
         }
     }
 
-    /// The synthetic [`TraceGenerator`] this legacy configuration
-    /// describes, seeded as the old entry points seeded it — so
-    /// `simulate_trace_source(&c.drive_config(), c.generator())` is
-    /// bit-identical to the deprecated `simulate_trace(&c)`.
+    /// The synthetic [`TraceGenerator`] this configuration describes,
+    /// seeded from [`TraceSimConfig::seed`]; run it with
+    /// `simulate_trace_source(&c.drive_config(), c.generator()?)`.
     ///
     /// # Errors
     ///
@@ -796,40 +785,6 @@ pub fn simulate_trace_source_measuring<S: TraceSource>(
     Ok((measures, params))
 }
 
-/// Runs one trace-driven simulation over the synthetic generator described
-/// by a legacy [`TraceSimConfig`].
-///
-/// # Errors
-///
-/// Propagates configuration validation failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `simulate_trace_source(&config.drive_config(), config.generator()?)`, \
-            which accepts any `TraceSource`"
-)]
-pub fn simulate_trace(config: &TraceSimConfig) -> Result<TraceSimMeasures, SimError> {
-    config.validate()?;
-    simulate_trace_source(&config.drive_config(), config.generator()?)
-}
-
-/// Runs one trace-driven simulation and also *measures* the workload
-/// parameters from the observed behaviour.
-///
-/// # Errors
-///
-/// Propagates configuration validation failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `simulate_trace_source_measuring(&config.drive_config(), \
-            config.generator()?)`, which accepts any `TraceSource`"
-)]
-pub fn simulate_trace_measuring(
-    config: &TraceSimConfig,
-) -> Result<(TraceSimMeasures, WorkloadParams), SimError> {
-    config.validate()?;
-    simulate_trace_source_measuring(&config.drive_config(), config.generator()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,24 +834,6 @@ mod tests {
             self.cursor[processor] += 1;
             Some(found)
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_match_the_trace_source_path() {
-        // The acceptance bar for the redesign: the old synthetic path must
-        // stay bit-identical. Both shims delegate, so old == new exactly.
-        let cfg = quick(3, &[1]);
-        let old = simulate_trace(&cfg).unwrap();
-        let new = run_cfg(&cfg).unwrap();
-        assert_eq!(old, new);
-
-        let (old_m, old_p) = simulate_trace_measuring(&cfg).unwrap();
-        let (new_m, new_p) =
-            simulate_trace_source_measuring(&cfg.drive_config(), cfg.generator().unwrap())
-                .unwrap();
-        assert_eq!(old_m, new_m);
-        assert_eq!(format!("{old_p:?}"), format!("{new_p:?}"));
     }
 
     #[test]
@@ -1010,7 +947,7 @@ mod tests {
         c.trace.sro_blocks = 16;
         c.warmup_references = 500;
         c.measured_references = 4_000;
-        c.validate().unwrap();
+        c.drive_config().validate().unwrap();
         let mut machine = TraceMachine::new(c.drive_config(), c.generator().unwrap());
         let measures = machine.run().unwrap();
         assert!(measures.speedup > 0.0);

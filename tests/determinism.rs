@@ -8,13 +8,11 @@
 //! explicit thread counts below make the contract hold regardless of the
 //! environment.
 
+use snoop::engine::{Engine, Evaluation, Evaluator, MvaBackend, ResilientMvaBackend, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
-use snoop::mva::resilient::ResilientOptions;
-use snoop::mva::sweep::{
-    figure_4_1_family_exec, figure_4_1_grid, resilient_speedup_series, TABLE_4_1_N,
-};
-use snoop::mva::SolverOptions;
+use snoop::mva::paper::TABLE_N;
+use snoop::mva::sweep::figure_4_1_grid;
 use snoop::numeric::exec::ExecOptions;
 use snoop::protocol::ModSet;
 use snoop::sim::runner::replicate_exec;
@@ -25,55 +23,74 @@ use snoop::workload::timing::TimingModel;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// The warm-chained resilient backend the CLI's `sweep` command runs.
+fn warm_resilient() -> ResilientMvaBackend {
+    ResilientMvaBackend { warm_start_chains: true, ..ResilientMvaBackend::default() }
+}
+
+/// Every Figure 4.1 grid cell at every size in `sizes`, in grid order.
+fn figure_scenarios(sizes: &[usize]) -> Vec<Scenario> {
+    figure_4_1_grid()
+        .into_iter()
+        .flat_map(|(mods, sharing)| {
+            sizes.iter().map(move |&n| Scenario::appendix_a(mods, sharing, n))
+        })
+        .collect()
+}
+
+/// Evaluates `scenarios` on a fresh engine holding only `backend`.
+fn evaluate(
+    backend: impl Evaluator + 'static,
+    exec: ExecOptions,
+    scenarios: &[Scenario],
+) -> Vec<Evaluation> {
+    let evaluations =
+        Engine::new().with_backend(backend).with_exec(exec).evaluate_batch_ok(scenarios);
+    assert_eq!(evaluations.len(), scenarios.len(), "a grid point failed");
+    evaluations
+}
+
 #[test]
-fn figure_4_1_family_identical_across_thread_counts() {
-    let sizes = [1, 4, 10, 20];
-    let options = SolverOptions::default();
-    let serial = figure_4_1_family_exec(&sizes, &options, &ExecOptions::SERIAL).unwrap();
+fn figure_4_1_grid_identical_across_thread_counts() {
+    let scenarios = figure_scenarios(&[1, 4, 10, 20]);
+    let serial = evaluate(MvaBackend, ExecOptions::SERIAL, &scenarios);
     for threads in THREAD_COUNTS {
-        let parallel =
-            figure_4_1_family_exec(&sizes, &options, &ExecOptions::with_threads(threads))
-                .unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.mods, p.mods);
-            assert_eq!(s.sharing, p.sharing);
-            for (a, b) in s.points.iter().zip(&p.points) {
-                assert_eq!(
-                    a.speedup.to_bits(),
-                    b.speedup.to_bits(),
-                    "{} {} N={}: {} threads diverged",
-                    s.mods,
-                    s.sharing,
-                    a.n,
-                    threads
-                );
-            }
+        let parallel = evaluate(MvaBackend, ExecOptions::with_threads(threads), &scenarios);
+        for ((s, a), b) in scenarios.iter().zip(&serial).zip(&parallel) {
+            assert_eq!(
+                a.speedup.to_bits(),
+                b.speedup.to_bits(),
+                "{} {:?} N={}: {threads} threads diverged",
+                s.protocol,
+                s.sharing,
+                s.n
+            );
         }
     }
 }
 
 #[test]
 fn resilient_sweeps_identical_on_all_table_4_1_configs() {
-    let options = ResilientOptions::default();
-    for (mods, sharing) in figure_4_1_grid() {
-        let serial =
-            resilient_speedup_series(mods, sharing, &TABLE_4_1_N, &options, true).unwrap();
-        // `resilient_speedup_series` is sequential within a series; the
-        // grid-parallel entry point must reproduce it cell for cell.
-        for threads in THREAD_COUNTS {
-            let family = snoop::mva::sweep::resilient_figure_4_1_family(
-                &TABLE_4_1_N,
-                &options,
-                true,
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
-            let cell = family
-                .iter()
-                .find(|s| s.mods == mods && s.sharing == sharing)
-                .expect("grid cell present");
-            assert_eq!(&serial, cell, "{mods} {sharing}: {threads} threads diverged");
+    // Each cell's warm chain, evaluated alone and serially, must be
+    // reproduced cell for cell — iteration counts and winning strategy
+    // included — when the whole grid runs as one batch on any number of
+    // threads.
+    let family = figure_scenarios(&TABLE_N);
+    let batches: Vec<Vec<Evaluation>> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| evaluate(warm_resilient(), ExecOptions::with_threads(threads), &family))
+        .collect();
+    for (cell, (mods, sharing)) in figure_4_1_grid().into_iter().enumerate() {
+        let cell_scenarios: Vec<Scenario> =
+            TABLE_N.iter().map(|&n| Scenario::appendix_a(mods, sharing, n)).collect();
+        let serial = evaluate(warm_resilient(), ExecOptions::SERIAL, &cell_scenarios);
+        let range = cell * TABLE_N.len()..(cell + 1) * TABLE_N.len();
+        for (threads, batch) in THREAD_COUNTS.iter().zip(&batches) {
+            assert_eq!(
+                serial.as_slice(),
+                &batch[range.clone()],
+                "{mods} {sharing}: {threads} threads diverged"
+            );
         }
     }
 }
@@ -139,9 +156,9 @@ fn metrics_collection_does_not_change_any_output_bit() {
     // then recompute everything with collection enabled at every thread
     // count: all outputs must stay bit-identical, because the probe layer
     // is strictly observational.
-    let sizes = [1, 4, 10];
-    let options = SolverOptions::default();
-    let figure_ref = figure_4_1_family_exec(&sizes, &options, &ExecOptions::SERIAL).unwrap();
+    let scenarios = figure_scenarios(&[1, 4, 10]);
+    let figure_ref = evaluate(MvaBackend, ExecOptions::SERIAL, &scenarios);
+    let resilient_ref = evaluate(warm_resilient(), ExecOptions::SERIAL, &scenarios);
 
     let inputs = ModelInputs::derive_adjusted(
         &WorkloadParams::appendix_a(SharingLevel::Five),
@@ -166,16 +183,16 @@ fn metrics_collection_does_not_change_any_output_bit() {
     let _session = snoop::numeric::probe::session();
     for threads in THREAD_COUNTS {
         let exec = ExecOptions::with_threads(threads);
-        let figure = figure_4_1_family_exec(&sizes, &options, &exec).unwrap();
-        for (s, p) in figure_ref.iter().zip(&figure) {
-            for (a, b) in s.points.iter().zip(&p.points) {
-                assert_eq!(
-                    a.speedup.to_bits(),
-                    b.speedup.to_bits(),
-                    "{threads} threads with metrics: figure diverged"
-                );
-            }
+        let figure = evaluate(MvaBackend, exec, &scenarios);
+        for (a, b) in figure_ref.iter().zip(&figure) {
+            assert_eq!(
+                a.speedup.to_bits(),
+                b.speedup.to_bits(),
+                "{threads} threads with metrics: figure diverged"
+            );
         }
+        let resilient = evaluate(warm_resilient(), exec, &scenarios);
+        assert_eq!(resilient_ref, resilient, "{threads} threads with metrics: resilient diverged");
         let gtpn = net
             .solve(&ReachabilityOptions { threads, ..ReachabilityOptions::default() })
             .unwrap();
@@ -211,9 +228,7 @@ fn tracing_does_not_change_any_engine_output_bit() {
     // trace session active, the engine must produce bit-identical
     // evaluations at every thread count — on a fresh cache each time, so
     // every backend genuinely re-solves under the recorder.
-    use snoop::engine::{
-        Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario, SimBackend,
-    };
+    use snoop::engine::{GtpnBackend, SimBackend};
     use snoop::numeric::probe::trace;
 
     let quick = |protocol: &str, sharing: SharingLevel, n: usize| {
