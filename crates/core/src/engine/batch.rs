@@ -22,6 +22,7 @@
 //! job one at a time — at 1, 2 or 8 threads.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snoop_numeric::exec::{par_map, ExecOptions};
@@ -55,6 +56,48 @@ struct WorkItem {
     /// `(job index of the first-seen job with this key, scenario index)`
     /// per member, already in evaluation (size) order.
     members: Vec<(usize, usize)>,
+}
+
+/// One batch's own cache and store traffic. Concurrent batches share the
+/// cache and the store, so a delta of their global counters taken over
+/// one batch's run would also count every overlapping batch's traffic;
+/// each batch counts what it did itself instead.
+#[derive(Debug, Default)]
+struct Tally {
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    cache_evictions: AtomicU64,
+    store_hits: AtomicU64,
+    store_misses: AtomicU64,
+    store_writes: AtomicU64,
+}
+
+impl Tally {
+    fn add(counter: &AtomicU64, delta: u64) {
+        counter.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Folds the tally into the metrics snapshot.
+    fn publish(&self) {
+        for (name, counter) in [
+            ("engine.cache.hits", &self.cache_hits),
+            ("engine.cache.misses", &self.cache_misses),
+            ("engine.cache.evictions", &self.cache_evictions),
+        ] {
+            snoop_numeric::probe::counter_add(name, counter.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Folds the store part of the tally into the metrics snapshot.
+    fn publish_store(&self) {
+        for (name, counter) in [
+            ("store.hits", &self.store_hits),
+            ("store.misses", &self.store_misses),
+            ("store.writes", &self.store_writes),
+        ] {
+            snoop_numeric::probe::counter_add(name, counter.load(Ordering::Relaxed));
+        }
+    }
 }
 
 /// Evaluates batches of [`Scenario`]s across a set of backends with
@@ -193,8 +236,7 @@ impl Engine {
                 ("backends", self.backends.len().to_string()),
             ]
         });
-        let stats_before = self.cache.stats();
-        let store_before = self.store.as_ref().map(|s| s.stats());
+        let tally = Tally::default();
         // Phase 1: enumerate jobs scenario-major.
         let mut jobs: Vec<(usize, usize, String)> = Vec::new();
         for (si, scenario) in scenarios.iter().enumerate() {
@@ -225,7 +267,10 @@ impl Engine {
             // every probe value, never feeds back into the solve).
             let consult_started =
                 snoop_numeric::probe::enabled().then(std::time::Instant::now);
-            let hit_tier = match self.cache.get(key) {
+            let cached = self.cache.get(key);
+            let counter = if cached.is_some() { &tally.cache_hits } else { &tally.cache_misses };
+            Tally::add(counter, 1);
+            let hit_tier = match cached {
                 Some(hit) => {
                     job_trace.arg("cache", "hit".to_string());
                     outcomes.push(Some(Ok(hit)));
@@ -234,7 +279,7 @@ impl Engine {
                 // In-memory miss: read through to the durable store. A
                 // store hit fills the in-memory tier, so later duplicates
                 // in this batch hit there.
-                None => match self.store_get(key) {
+                None => match self.store_get(key, &tally) {
                     Some(eval) => {
                         job_trace.arg("cache", "store".to_string());
                         outcomes.push(Some(Ok(eval)));
@@ -332,12 +377,15 @@ impl Engine {
             }
             for (&(ji, _), result) in item.members.iter().zip(&results) {
                 if let Ok(eval) = result {
-                    self.cache.insert(&jobs[ji].2, eval.clone());
+                    let evicted = self.cache.insert(&jobs[ji].2, eval.clone());
+                    Tally::add(&tally.cache_evictions, evicted);
                     if let Some(store) = &self.store {
                         // Publish failures (ENOSPC, torn write) are
                         // absorbed: the result still returns in-memory,
                         // it just won't survive this process.
-                        let _ = store.put(&jobs[ji].2, eval.to_json().as_bytes());
+                        if store.put(&jobs[ji].2, eval.to_json().as_bytes()).is_ok() {
+                            Tally::add(&tally.store_writes, 1);
+                        }
                     }
                 }
             }
@@ -368,7 +416,7 @@ impl Engine {
         if !deferred.is_empty() {
             let mut still_missing: Vec<WorkItem> = Vec::new();
             for mut item in deferred {
-                item.members.retain(|&(ji, _)| match self.store_get(&jobs[ji].2) {
+                item.members.retain(|&(ji, _)| match self.store_get(&jobs[ji].2, &tally) {
                     Some(eval) => {
                         outcomes[ji] = Some(Ok(eval));
                         false
@@ -391,41 +439,13 @@ impl Engine {
         }
         snoop_numeric::probe::counter_add("engine.computed", executed_members);
 
-        // Fold this batch's cache accounting into the metrics snapshot
-        // (counters are monotonic, so only the deltas are added).
+        // Fold this batch's own cache and store traffic into the metrics
+        // snapshot (the store counts its quarantines itself).
         if snoop_numeric::probe::enabled() {
-            let stats_after = self.cache.stats();
-            snoop_numeric::probe::counter_add(
-                "engine.cache.hits",
-                stats_after.hits.saturating_sub(stats_before.hits),
-            );
-            snoop_numeric::probe::counter_add(
-                "engine.cache.misses",
-                stats_after.misses.saturating_sub(stats_before.misses),
-            );
-            snoop_numeric::probe::counter_add(
-                "engine.cache.evictions",
-                stats_after.evictions.saturating_sub(stats_before.evictions),
-            );
-            snoop_numeric::probe::record("engine.cache.entries", stats_after.entries as f64);
-            if let (Some(store), Some(before)) = (&self.store, store_before) {
-                let after = store.stats();
-                snoop_numeric::probe::counter_add(
-                    "store.hits",
-                    after.hits.saturating_sub(before.hits),
-                );
-                snoop_numeric::probe::counter_add(
-                    "store.misses",
-                    after.misses.saturating_sub(before.misses),
-                );
-                snoop_numeric::probe::counter_add(
-                    "store.writes",
-                    after.writes.saturating_sub(before.writes),
-                );
-                snoop_numeric::probe::counter_add(
-                    "store.quarantined",
-                    after.quarantined.saturating_sub(before.quarantined),
-                );
+            tally.publish();
+            snoop_numeric::probe::record("engine.cache.entries", self.cache.len() as f64);
+            if self.store.is_some() {
+                tally.publish_store();
             }
         }
 
@@ -455,16 +475,20 @@ impl Engine {
     /// tier. The store itself quarantines checksum-level damage; an
     /// entry that passes the checksum but no longer parses (schema
     /// drift) reads as a miss and is recomputed and overwritten.
-    fn store_get(&self, key: &str) -> Option<Evaluation> {
+    fn store_get(&self, key: &str, tally: &Tally) -> Option<Evaluation> {
         let store = self.store.as_ref()?;
-        let bytes = store.get(key)?;
+        let Some(bytes) = store.get(key) else {
+            Tally::add(&tally.store_misses, 1);
+            return None;
+        };
+        Tally::add(&tally.store_hits, 1);
         let eval = std::str::from_utf8(&bytes)
             .ok()
             .and_then(|text| JsonValue::parse(text).ok())
             .and_then(|doc| Evaluation::from_json(&doc).ok());
         match eval {
             Some(mut eval) => {
-                self.cache.insert(key, eval.clone());
+                Tally::add(&tally.cache_evictions, self.cache.insert(key, eval.clone()));
                 eval.provenance.cached = true;
                 Some(eval)
             }

@@ -152,19 +152,23 @@ impl ResultCache {
         }
     }
 
-    /// Stores `evaluation` under `key` (no hit/miss accounting). Inserting
-    /// an existing key refreshes the value without growing the cache.
-    pub fn insert(&self, key: &str, evaluation: Evaluation) {
+    /// Stores `evaluation` under `key` (no hit/miss accounting) and
+    /// returns how many entries it evicted. Inserting an existing key
+    /// refreshes the value without growing the cache.
+    pub fn insert(&self, key: &str, evaluation: Evaluation) -> u64 {
         let mut inner = self.inner.lock().expect("cache lock");
+        let mut evicted = 0;
         if inner.map.insert(key.to_string(), evaluation).is_none() {
             inner.order.push_back(key.to_string());
             while inner.map.len() > self.capacity {
                 if let Some(oldest) = inner.order.pop_front() {
                     inner.map.remove(&oldest);
-                    inner.evictions += 1;
+                    evicted += 1;
                 }
             }
         }
+        inner.evictions += evicted;
+        evicted
     }
 
     /// Current accounting snapshot.

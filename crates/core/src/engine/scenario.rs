@@ -9,8 +9,10 @@
 //! compared across backends. The three `to_*` conversions here are the
 //! only blessed paths from a scenario to a concrete model configuration.
 
+use std::fmt::Write as _;
+
 use snoop_gtpn::models::coherence::CoherenceNet;
-use snoop_numeric::json::{format_f64, JsonValue};
+use snoop_numeric::json::{write_f64, JsonValue};
 use snoop_protocol::ModSet;
 use snoop_sim::SimConfig;
 use snoop_workload::params::{SharingLevel, WorkloadParams};
@@ -162,51 +164,37 @@ impl Scenario {
     /// produce byte-identical serializations regardless of how they were
     /// constructed or spelled in a batch file.
     pub fn canonical_json(&self) -> String {
+        // Every piece is written straight into one buffer; `fmt::Write`
+        // into a `String` cannot fail.
         let mut s = String::with_capacity(640);
-        s.push_str("{\"schema\":\"");
-        s.push_str(SCHEMA);
-        s.push_str("\",\"protocol\":\"");
-        s.push_str(&self.protocol.to_string());
-        s.push_str("\",\"sharing\":");
+        let _ = write!(s, r#"{{"schema":"{SCHEMA}","protocol":"{}","sharing":"#, self.protocol);
         match self.sharing {
             Some(level) => {
-                s.push('"');
-                s.push_str(sharing_code(level));
-                s.push('"');
+                let _ = write!(s, r#""{}""#, sharing_code(level));
             }
             None => s.push_str("null"),
         }
-        s.push_str(",\"n\":");
-        s.push_str(&self.n.to_string());
-        s.push_str(",\"params\":{");
+        let _ = write!(s, r#","n":{},"params":{{"#, self.n);
         for (i, (name, value)) in param_fields(&self.params).iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(&format_f64(*value));
+            let _ = write!(s, r#"{}"{name}":"#, if i > 0 { "," } else { "" });
+            write_f64(&mut s, *value);
         }
-        s.push_str("},\"solver\":{\"max_iterations\":");
-        s.push_str(&self.solver.max_iterations.to_string());
-        s.push_str(",\"tolerance\":");
-        s.push_str(&format_f64(self.solver.tolerance));
-        s.push_str(",\"damping\":");
-        s.push_str(&format_f64(self.solver.damping));
-        s.push_str("},\"sim\":{\"seed\":");
-        s.push_str(&self.sim.seed.to_string());
-        s.push_str(",\"warmup\":");
-        s.push_str(&self.sim.warmup_references.to_string());
-        s.push_str(",\"measured\":");
-        s.push_str(&self.sim.measured_references.to_string());
-        s.push_str(",\"replications\":");
-        s.push_str(&self.sim.replications.to_string());
-        s.push_str(",\"confidence\":");
-        s.push_str(&format_f64(self.sim.confidence));
-        s.push_str("},\"gtpn\":{\"max_states\":");
-        s.push_str(&self.gtpn.max_states.to_string());
-        s.push_str("}}");
+        let _ = write!(
+            s,
+            r#"}},"solver":{{"max_iterations":{},"tolerance":"#,
+            self.solver.max_iterations
+        );
+        write_f64(&mut s, self.solver.tolerance);
+        s.push_str(r#","damping":"#);
+        write_f64(&mut s, self.solver.damping);
+        let sim = &self.sim;
+        let _ = write!(
+            s,
+            r#"}},"sim":{{"seed":{},"warmup":{},"measured":{},"replications":{},"confidence":"#,
+            sim.seed, sim.warmup_references, sim.measured_references, sim.replications,
+        );
+        write_f64(&mut s, sim.confidence);
+        let _ = write!(s, r#"}},"gtpn":{{"max_states":{}}}}}"#, self.gtpn.max_states);
         s
     }
 
@@ -576,6 +564,63 @@ mod tests {
         let mut tol = base;
         tol.solver.tolerance = 1e-9;
         assert_ne!(base.content_hash(), tol.content_hash());
+    }
+
+    #[test]
+    fn canonical_bytes_and_hashes_are_pinned() {
+        // Cache entries, store keys and rendered hashes all derive from
+        // these bytes: any change to them orphans every stored result.
+        let mut custom = Scenario::appendix_a("dragon".parse().unwrap(), SharingLevel::Twenty, 8);
+        custom.sim.replications = 5;
+        custom.solver.tolerance = 1e-9;
+        custom.params.tau = 0.1 + 0.2;
+        let bespoke = Scenario::with_params(
+            "WO+2+3".parse().unwrap(),
+            WorkloadParams::appendix_a(SharingLevel::One),
+            6,
+        );
+        let tail = r#""h_private":0.95,"h_sro":0.95,"h_sw":0.5,"r_private":0.7,"r_sw":0.5,"amod_private":0.7,"amod_sw":0.3,"csupply_sro":0.95,"csupply_sw":0.5,"wb_csupply":0.3,"rep_p":0.2,"rep_sw":0.5},"solver":{"max_iterations":10000,"tolerance":"#;
+        let sim = r#","damping":1.0},"sim":{"seed":1592642302,"warmup":2000,"measured":30000,"replications":"#;
+        let gtpn = r#","confidence":0.95},"gtpn":{"max_states":200000}}"#;
+        for (scenario, json, content, family) in [
+            (
+                wo5(10),
+                format!(
+                    r#"{{"schema":"snoop-scenario-v1","protocol":"WO","sharing":"5","n":10,"params":{{"tau":2.5,"p_private":0.95,"p_sro":0.03,"p_sw":0.02,{tail}1e-12{sim}3{gtpn}"#
+                ),
+                0x41bf_37e1_435e_9106,
+                0x72b3_ead3_ff58_177f,
+            ),
+            (
+                custom,
+                format!(
+                    r#"{{"schema":"snoop-scenario-v1","protocol":"WO+1+2+3+4","sharing":"20","n":8,"params":{{"tau":0.30000000000000004,"p_private":0.8,"p_sro":0.15,"p_sw":0.05,{tail}1e-9{sim}5{gtpn}"#
+                ),
+                0xe210_f6fa_a6ee_c4d4,
+                0x55e1_7472_3ab4_b8cc,
+            ),
+            (
+                bespoke,
+                format!(
+                    r#"{{"schema":"snoop-scenario-v1","protocol":"WO+2+3","sharing":null,"n":6,"params":{{"tau":2.5,"p_private":0.99,"p_sro":0.005,"p_sw":0.005,{tail}1e-12{sim}3{gtpn}"#
+                ),
+                0x6acf_6107_9e43_32ab,
+                0x70e3_edd8_e012_53c9,
+            ),
+        ] {
+            assert_eq!(scenario.canonical_json(), json);
+            assert_eq!(scenario.content_hash(), content, "{json}");
+            assert_eq!(scenario.family_hash(), family, "{json}");
+        }
+    }
+
+    #[test]
+    fn batch_comments_may_carry_surrogate_pair_escapes() {
+        // Python's json.dump (ensure_ascii=True) writes a non-BMP
+        // character such as an emoji as a UTF-16 surrogate pair.
+        let text = r#"{"schema":"snoop-scenario-v1","comment":"sweep \ud83d\ude80","scenarios":[
+            {"protocol":"WO","sharing":"5","n":4,"comment":"\ud83e\udd14 caf\u00e9"}]}"#;
+        assert_eq!(Scenario::parse_batch(text).unwrap(), vec![wo5(4)]);
     }
 
     #[test]

@@ -262,17 +262,23 @@ impl FixedPoint {
         if self.options.record_history {
             history.push(current.clone());
         }
-        // Two trailing iterates for Aitken extrapolation.
-        let mut prev1: Vec<f64> = Vec::new();
-        let mut prev2: Vec<f64> = Vec::new();
+        // Two trailing iterates for Aitken extrapolation (`prev1` the
+        // newer) and how many of them are held since the last
+        // extrapolation.
+        let aitken_len = if self.options.aitken { n } else { 0 };
+        let mut prev1 = vec![0.0; aitken_len];
+        let mut prev2 = vec![0.0; aitken_len];
+        let mut aitken_held = 0usize;
 
+        // Every buffer the loop touches is allocated here, so an iteration
+        // performs no heap allocation (history recording aside).
         let start = self.options.deadline.map(|_| Instant::now());
-        let mut trajectory: Vec<f64> = Vec::new();
+        let mut trajectory: VecDeque<f64> = VecDeque::with_capacity(TRAJECTORY_CAP);
         // Per-iteration max-abs step norms, trailing 2·GROWTH_WINDOW.
         let mut step_norms: VecDeque<f64> = VecDeque::with_capacity(2 * GROWTH_WINDOW);
         // Trailing committed iterates for period-2/3 cycle detection.
-        let mut recent: VecDeque<Vec<f64>> = VecDeque::with_capacity(4);
-        recent.push_back(current.clone());
+        let mut recent = IterateRing::new(n);
+        recent.push(&current);
         let (mut cycle2, mut cycle3) = (0usize, 0usize);
         // A revisit only counts as a cycle when it is essentially exact;
         // slowly-converging oscillation (eigenvalue near −1) moves the
@@ -281,7 +287,8 @@ impl FixedPoint {
 
         let mut residual = f64::INFINITY;
         for iteration in 1..=self.options.max_iterations {
-            let fail = |reason, residual, trajectory: Vec<f64>, last_finite| {
+            let fail = |reason, residual, trajectory: VecDeque<f64>, last_finite| {
+                let trajectory = Vec::from(trajectory);
                 crate::probe::counter_add("fixed_point.diverged", 1);
                 crate::probe::counter_add("fixed_point.iterations", iteration as u64);
                 crate::probe::record_many("fixed_point.residual_trajectory", &trajectory);
@@ -340,16 +347,19 @@ impl FixedPoint {
                 history.push(current.clone());
             }
             if trajectory.len() == TRAJECTORY_CAP {
-                trajectory.remove(0);
+                trajectory.pop_front();
             }
-            trajectory.push(residual);
+            trajectory.push_back(residual);
             if residual < self.options.tolerance {
                 crate::probe::counter_add("fixed_point.solves", 1);
                 crate::probe::counter_add("fixed_point.iterations", iteration as u64);
                 crate::probe::record("fixed_point.iterations_per_solve", iteration as f64);
                 crate::probe::hist_record("fixed_point.iterations", iteration as f64);
                 crate::probe::record("fixed_point.final_residual", residual);
-                crate::probe::record_many("fixed_point.residual_trajectory", &trajectory);
+                crate::probe::record_many(
+                    "fixed_point.residual_trajectory",
+                    trajectory.make_contiguous(),
+                );
                 return Ok(Solution { values: current, iterations: iteration, residual, history });
             }
 
@@ -376,17 +386,13 @@ impl FixedPoint {
             // steps back. The comparison is near-exact (cycle_tolerance),
             // so decaying oscillation is never flagged — only a genuinely
             // closed orbit, confirmed on consecutive iterations.
-            let m = recent.len();
-            if m >= 2 && max_relative_distance(&current, &recent[m - 2]) <= cycle_tolerance {
-                cycle2 += 1;
-            } else {
-                cycle2 = 0;
-            }
-            if m >= 3 && max_relative_distance(&current, &recent[m - 3]) <= cycle_tolerance {
-                cycle3 += 1;
-            } else {
-                cycle3 = 0;
-            }
+            let revisits = |back| {
+                recent
+                    .back(back)
+                    .is_some_and(|old| max_relative_distance(&current, old) <= cycle_tolerance)
+            };
+            cycle2 = if revisits(1) { cycle2 + 1 } else { 0 };
+            cycle3 = if revisits(2) { cycle3 + 1 } else { 0 };
             if cycle2 >= CYCLE_CONFIRMATIONS {
                 return fail(
                     DivergenceReason::LimitCycle { period: 2 },
@@ -403,13 +409,10 @@ impl FixedPoint {
                     current,
                 );
             }
-            if recent.len() == 4 {
-                recent.pop_front();
-            }
-            recent.push_back(current.clone());
+            recent.push(&current);
 
             if self.options.aitken {
-                if prev2.len() == n && prev1.len() == n && iteration % 3 == 0 {
+                if aitken_held == 2 && iteration % 3 == 0 {
                     // x_acc = x2 − (x2 − x1)² / (x2 − 2·x1 + x0), per
                     // component, where x0 = prev2, x1 = prev1, x2 = current.
                     for i in 0..n {
@@ -424,24 +427,66 @@ impl FixedPoint {
                     }
                     // Keep the cycle ring aligned with the extrapolated
                     // iterate the next evaluation will actually see.
-                    if let Some(back) = recent.back_mut() {
-                        back.clone_from(&current);
-                    }
-                    prev1.clear();
-                    prev2.clear();
+                    recent.replace_newest(&current);
+                    aitken_held = 0;
                     continue;
                 }
-                prev2 = std::mem::take(&mut prev1);
-                prev1 = current.clone();
+                std::mem::swap(&mut prev1, &mut prev2);
+                prev1.copy_from_slice(&current);
+                aitken_held = (aitken_held + 1).min(2);
             }
         }
 
         crate::probe::counter_add("fixed_point.no_convergence", 1);
         crate::probe::counter_add("fixed_point.iterations", self.options.max_iterations as u64);
-        crate::probe::record_many("fixed_point.residual_trajectory", &trajectory);
+        crate::probe::record_many("fixed_point.residual_trajectory", trajectory.make_contiguous());
         Err(NumericError::NoConvergence {
             iterations: self.options.max_iterations,
             residual,
+        })
+    }
+}
+
+/// The last [`IterateRing::SLOTS`] committed iterates, kept in one
+/// buffer allocated up front so that pushing an iterate only copies it.
+struct IterateRing {
+    buf: Vec<f64>,
+    n: usize,
+    /// Slot the next push overwrites.
+    next: usize,
+    len: usize,
+}
+
+impl IterateRing {
+    /// The newest committed iterate and the three before it.
+    const SLOTS: usize = 4;
+
+    fn new(n: usize) -> Self {
+        IterateRing { buf: vec![0.0; Self::SLOTS * n], n, next: 0, len: 0 }
+    }
+
+    fn slot(&mut self, slot: usize) -> &mut [f64] {
+        &mut self.buf[slot * self.n..(slot + 1) * self.n]
+    }
+
+    fn push(&mut self, x: &[f64]) {
+        let slot = self.next;
+        self.slot(slot).copy_from_slice(x);
+        self.next = (slot + 1) % Self::SLOTS;
+        self.len = (self.len + 1).min(Self::SLOTS);
+    }
+
+    /// Overwrites the newest iterate (there must be one).
+    fn replace_newest(&mut self, x: &[f64]) {
+        let slot = (self.next + Self::SLOTS - 1) % Self::SLOTS;
+        self.slot(slot).copy_from_slice(x);
+    }
+
+    /// The iterate `back` pushes before the newest (`0` is the newest).
+    fn back(&self, back: usize) -> Option<&[f64]> {
+        (back < self.len).then(|| {
+            let slot = (self.next + Self::SLOTS - 1 - back) % Self::SLOTS;
+            &self.buf[slot * self.n..(slot + 1) * self.n]
         })
     }
 }

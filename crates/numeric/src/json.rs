@@ -15,7 +15,7 @@
 //!   finite `f64`. Integers up to 2^53 round-trip exactly.
 //! * Non-finite numbers serialize as `null` (JSON has no NaN/Inf).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser (stack-overflow guard).
 const MAX_DEPTH: usize = 128;
@@ -61,7 +61,7 @@ impl JsonValue {
     ///
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -154,7 +154,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(v) => out.push_str(&format_f64(*v)),
+            JsonValue::Number(v) => write_f64(out, *v),
             JsonValue::String(s) => write_json_string(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -191,10 +191,18 @@ impl fmt::Display for JsonValue {
 /// Formats an `f64` as a JSON number with shortest round-trip precision;
 /// non-finite values become `null`.
 pub fn format_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// Appends `v` as [`format_f64`] formats it, without a temporary string.
+pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v:?}")
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -228,6 +236,7 @@ pub fn json_string(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -340,50 +349,74 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next `"` or `\`
+            // in one step. Both delimiters are ASCII and the run starts
+            // right after an ASCII byte (or at the opening quote), so both
+            // ends of the slice fall on char boundaries of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |len| self.pos + len);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // BMP only; surrogate halves are rejected (the
-                            // scenario/cache formats never emit them).
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid \\u escape")),
-                            }
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The backslash of an escape.
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// Decodes one escape sequence; `pos` is just past the backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Decodes the hex digits of a `\u` escape; `pos` is just past the
+    /// `u`. A high surrogate must be followed by a `\u` low surrogate and
+    /// the pair combines into one non-BMP char (the form an
+    /// ASCII-only writer such as Python's `json.dump` emits). A lone or
+    /// reversed half is rejected at the end of its own four digits.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4()?;
+        let at = self.pos;
+        let unpaired =
+            move || JsonError { offset: at, message: "invalid \\u escape".to_string() };
+        if !(0xD800..0xDC00).contains(&code) {
+            return char::from_u32(code).ok_or_else(unpaired);
+        }
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(unpaired());
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&low) {
+            return Err(unpaired());
+        }
+        char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)).ok_or_else(unpaired)
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -424,8 +457,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(JsonValue::Number(v)),
             _ => Err(JsonError {
@@ -527,6 +559,136 @@ mod tests {
         let v = JsonValue::String("a\u{1}b".into());
         assert_eq!(v.render(), "\"a\\u0001b\"");
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_scan_is_linear_in_the_document_size() {
+        use std::time::{Duration, Instant};
+        // A quadratic scan (re-validating the rest of the buffer per
+        // character) takes minutes on either document; a linear one
+        // takes milliseconds even in a debug build.
+        let big = "é€x".repeat((1 << 20) / 6);
+        let doc = format!("{{\"comment\":{}}}", json_string(&big));
+        let start = Instant::now();
+        let v = JsonValue::parse(&doc).unwrap();
+        assert_eq!(v.get("comment").and_then(JsonValue::as_str), Some(big.as_str()));
+
+        let scenario = r#"{"protocol":"WO+1","sharing":"5","n":16,"comment":"Ünïcödé 寄存器 🚀 naïve"}"#;
+        let batch = format!(
+            "{{\"schema\":\"snoop-scenario-v1\",\"scenarios\":[\n{}\n]}}",
+            vec![scenario; 4800].join(",\n")
+        );
+        let v = JsonValue::parse(&batch).unwrap();
+        let list = v.get("scenarios").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(list.len(), 4800);
+        assert_eq!(
+            list[4799].get("comment").and_then(JsonValue::as_str),
+            Some("Ünïcödé 寄存器 🚀 naïve")
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "parsing took {elapsed:?}");
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_combine_into_one_char() {
+        // Python's json.dump (ensure_ascii=True) writes U+1F680 this way.
+        let v = JsonValue::parse(r#""go \ud83d\ude80!""#).unwrap();
+        assert_eq!(v.as_str(), Some("go 🚀!"));
+        let v = JsonValue::parse(r#""\udbff\udfff""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{10FFFF}"));
+    }
+
+    #[test]
+    fn unpaired_surrogate_escapes_are_rejected_at_their_offset() {
+        for (text, offset) in [
+            // Lone high half, then end of string / a plain char.
+            (r#""\ud83d""#, 7),
+            (r#""ab\ud83dx""#, 9),
+            // High half followed by a non-surrogate escape.
+            (r#""\ud83d\u0041""#, 7),
+            // Lone low half, and a reversed pair.
+            (r#""\ude80""#, 7),
+            (r#""\ude80\ud83d""#, 7),
+            // After multibyte characters the offset is still in bytes.
+            ("\"é🚀\\ud83d\"", 13),
+        ] {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert_eq!(err.message, "invalid \\u escape", "{text}");
+            assert_eq!(err.offset, offset, "{text}");
+        }
+    }
+
+    #[test]
+    fn string_errors_after_multibyte_characters_report_byte_offsets() {
+        // "é" is 2 bytes, "€" 3, "🚀" 4: the opening quote plus these
+        // put the next character at byte 10.
+        let err = JsonValue::parse("\"é€🚀").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (10, "unterminated string"));
+        let err = JsonValue::parse("\"é€🚀\\q\"").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (11, "invalid escape"));
+        let err = JsonValue::parse("[\"é€🚀\", \"ü\\").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (18, "invalid escape"));
+    }
+
+    /// `s` escaped the way an ASCII-only writer (Python's `json.dump`
+    /// with `ensure_ascii=True`) does: every non-ASCII char as `\uXXXX`,
+    /// non-BMP chars as a surrogate pair.
+    fn ascii_only_json_string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (' '..='~').contains(&c) => out.push(c),
+                c => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{unit:04x}"));
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Strategy: strings mixing ASCII, 2-, 3- and 4-byte UTF-8, control
+    /// characters, `"` and `\`.
+    fn awkward_string() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        prop::collection::vec((0u8..7, 0u32..0x10_0000), 0..48).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(class, r)| {
+                    let code = match class {
+                        0 => 0x20 + r % 0x5F,
+                        1 => r % 0x20,
+                        2 => u32::from(b'"'),
+                        3 => u32::from(b'\\'),
+                        4 => 0x80 + r % 0x780,
+                        // 3-byte range minus the surrogate block.
+                        5 => {
+                            let c = 0x800 + r % 0xF000;
+                            if (0xD800..0xE000).contains(&c) { c + 0x800 } else { c }
+                        }
+                        _ => 0x1_0000 + r % 0x10_0000,
+                    };
+                    char::from_u32(code).expect("generated a scalar value")
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip_through_the_writer_and_the_parser(s in awkward_string()) {
+            let parsed = JsonValue::parse(&json_string(&s)).unwrap();
+            proptest::prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+            let parsed = JsonValue::parse(&ascii_only_json_string(&s)).unwrap();
+            proptest::prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

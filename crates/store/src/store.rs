@@ -171,8 +171,10 @@ pub struct DiskStore {
     entries: AtomicUsize,
     /// Unique temp-file discriminator within this process.
     temp_seq: AtomicU64,
-    /// Successful publishes, for the kill-point hook.
-    puts: AtomicU64,
+    /// Successful publishes, for the kill-point hook. While the hook is
+    /// armed its lock is held across every publish, so no thread can
+    /// publish between the N-th publish and the exit.
+    puts: Mutex<u64>,
     kill_after: Option<u64>,
 }
 
@@ -284,7 +286,7 @@ impl DiskStore {
             stats: Mutex::new(stats),
             entries: AtomicUsize::new(entries),
             temp_seq: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
+            puts: Mutex::new(0),
             kill_after,
         })
     }
@@ -346,6 +348,7 @@ impl DiskStore {
                 Err(_) if attempt == 0 => continue,
                 Err(reason) => {
                     self.quarantine(&path, &reason.to_string());
+                    snoop_numeric::probe::counter_add("store.quarantined", 1);
                     self.stat(|s| s.misses += 1);
                     return None;
                 }
@@ -401,6 +404,10 @@ impl DiskStore {
                 });
             }
         }
+        // Deterministic kill point for crash tests (see KILL_AFTER_PUTS_ENV):
+        // publishing and counting form one critical section.
+        let kill_gate =
+            self.kill_after.map(|limit| (limit, self.puts.lock().expect("store puts lock")));
         let existed = self.fs.exists(&final_path);
         if let Err(e) = self.fs.rename(&temp_path, &final_path) {
             self.stat(|s| s.write_errors += 1);
@@ -417,9 +424,11 @@ impl DiskStore {
         self.stat(|s| s.writes += 1);
         self.enforce_bound();
 
-        // Deterministic kill point for crash tests (see KILL_AFTER_PUTS_ENV).
-        if let Some(limit) = self.kill_after {
-            if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == limit {
+        if let Some((limit, mut puts)) = kill_gate {
+            *puts += 1;
+            if *puts == limit {
+                // Exits with the gate held: threads waiting to publish
+                // never get to.
                 eprintln!("store: injected kill after {limit} put(s)");
                 std::process::exit(3);
             }
