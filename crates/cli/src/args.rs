@@ -1,16 +1,30 @@
 //! A small `--flag value` argument parser (no external dependencies).
+//!
+//! Every accessor records the flag it was asked for, so once a command
+//! has run, [`ParsedArgs::reject_unread`] can name any flag the command
+//! never looked at — a misspelling, a removed option, or a flag that does
+//! not apply to the mode the other flags selected — instead of silently
+//! running as if it were absent.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 
-/// Parsed command line: a subcommand, positional arguments, and flags.
+/// One `--key value` pair plus whether a command has read it.
+#[derive(Debug, Clone)]
+struct Flag {
+    key: String,
+    value: String,
+    read: Cell<bool>,
+}
+
+/// Parsed command line: a subcommand and its flags.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedArgs {
     /// The subcommand (first non-flag token).
     pub command: String,
-    /// Positional arguments after the subcommand.
-    pub positional: Vec<String>,
-    /// `--key value` and bare `--switch` flags (the latter map to "true").
-    flags: HashMap<String, String>,
+    /// `--key value` and bare `--switch` flags (the latter map to "true"),
+    /// in command-line order; a repeated key keeps its first position and
+    /// its last value.
+    flags: Vec<Flag>,
 }
 
 impl ParsedArgs {
@@ -18,8 +32,8 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Returns a message for an empty command line or a flag before the
-    /// subcommand.
+    /// Returns a message for an empty command line, a flag before the
+    /// subcommand, or a stray positional argument (no command takes one).
     pub fn parse(argv: &[String]) -> Result<Self, String> {
         let mut parsed = ParsedArgs::default();
         let mut iter = argv.iter().peekable();
@@ -29,29 +43,50 @@ impl ParsedArgs {
             None => return Err("no subcommand given".to_string()),
         }
         while let Some(token) = iter.next() {
-            if let Some(key) = token.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        iter.next().expect("peeked").clone()
-                    }
-                    _ => "true".to_string(),
-                };
-                parsed.flags.insert(key.to_string(), value);
-            } else {
-                parsed.positional.push(token.clone());
+            let Some(key) = token.strip_prefix("--") else {
+                return Err(format!(
+                    "unexpected argument {token:?} (flags are spelled --name value)"
+                ));
+            };
+            let value = match iter.peek() {
+                Some(next) if !next.starts_with("--") => iter.next().expect("peeked").clone(),
+                _ => "true".to_string(),
+            };
+            match parsed.flags.iter_mut().find(|f| f.key == key) {
+                Some(flag) => flag.value = value,
+                None => {
+                    parsed.flags.push(Flag { key: key.to_string(), value, read: Cell::new(false) })
+                }
             }
         }
         Ok(parsed)
     }
 
+    /// The value of `--key`, marking it read.
+    fn get(&self, key: &str) -> Option<&str> {
+        let flag = self.flags.iter().find(|f| f.key == key)?;
+        flag.read.set(true);
+        Some(&flag.value)
+    }
+
     /// String flag with default.
     pub fn flag_str(&self, key: &str, default: &str) -> String {
-        self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
+        self.get(key).unwrap_or(default).to_string()
     }
 
     /// Whether a bare switch was given.
-    pub fn switch(&self, key: &str) -> bool {
-        self.flags.get(key).map(String::as_str) == Some("true")
+    ///
+    /// # Errors
+    ///
+    /// A switch followed by a bare token (`--csv extra`) fails naming
+    /// both, instead of reading as "off"; only `true`/`false` values are
+    /// accepted.
+    pub fn switch(&self, key: &str) -> Result<bool, String> {
+        match self.get(key) {
+            None | Some("false") => Ok(false),
+            Some("true") => Ok(true),
+            Some(v) => Err(format!("--{key} takes no value, got {v:?}")),
+        }
     }
 
     /// Parsed numeric flag with default.
@@ -60,9 +95,24 @@ impl ParsedArgs {
     ///
     /// Returns a message naming the flag when the value does not parse.
     pub fn flag_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("invalid value {v:?} for --{key}")),
+        }
+    }
+
+    /// Fails naming the first flag (in command-line order) that no
+    /// accessor has read. The dispatcher calls this after a command
+    /// succeeds; commands that run until stopped (`serve`, live `top`)
+    /// call it themselves once they have read every flag they take.
+    ///
+    /// # Errors
+    ///
+    /// `"<command>: unknown or unused flag --<key>"`.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        match self.flags.iter().find(|f| !f.read.get()) {
+            Some(flag) => Err(format!("{}: unknown or unused flag --{}", self.command, flag.key)),
+            None => Ok(()),
         }
     }
 }
@@ -72,17 +122,20 @@ mod tests {
     use super::*;
 
     fn parse(tokens: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        try_parse(tokens).unwrap()
+    }
+
+    fn try_parse(tokens: &[&str]) -> Result<ParsedArgs, String> {
+        ParsedArgs::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn parses_command_flags_and_positionals() {
-        let a = parse(&["solve", "--n", "10", "extra", "--csv"]);
+    fn parses_command_and_flags() {
+        let a = parse(&["solve", "--n", "10", "--csv"]);
         assert_eq!(a.command, "solve");
-        assert_eq!(a.positional, vec!["extra"]);
         assert_eq!(a.flag_num("n", 1usize).unwrap(), 10);
-        assert!(a.switch("csv"));
-        assert!(!a.switch("quiet"));
+        assert!(a.switch("csv").unwrap());
+        assert!(!a.switch("quiet").unwrap());
     }
 
     #[test]
@@ -103,9 +156,44 @@ mod tests {
     }
 
     #[test]
+    fn rejects_positional_arguments() {
+        let err = try_parse(&["table", "b"]).unwrap_err();
+        assert!(err.contains("\"b\""), "{err}");
+        // A flag takes at most one value; the next bare token is stray.
+        let err = try_parse(&["solve", "--n", "4", "extra"]).unwrap_err();
+        assert!(err.contains("\"extra\""), "{err}");
+    }
+
+    #[test]
     fn bad_number_is_reported() {
         let a = parse(&["solve", "--n", "ten"]);
         let err = a.flag_num("n", 1usize).unwrap_err();
         assert!(err.contains("--n"));
+    }
+
+    #[test]
+    fn unread_flags_are_named_in_command_line_order() {
+        let a = parse(&["solve", "--protcol", "dragon", "--n", "4", "--metrics-out", "f"]);
+        assert_eq!(a.flag_num("n", 1usize).unwrap(), 4);
+        assert_eq!(a.reject_unread().unwrap_err(), "solve: unknown or unused flag --protcol");
+        assert_eq!(a.flag_str("protocol", "WO"), "WO");
+        let _ = a.flag_str("protcol", "");
+        assert_eq!(a.reject_unread().unwrap_err(), "solve: unknown or unused flag --metrics-out");
+        let _ = a.flag_str("metrics-out", "");
+        assert!(a.reject_unread().is_ok());
+    }
+
+    #[test]
+    fn switch_followed_by_a_bare_token_is_an_error() {
+        let a = parse(&["figure", "--csv", "extra", "--once", "false"]);
+        assert_eq!(a.switch("csv").unwrap_err(), "--csv takes no value, got \"extra\"");
+        assert!(!a.switch("once").unwrap());
+    }
+
+    #[test]
+    fn repeated_flag_keeps_the_last_value() {
+        let a = parse(&["sweep", "--n", "3", "--n", "5"]);
+        assert_eq!(a.flag_num("n", 1usize).unwrap(), 5);
+        assert!(a.reject_unread().is_ok());
     }
 }

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use snoop_mva::asymptote::asymptotic;
 use snoop_mva::engine::{
-    self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries, GtpnBackend,
-    MvaBackend, ResilientMvaBackend, Scenario, SimBackend, StoreConfig,
+    self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries,
+    ResilientMvaBackend, Scenario, StoreConfig,
 };
 use snoop_mva::paper::{table_4_1, TABLE_N};
 use snoop_mva::report::comparison_table;
@@ -78,8 +78,7 @@ span per engine batch job, tagged with scenario hash, backend and cache
 hit/miss. Collection is observational only — outputs stay bit-identical.
 engine: eval runs a snoop-scenario-v1 batch file through the unified
 evaluation engine; --backends is a comma list of mva, mva-resilient,
-sim, gtpn and --cache FILE persists the content-addressed result cache
-across runs (a repeated run is served entirely from the cache).
+sim, gtpn (a repeated run with the same --store DIR computes nothing).
 durable store: eval --store DIR keeps every computed result in a
 crash-safe sharded on-disk store (write-temp-then-rename, per-entry
 checksums, corrupt entries quarantined and recomputed, advisory claims
@@ -121,8 +120,6 @@ measured workload as a snoop-scenario-v1 batch for `eval`; --validate
 replays the same trace through the trace-driven simulator and compares
 every --backends model prediction on the measured parameters against
 it. --metrics-out/--trace-out/--threads work here as on eval.
-deprecated spellings (still accepted as hidden aliases): `sweep --max-n`
-(use --n) and the positional panel of `table` (use --panel).
 ";
 
 /// Dispatches a command line; returns the text to print.
@@ -135,7 +132,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         return Ok(HELP.to_string());
     }
     let args = ParsedArgs::parse(argv)?;
-    match args.command.as_str() {
+    let output = match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(HELP.to_string()),
         "solve" => cmd_solve(&args),
         "sweep" => cmd_sweep(&args),
@@ -160,7 +157,9 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "traffic" => cmd_traffic(&args),
         "waits" => cmd_waits(&args),
         other => Err(format!("unknown command {other:?}")),
-    }
+    }?;
+    args.reject_unread()?;
+    Ok(output)
 }
 
 /// Runs `body` with the requested observability layers collecting:
@@ -245,15 +244,10 @@ fn protocol_flag(args: &ParsedArgs) -> Result<ModSet, String> {
 fn scenario_flag(args: &ParsedArgs, default_n: usize) -> Result<Scenario, String> {
     let mods = protocol_flag(args)?;
     let n: usize = args.flag_num("n", default_n)?;
-    match args.flag_str("params-file", "").as_str() {
-        "" => Ok(Scenario::appendix_a(mods, sharing_flag(args)?, n)),
-        path => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            let params =
-                snoop_workload::file::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-            Ok(Scenario::with_params(mods, params, n))
-        }
+    if args.flag_str("params-file", "").is_empty() {
+        Ok(Scenario::appendix_a(mods, sharing_flag(args)?, n))
+    } else {
+        Ok(Scenario::with_params(mods, workload_flag(args)?, n))
     }
 }
 
@@ -292,11 +286,9 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, String> {
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     let mods = protocol_flag(args)?;
     let sharing = sharing_flag(args)?;
-    // `--n` is the harmonized spelling; `--max-n` stays as a hidden alias.
-    let max_n: usize = args.flag_num("n", args.flag_num("max-n", 20)?)?;
+    let max_n: usize = args.flag_num("n", 20)?;
     let sizes: Vec<usize> = (1..=max_n).collect();
-    let refined = args.switch("refined");
-    let keep_going = args.switch("keep-going");
+    let refined = args.switch("refined")?;
     let mut out = format!(
         "speedup sweep: {mods} at {sharing} sharing{}\n",
         if refined { " (size-dependent sharing)" } else { "" }
@@ -326,8 +318,9 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
 
     // Warm-started escalation-ladder sweep through the engine: the
     // resilient backend chains each N from the previous N's converged
-    // state.
+    // state. The solver flags and --keep-going apply only here.
     let options = resilient_flags(args)?;
+    let keep_going = args.switch("keep-going")?;
     let engine = Engine::new().with_backend(ResilientMvaBackend {
         max_damping_retries: options.max_damping_retries,
         deadline: options.deadline,
@@ -383,15 +376,8 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
-    // `--panel` is the harmonized spelling; the bare positional stays as
-    // a hidden alias.
-    let flagged = args.flag_str("panel", "");
-    let which = if flagged.is_empty() {
-        args.positional.first().cloned().unwrap_or_else(|| "a".to_string())
-    } else {
-        flagged
-    };
-    let engine = Engine::new().with_backend(MvaBackend);
+    let which = args.flag_str("panel", "a");
+    let engine = Engine::new().with_backends(&[BackendId::Mva]);
     if which == "util" {
         // Section 4.2's side-by-side: bus utilization at N = 6, 5% sharing
         // ("the GTPN and MVA estimates of bus utilization are approximately
@@ -441,7 +427,7 @@ fn cmd_figure(args: &ParsedArgs) -> Result<String, String> {
             sizes.iter().map(move |&n| Scenario::appendix_a(mods, sharing, n))
         })
         .collect();
-    let engine = Engine::new().with_backend(MvaBackend).with_exec(threads_flag(args)?);
+    let engine = Engine::new().with_exec(threads_flag(args)?).with_backends(&[BackendId::Mva]);
     let mut evals = engine.evaluate_batch(&scenarios).into_iter();
     let mut family = Vec::with_capacity(grid.len());
     for &(mods, sharing) in &grid {
@@ -453,9 +439,9 @@ fn cmd_figure(args: &ParsedArgs) -> Result<String, String> {
         }
         family.push(EvaluationSeries { mods, sharing, points });
     }
-    if args.switch("csv") {
+    if args.switch("csv")? {
         Ok(engine::series::speedup_csv(&family))
-    } else if args.switch("gnuplot") {
+    } else if args.switch("gnuplot")? {
         Ok(engine::series::gnuplot_script(
             "Figure 4.1: The Mean Value Analysis Performance Results",
             &family,
@@ -523,7 +509,7 @@ fn next_result(
 }
 
 /// Parses `--backends` (comma list, deduplicated, order-preserving).
-fn backends_flag(args: &ParsedArgs, command: &str) -> Result<Vec<BackendId>, String> {
+fn backends_flag(args: &ParsedArgs) -> Result<Vec<BackendId>, String> {
     let mut backends = Vec::new();
     for token in args.flag_str("backends", "mva").split(',') {
         let token = token.trim();
@@ -536,9 +522,25 @@ fn backends_flag(args: &ParsedArgs, command: &str) -> Result<Vec<BackendId>, Str
         }
     }
     if backends.is_empty() {
-        return Err(format!("{command} needs at least one backend in --backends"));
+        return Err(format!("{} needs at least one backend in --backends", args.command));
     }
     Ok(backends)
+}
+
+/// The durable-store flags `eval` and `serve` share: `--store DIR`
+/// and `--store-max-entries K` (0 = unbounded), which needs `--store`.
+/// Returns the store directory and eviction bound, or `None` without
+/// `--store`.
+fn store_flags(args: &ParsedArgs) -> Result<Option<(String, Option<usize>)>, String> {
+    let dir = args.flag_str("store", "");
+    let max_entries: usize = args.flag_num("store-max-entries", 0)?;
+    if dir.is_empty() {
+        return match max_entries {
+            0 => Ok(None),
+            _ => Err("--store-max-entries needs --store DIR".to_string()),
+        };
+    }
+    Ok(Some((dir, (max_entries > 0).then_some(max_entries))))
 }
 
 /// `snoop serve --listen ADDR [--threads K] [--queue-bound K]
@@ -548,11 +550,7 @@ fn backends_flag(args: &ParsedArgs, command: &str) -> Result<Vec<BackendId>, Str
 /// SIGTERM, ctrl-c or `POST /shutdown`, then drains and returns the
 /// lifetime summary.
 fn cmd_serve(args: &ParsedArgs) -> Result<String, String> {
-    let store_dir = args.flag_str("store", "");
-    let max_entries: usize = args.flag_num("store-max-entries", 0)?;
-    if store_dir.is_empty() && max_entries > 0 {
-        return Err("--store-max-entries needs --store DIR".to_string());
-    }
+    let store = store_flags(args)?;
     let access_log = args.flag_str("access-log", "");
     let access_log_max_mb: u64 = args.flag_num("access-log-max-mb", 64)?;
     let access_log_keep: usize = args.flag_num("access-log-keep", 3)?;
@@ -566,16 +564,17 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, String> {
         listen: args.flag_str("listen", "127.0.0.1:7077"),
         workers: args.flag_num::<usize>("threads", 2)?.max(1),
         queue_bound: args.flag_num::<usize>("queue-bound", 64)?.max(1),
-        backends: backends_flag(args, "serve")?,
+        backends: backends_flag(args)?,
         engine_threads: 0,
-        cache_capacity: None,
-        store_dir: (!store_dir.is_empty()).then(|| std::path::PathBuf::from(&store_dir)),
-        store_max_entries: (max_entries > 0).then_some(max_entries),
+        store_max_entries: store.as_ref().and_then(|(_, max)| *max),
+        store_dir: store.map(|(dir, _)| std::path::PathBuf::from(dir)),
         access_log: (!access_log.is_empty()).then(|| std::path::PathBuf::from(&access_log)),
         access_log_max_mb: access_log_max_mb.max(1),
         access_log_keep: access_log_keep.max(1),
         git_sha: (!git_sha.is_empty()).then_some(git_sha),
     };
+    // The daemon runs until stopped: refuse unknown flags before binding.
+    args.reject_unread()?;
     let server = snoop_serve::Server::bind(config).map_err(|e| e.to_string())?;
     // The address goes to stderr immediately (stdout is reserved for
     // the shutdown summary), so scripts can parse the ephemeral port.
@@ -588,13 +587,12 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, String> {
     Ok(format!("{summary}\n"))
 }
 
-/// `snoop eval --scenarios FILE.json [--backends mva,sim] [--cache FILE]
+/// `snoop eval --scenarios FILE.json [--backends mva,sim]
 /// [--store DIR [--resume] [--store-verify] [--store-max-entries K]]`:
 /// runs a `snoop-scenario-v1` batch through the unified engine.
 ///
 /// Stdout is deterministic (no timings), so a repeat run with the same
-/// cache file or store is byte-identical; cache and store statistics go
-/// to stderr.
+/// store is byte-identical; cache and store statistics go to stderr.
 fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
     let path = args.flag_str("scenarios", "");
     if path.is_empty() {
@@ -602,37 +600,17 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
     }
     let scenarios = scenarios_from_file(&path)?;
 
-    let backends = backends_flag(args, "eval")?;
-    let exec = threads_flag(args)?;
-    let mut engine = Engine::new().with_exec(exec);
-    for id in &backends {
-        engine = match id {
-            BackendId::Mva => engine.with_backend(MvaBackend),
-            BackendId::ResilientMva => engine.with_backend(ResilientMvaBackend::default()),
-            BackendId::Sim => engine.with_backend(SimBackend { exec }),
-            BackendId::Gtpn => engine.with_backend(GtpnBackend { threads: exec.threads }),
-        };
-    }
+    let backends = backends_flag(args)?;
+    let mut engine = Engine::new().with_exec(threads_flag(args)?).with_backends(&backends);
 
     // The durable store tier: --store DIR attaches it, --store-verify
     // runs a full integrity scan first, --resume reports how much of the
     // batch is already on disk (the engine then computes only the rest).
-    let store_dir = args.flag_str("store", "");
-    if store_dir.is_empty() {
-        for flag in ["resume", "store-verify"] {
-            if args.switch(flag) {
-                return Err(format!("--{flag} needs --store DIR"));
-            }
-        }
-    } else {
-        let max_entries: usize = args.flag_num("store-max-entries", 0)?;
-        let config = StoreConfig {
-            max_entries: (max_entries > 0).then_some(max_entries),
-            ..StoreConfig::default()
-        };
-        let store =
-            Arc::new(DiskStore::open_config(&store_dir, config).map_err(|e| e.to_string())?);
-        if args.switch("store-verify") {
+    let store_flags = store_flags(args)?;
+    if let Some((dir, max_entries)) = &store_flags {
+        let config = StoreConfig { max_entries: *max_entries, ..StoreConfig::default() };
+        let store = Arc::new(DiskStore::open_config(dir, config).map_err(|e| e.to_string())?);
+        if args.switch("store-verify")? {
             let report = store.recover();
             eprintln!(
                 "store: verified {} entr{}: {} intact, {} quarantined",
@@ -642,7 +620,7 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
                 report.quarantined
             );
         }
-        if args.switch("resume") {
+        if args.switch("resume")? {
             let total = scenarios.len() * backends.len();
             let stored = scenarios
                 .iter()
@@ -652,24 +630,12 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
             eprintln!("resume: {stored} of {total} job(s) already in store");
         }
         engine = engine.with_store(store);
-    }
-
-    let cache_path = args.flag_str("cache", "");
-    if !cache_path.is_empty() {
-        let outcome = engine
-            .cache()
-            .load_file(std::path::Path::new(&cache_path))
-            .map_err(|e| format!("{cache_path}: {e}"))?;
-        let rejected = if outcome.rejected > 0 {
-            format!(" (rejected {})", outcome.rejected)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "cache: loaded {} entr{}{rejected} from {cache_path}",
-            outcome.loaded,
-            if outcome.loaded == 1 { "y" } else { "ies" }
-        );
+    } else {
+        for flag in ["resume", "store-verify"] {
+            if args.switch(flag)? {
+                return Err(format!("--{flag} needs --store DIR"));
+            }
+        }
     }
 
     let results = engine.evaluate_batch(&scenarios);
@@ -695,12 +661,6 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
         }
     }
 
-    if !cache_path.is_empty() {
-        engine
-            .cache()
-            .save_file(std::path::Path::new(&cache_path))
-            .map_err(|e| format!("cannot write {cache_path}: {e}"))?;
-    }
     let stats = engine.cache_stats();
     eprintln!(
         "cache: hits={} misses={} entries={} evictions={} hit_rate={:.1}%",
@@ -710,10 +670,10 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
         stats.evictions,
         stats.hit_rate() * 100.0
     );
-    if let Some(store) = engine.store() {
+    if let (Some(store), Some((dir, _))) = (engine.store(), &store_flags) {
         let s = store.stats();
         eprintln!(
-            "store: hits={} misses={} writes={} quarantined={} ({} entries at {store_dir})",
+            "store: hits={} misses={} writes={} quarantined={} ({} entries at {dir})",
             s.hits,
             s.misses,
             s.writes,
@@ -729,8 +689,8 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, String> {
     scenario.sim.replications = args.flag_num("replications", 3)?;
 
     let engine = Engine::new()
-        .with_backend(MvaBackend)
-        .with_backend(SimBackend { exec: threads_flag(args)? });
+        .with_exec(threads_flag(args)?)
+        .with_backends(&[BackendId::Mva, BackendId::Sim]);
     let mut results = engine.evaluate(&scenario).into_iter();
     let mva =
         next_result(&mut results, BackendId::Mva, scenario)?.result.map_err(|e| e.to_string())?;
@@ -762,8 +722,8 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, String> {
 fn cmd_gtpn(args: &ParsedArgs) -> Result<String, String> {
     let scenario = scenario_flag(args, 2)?;
     let engine = Engine::new()
-        .with_backend(MvaBackend)
-        .with_backend(GtpnBackend { threads: threads_flag(args)?.threads });
+        .with_exec(threads_flag(args)?)
+        .with_backends(&[BackendId::Mva, BackendId::Gtpn]);
     let mut results = engine.evaluate(&scenario).into_iter();
     let mva =
         next_result(&mut results, BackendId::Mva, scenario)?.result.map_err(|e| e.to_string())?;
@@ -811,7 +771,7 @@ fn cmd_trace(args: &ParsedArgs) -> Result<String, String> {
     let mods = protocol_flag(args)?;
     let n: usize = args.flag_num("n", 4)?;
     let mut config = TraceSimConfig::new(n, mods);
-    if args.switch("adaptive") {
+    if args.switch("adaptive")? {
         let limit: u8 = args.flag_num("useless-limit", 2)?;
         config.update_policy =
             snoop_sim::trace_mode::UpdatePolicy::Adaptive { useless_limit: limit };
@@ -823,7 +783,7 @@ fn cmd_trace(args: &ParsedArgs) -> Result<String, String> {
          speedup {:.3}  U_bus {:.3}  emergent hit rate {:.3}\n\
          per-stream hit rates: private {:.3}  sro {:.3}  sw {:.3}\n\
          cache-supply rate {:.3}  bus ops/ref {:.3}  invalidations/ref {:.4}\n",
-        if args.switch("adaptive") { " (adaptive RWB broadcasts)" } else { "" },
+        if args.switch("adaptive")? { " (adaptive RWB broadcasts)" } else { "" },
         m.speedup,
         m.bus_utilization,
         m.hit_rate,
@@ -973,7 +933,7 @@ fn cmd_calibrate_trace(args: &ParsedArgs) -> Result<String, String> {
         let _ = writeln!(out, "\nscenario batch (snoop-scenario-v1) -> {emit}");
     }
 
-    if args.switch("validate") {
+    if args.switch("validate")? {
         out.push_str(&calibrate_validate(args, &paths, format, options, scenario)?);
     }
     Ok(out)
@@ -1019,17 +979,8 @@ fn calibrate_validate(
     let sim = snoop_sim::trace_mode::simulate_trace_source(&drive, trace)
         .map_err(|e| e.to_string())?;
 
-    let backends = backends_flag(args, "calibrate")?;
-    let exec = threads_flag(args)?;
-    let mut engine = Engine::new().with_exec(exec);
-    for id in &backends {
-        engine = match id {
-            BackendId::Mva => engine.with_backend(MvaBackend),
-            BackendId::ResilientMva => engine.with_backend(ResilientMvaBackend::default()),
-            BackendId::Sim => engine.with_backend(SimBackend { exec }),
-            BackendId::Gtpn => engine.with_backend(GtpnBackend { threads: exec.threads }),
-        };
-    }
+    let backends = backends_flag(args)?;
+    let engine = Engine::new().with_exec(threads_flag(args)?).with_backends(&backends);
     let mut results = engine.evaluate(&scenario).into_iter();
 
     let mut out = format!(
@@ -1341,7 +1292,7 @@ mod tests {
 
     #[test]
     fn table_a_compares_against_paper() {
-        let out = run_tokens(&["table", "a"]).unwrap();
+        let out = run_tokens(&["table", "--panel", "a"]).unwrap();
         assert!(out.contains("Table 4.1(a)"));
         assert!(out.contains("maximum |error|"));
         // 27 data rows (3 sharing × 9 N).
@@ -1350,7 +1301,7 @@ mod tests {
 
     #[test]
     fn table_util_compares_bus_utilization() {
-        let out = run_tokens(&["table", "util"]).unwrap();
+        let out = run_tokens(&["table", "--panel", "util"]).unwrap();
         assert!(out.contains("bus utilization"));
     }
 
@@ -1369,16 +1320,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_has_max_n_rows() {
-        let out = run_tokens(&["sweep", "--max-n", "5"]).unwrap();
+    fn sweep_has_n_rows() {
+        let out = run_tokens(&["sweep", "--n", "5"]).unwrap();
         assert_eq!(out.lines().count(), 2 + 5);
     }
 
     #[test]
     fn refined_sweep_differs_from_fixed() {
-        let fixed = run_tokens(&["sweep", "--max-n", "3", "--sharing", "20"]).unwrap();
+        let fixed = run_tokens(&["sweep", "--n", "3", "--sharing", "20"]).unwrap();
         let refined =
-            run_tokens(&["sweep", "--max-n", "3", "--sharing", "20", "--refined"]).unwrap();
+            run_tokens(&["sweep", "--n", "3", "--sharing", "20", "--refined"]).unwrap();
         assert!(refined.contains("size-dependent"));
         assert_ne!(fixed, refined);
     }
@@ -1407,8 +1358,8 @@ mod tests {
 
     #[test]
     fn sweep_keep_going_matches_default_when_all_points_solve() {
-        let plain = run_tokens(&["sweep", "--max-n", "5"]).unwrap();
-        let kept = run_tokens(&["sweep", "--max-n", "5", "--keep-going"]).unwrap();
+        let plain = run_tokens(&["sweep", "--n", "5"]).unwrap();
+        let kept = run_tokens(&["sweep", "--n", "5", "--keep-going"]).unwrap();
         assert_eq!(plain, kept);
         assert!(!kept.contains("FAILED"));
     }
@@ -1611,21 +1562,6 @@ mod tests {
     }
 
     #[test]
-    fn table_panel_flag_matches_the_positional_alias() {
-        let flagged = run_tokens(&["table", "--panel", "b"]).unwrap();
-        let positional = run_tokens(&["table", "b"]).unwrap();
-        assert_eq!(flagged, positional);
-        assert!(flagged.contains("Table 4.1(b)"));
-    }
-
-    #[test]
-    fn sweep_n_flag_matches_the_max_n_alias() {
-        let harmonized = run_tokens(&["sweep", "--n", "5"]).unwrap();
-        let deprecated = run_tokens(&["sweep", "--max-n", "5"]).unwrap();
-        assert_eq!(harmonized, deprecated);
-    }
-
-    #[test]
     fn stress_accepts_a_protocol() {
         let wo = run_tokens(&["stress", "--n", "4"]).unwrap();
         assert!(wo.contains("WO, N = 4"), "{wo}");
@@ -1639,46 +1575,9 @@ mod tests {
         assert!(run_tokens(&["eval"]).unwrap_err().contains("--scenarios"));
     }
 
-    #[test]
-    fn eval_runs_a_batch_and_repeats_from_the_cache() {
-        use snoop_mva::engine::{Scenario, SCHEMA};
-        use snoop_protocol::ModSet;
-        use snoop_workload::params::SharingLevel;
-        let dir = std::env::temp_dir().join("snoop_eval_cmd_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let scenarios_path = dir.join("scenarios.json");
-        let batch = Scenario::batch_to_json(&[
-            Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 4),
-            Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 10),
-        ]);
-        assert!(batch.contains(SCHEMA));
-        std::fs::write(&scenarios_path, batch).unwrap();
-        let cache_path = dir.join("cache.json");
-        let _ = std::fs::remove_file(&cache_path);
-
-        let tokens = [
-            "eval",
-            "--scenarios",
-            scenarios_path.to_str().unwrap(),
-            "--backends",
-            "mva,mva-resilient",
-            "--cache",
-            cache_path.to_str().unwrap(),
-        ];
-        let first = run_tokens(&tokens).unwrap();
-        assert!(first.contains("2 scenario(s) × 2 backend(s)"), "{first}");
-        // One summary line per (scenario, backend) job.
-        assert_eq!(first.matches("speedup=").count(), 4, "{first}");
-        assert!(cache_path.exists());
-        // The repeat run is served entirely from the spilled cache and is
-        // byte-identical (summaries carry no timings).
-        let second = run_tokens(&tokens).unwrap();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn eval_rejects_unknown_backends() {
-        let dir = std::env::temp_dir().join("snoop_eval_bad_backend");
+    /// Writes a one-scenario batch file under a fresh temp directory.
+    fn tiny_batch(name: &str) -> String {
+        let dir = std::env::temp_dir().join(name);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.json");
         std::fs::write(
@@ -1686,14 +1585,14 @@ mod tests {
             "{\"schema\":\"snoop-scenario-v1\",\"scenarios\":[{\"protocol\":\"WO\",\"n\":2}]}",
         )
         .unwrap();
-        let err = run_tokens(&[
-            "eval",
-            "--scenarios",
-            path.to_str().unwrap(),
-            "--backends",
-            "quantum",
-        ])
-        .unwrap_err();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn eval_rejects_unknown_backends() {
+        let path = tiny_batch("snoop_eval_bad_backend");
+        let err = run_tokens(&["eval", "--scenarios", &path, "--backends", "quantum"])
+            .unwrap_err();
         assert!(err.contains("quantum"), "{err}");
     }
 
@@ -1725,20 +1624,31 @@ mod tests {
     }
 
     #[test]
-    fn eval_resume_and_verify_require_a_store() {
-        let dir = std::env::temp_dir().join("snoop_eval_resume_no_store");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.json");
-        std::fs::write(
-            &path,
-            "{\"schema\":\"snoop-scenario-v1\",\"scenarios\":[{\"protocol\":\"WO\",\"n\":2}]}",
-        )
-        .unwrap();
-        for flag in ["--resume", "--store-verify"] {
-            let err = run_tokens(&["eval", "--scenarios", path.to_str().unwrap(), flag])
-                .unwrap_err();
-            assert!(err.contains("--store DIR"), "{err}");
+    fn store_dependent_flags_require_a_store() {
+        let path = tiny_batch("snoop_eval_resume_no_store");
+        for flag in [&["--resume"][..], &["--store-verify"], &["--store-max-entries", "5"]] {
+            let tokens = [&["eval", "--scenarios", &path][..], flag].concat();
+            let err = run_tokens(&tokens).unwrap_err();
+            assert!(err.contains(&format!("{} needs --store DIR", flag[0])), "{err}");
         }
+        // serve shares eval's store-flag parser and fails before binding.
+        let err = run_tokens(&["serve", "--listen", "127.0.0.1:0", "--store-max-entries", "5"]);
+        assert_eq!(err.unwrap_err(), "--store-max-entries needs --store DIR");
+    }
+
+    #[test]
+    fn unknown_and_out_of_mode_flags_are_rejected() {
+        // serve checks before binding: it would otherwise run until stopped.
+        let err = run_tokens(&["serve", "--listen", "127.0.0.1:0", "--queue-bund", "4"]);
+        assert_eq!(err.unwrap_err(), "serve: unknown or unused flag --queue-bund");
+        // --refined takes neither the solver flags nor --keep-going.
+        let err = run_tokens(&["sweep", "--n", "3", "--refined", "--keep-going"]).unwrap_err();
+        assert!(err.contains("--keep-going"), "{err}");
+        // --backends only applies to calibrate --trace ... --validate.
+        let path = corpus("mesi_small_p0.trace");
+        let err =
+            run_tokens(&["calibrate", "--trace", &path, "--backends", "mva"]).unwrap_err();
+        assert!(err.contains("--backends"), "{err}");
     }
 
     #[test]
@@ -1763,10 +1673,15 @@ mod tests {
             "eval",
             "--scenarios",
             scenarios_path.to_str().unwrap(),
+            "--backends",
+            "mva,mva-resilient",
             "--store",
             store_dir.to_str().unwrap(),
         ];
         let first = run_tokens(&tokens).unwrap();
+        assert!(first.contains("2 scenario(s) × 2 backend(s)"), "{first}");
+        // One summary line per (scenario, backend) job.
+        assert_eq!(first.matches("speedup=").count(), 4, "{first}");
         assert!(store_dir.join("snoop-store.version").exists());
         // Second run (fresh engine, fresh in-memory cache) serves from
         // the store; --resume and --store-verify are accepted and stdout
@@ -1775,14 +1690,6 @@ mod tests {
         resumed.extend(["--resume", "--store-verify"]);
         let second = run_tokens(&resumed).unwrap();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn help_documents_the_deprecated_spellings() {
-        let h = run_tokens(&["help"]).unwrap();
-        assert!(h.contains("deprecated spellings"), "{h}");
-        assert!(h.contains("--max-n"));
-        assert!(h.contains("--panel"));
     }
 
     /// Absolute path into the checked-in trace corpus.

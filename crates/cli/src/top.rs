@@ -78,8 +78,11 @@ pub fn cmd_top(args: &ParsedArgs) -> Result<String, String> {
         }
     };
     let interval = Duration::from_millis(args.flag_num::<u64>("interval-ms", 1000)?.max(100));
+    let once = args.switch("once")?;
+    // The live loop never returns: refuse unknown flags before it starts.
+    args.reject_unread()?;
 
-    if args.switch("once") {
+    if once {
         let frame = poll(&source)?;
         return Ok(render(&frame, &source, None));
     }
@@ -283,14 +286,15 @@ fn bucket_quantile(buckets: &[(f64, u64)], count: u64, q: f64) -> f64 {
     last_finite
 }
 
-/// Parses a `snoop-metrics-v2` (or `-v1`, histogram-free) JSON file
-/// into the same frame shape the daemon scrape produces.
+/// Parses a `snoop-metrics-v2` JSON file into the same frame shape the
+/// daemon scrape produces.
 fn parse_metrics_json(text: &str) -> Result<Frame, String> {
     let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let schema = doc.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-    if schema != snoop_numeric::probe::SCHEMA && schema != snoop_numeric::probe::SCHEMA_V1 {
+    if schema != snoop_numeric::probe::SCHEMA {
         return Err(format!(
-            "expected a snoop-metrics-v1/-v2 file, got schema {schema:?}"
+            "expected a {} file, got schema {schema:?}",
+            snoop_numeric::probe::SCHEMA
         ));
     }
     let mut frame = Frame::default();
@@ -476,6 +480,11 @@ snoop_hist_count{name=\"serve.queue_wait_ms\"} 10
     #[test]
     fn wrong_schema_is_rejected() {
         assert!(parse_metrics_json("{\"schema\": \"other\"}").is_err());
+        // The histogram-free v1 layout is no longer accepted.
+        let Err(err) = parse_metrics_json("{\"schema\": \"snoop-metrics-v1\"}") else {
+            panic!("v1 accepted");
+        };
+        assert!(err.contains("snoop-metrics-v2"), "{err}");
         assert!(parse_metrics_json("not json").is_err());
     }
 

@@ -59,10 +59,8 @@ fn figure_csv_is_parseable() {
 
 #[test]
 fn eval_repeat_run_is_fully_cached_and_byte_identical() {
-    let dir = std::env::temp_dir().join("snoop_eval_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cache.json");
-    let _ = std::fs::remove_file(&cache);
+    let store = std::env::temp_dir().join("snoop_eval_e2e_store");
+    let _ = std::fs::remove_dir_all(&store);
     // The checked-in example batch, resolved relative to the workspace root.
     let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/example.json");
 
@@ -71,22 +69,43 @@ fn eval_repeat_run_is_fully_cached_and_byte_identical() {
         "--scenarios",
         scenarios,
         "--backends",
-        "mva",
-        "--cache",
-        cache.to_str().unwrap(),
+        "mva,sim",
+        "--store",
+        store.to_str().unwrap(),
     ];
     let first = snoop(&args);
     assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
     let stderr1 = String::from_utf8_lossy(&first.stderr);
-    assert!(stderr1.contains("hits=0"), "{stderr1}");
-    assert!(cache.exists());
+    assert!(stderr1.contains("store: hits=0"), "{stderr1}");
 
+    // A new process with a cold in-memory cache: every job is served
+    // from the store, nothing is computed or written.
     let second = snoop(&args);
     assert!(second.status.success());
     assert_eq!(first.stdout, second.stdout, "repeat stdout must be byte-identical");
     let stderr2 = String::from_utf8_lossy(&second.stderr);
-    assert!(stderr2.contains("hit_rate=100.0%"), "{stderr2}");
-    assert!(stderr2.contains("misses=0"), "{stderr2}");
+    let store_line = stderr2.lines().find(|l| l.starts_with("store:")).expect("store line");
+    assert!(store_line.contains("misses=0 writes=0"), "{stderr2}");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn unknown_removed_and_unused_flags_fail_naming_the_token() {
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/example.json");
+    let cases: [(&[&str], &str); 5] = [
+        (&["solve", "--protcol", "dragon", "--n", "4"], "--protcol"),
+        (&["eval", "--scenarios", scenarios, "--cache", "x"], "--cache"),
+        (&["sweep", "--max-n", "5"], "--max-n"),
+        (&["table", "b"], "\"b\""),
+        (&["solve", "--metrics-out", "f"], "--metrics-out"),
+    ];
+    for (args, token) in cases {
+        let out = snoop(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(token), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn entries_on_disk(store: &Path) -> usize {
     count
 }
 
-/// Reads the `engine.computed` counter out of a `snoop-metrics-v1`
+/// Reads the `engine.computed` counter out of a `snoop-metrics-v2`
 /// snapshot (absent counter = nothing computed: the counter is only
 /// registered when at least one group executes).
 fn computed_jobs(metrics: &Path) -> u64 {

@@ -58,12 +58,6 @@ pub trait Evaluator: Send + Sync {
     /// [`EvalError::Failed`] when the underlying solver fails.
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError>;
 
-    /// Rough relative cost of evaluating `scenario`, in abstract units
-    /// comparable *within* one backend and *roughly* across backends
-    /// (an MVA solve is ~1 per processor). Batch planners use it to
-    /// schedule expensive work first.
-    fn cost_estimate(&self, scenario: &Scenario) -> f64;
-
     /// Scenarios with equal keys may be evaluated together by
     /// [`Evaluator::evaluate_group`] (e.g. one model build shared across
     /// a sweep over `N`). `None` (the default) means "no grouping".
@@ -130,10 +124,6 @@ impl Evaluator for MvaBackend {
             None,
             started.elapsed().as_secs_f64() * 1e3,
         ))
-    }
-
-    fn cost_estimate(&self, scenario: &Scenario) -> f64 {
-        scenario.n as f64
     }
 
     fn group_key(&self, scenario: &Scenario) -> Option<u64> {
@@ -261,11 +251,6 @@ impl Evaluator for ResilientMvaBackend {
         self.package(model.solve_resilient(scenario.n, &self.options(scenario)), started)
     }
 
-    fn cost_estimate(&self, scenario: &Scenario) -> f64 {
-        // Up to five ladder rungs per solve.
-        scenario.n as f64 * (1 + self.max_damping_retries) as f64
-    }
-
     fn group_key(&self, scenario: &Scenario) -> Option<u64> {
         self.warm_start_chains.then(|| scenario.family_hash())
     }
@@ -346,14 +331,6 @@ impl Evaluator for SimBackend {
             },
         })
     }
-
-    fn cost_estimate(&self, scenario: &Scenario) -> f64 {
-        // Event count scales with references simulated across replications.
-        ((scenario.sim.warmup_references + scenario.sim.measured_references)
-            * scenario.sim.replications
-            * scenario.n) as f64
-            / 100.0
-    }
 }
 
 /// The generalized timed Petri net, solved by exhaustive reachability
@@ -409,11 +386,18 @@ impl Evaluator for GtpnBackend {
             },
         })
     }
+}
 
-    fn cost_estimate(&self, scenario: &Scenario) -> f64 {
-        // The state space grows combinatorially with N; this only needs to
-        // rank GTPN work as "much more expensive, and more so for large N".
-        1e3 * (scenario.n as f64).exp2().min(1e12)
+/// The backend registry behind [`super::Engine::with_backends`]: the
+/// standard evaluator for `id`, with default knobs, running its inner
+/// parallelism (simulator replications, GTPN frontier expansion) on
+/// `exec`.
+pub(super) fn evaluator(id: BackendId, exec: ExecOptions) -> Box<dyn Evaluator> {
+    match id {
+        BackendId::Mva => Box::new(MvaBackend),
+        BackendId::ResilientMva => Box::new(ResilientMvaBackend::default()),
+        BackendId::Sim => Box::new(SimBackend { exec }),
+        BackendId::Gtpn => Box::new(GtpnBackend { threads: exec.threads }),
     }
 }
 
@@ -582,15 +566,5 @@ mod tests {
         s.gtpn.max_states = 4;
         let err = GtpnBackend::default().evaluate(&s).unwrap_err();
         assert!(matches!(err, EvalError::Failed { backend: BackendId::Gtpn, .. }), "{err}");
-    }
-
-    #[test]
-    fn cost_estimates_rank_backends_sensibly() {
-        let s = scenario(8);
-        let mva = MvaBackend.cost_estimate(&s);
-        let sim = SimBackend::default().cost_estimate(&s);
-        let gtpn = GtpnBackend::default().cost_estimate(&s);
-        assert!(mva < sim, "{mva} vs {sim}");
-        assert!(sim < gtpn, "{sim} vs {gtpn}");
     }
 }

@@ -30,7 +30,7 @@ use snoop_numeric::json::JsonValue;
 use snoop_numeric::probe::trace;
 use snoop_store::DiskStore;
 
-use super::backends::Evaluator;
+use super::backends::{self, Evaluator};
 use super::cache::{CacheStats, ResultCache};
 use super::evaluation::{BackendId, EvalError, Evaluation};
 use super::scenario::Scenario;
@@ -173,9 +173,14 @@ impl Engine {
         self
     }
 
-    /// Replaces the cache with an empty one of the given capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ResultCache::new(capacity);
+    /// Adds the standard evaluator for each id, in order, from the one
+    /// backend registry: plain and resilient MVA with default knobs, the
+    /// simulator's replications on the engine's executor and the GTPN
+    /// expansion on its thread count. Call after [`Engine::with_exec`]:
+    /// the evaluators capture the executor set at registration.
+    pub fn with_backends(mut self, ids: &[BackendId]) -> Self {
+        let exec = self.exec;
+        self.backends.extend(ids.iter().map(|&id| backends::evaluator(id, exec)));
         self
     }
 
@@ -194,16 +199,6 @@ impl Engine {
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<&Arc<DiskStore>> {
         self.store.as_ref()
-    }
-
-    /// The registered backends' identities, in registration order.
-    pub fn backend_ids(&self) -> Vec<BackendId> {
-        self.backends.iter().map(|b| b.id()).collect()
-    }
-
-    /// The engine's result cache (for stats, spill and preloading).
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
     }
 
     /// Current cache accounting.
@@ -545,6 +540,32 @@ mod tests {
     }
 
     #[test]
+    fn with_backends_builds_every_id_in_registration_order() {
+        let ids = [BackendId::Gtpn, BackendId::Mva, BackendId::Sim, BackendId::ResilientMva];
+        let exec = ExecOptions::with_threads(2);
+        let engine = Engine::new().with_exec(exec).with_backends(&ids);
+        let scenarios = [scenario(2), scenario(3)];
+        let results = engine.evaluate_batch(&scenarios);
+        let order: Vec<(usize, BackendId)> =
+            results.iter().map(|r| (r.scenario, r.backend)).collect();
+        let want: Vec<(usize, BackendId)> =
+            (0..2).flat_map(|si| ids.map(|id| (si, id))).collect();
+        // Each result's backend is its evaluator's `id()`, so this also
+        // checks that every id round-trips through the registry.
+        assert_eq!(order, want);
+        // The registry builds the same evaluators as wiring them by hand.
+        let by_hand = Engine::new()
+            .with_exec(exec)
+            .with_backend(GtpnBackend { threads: exec.threads })
+            .with_backend(MvaBackend)
+            .with_backend(SimBackend { exec })
+            .with_backend(ResilientMvaBackend::default());
+        for (got, want) in results.iter().zip(by_hand.evaluate_batch(&scenarios)) {
+            assert_eq!(got.result.as_ref().unwrap(), want.result.as_ref().unwrap());
+        }
+    }
+
+    #[test]
     fn repeat_batch_is_served_entirely_from_cache() {
         let engine = Engine::new().with_backend(MvaBackend);
         let scenarios = [scenario(4), scenario(8)];
@@ -640,20 +661,6 @@ mod tests {
         let again = engine.evaluate_batch(&[tiny]);
         assert!(again[0].result.as_ref().unwrap().provenance.cached);
         assert!(again[1].result.is_err());
-    }
-
-    #[test]
-    fn preloaded_spill_serves_hits_across_engines() {
-        let first = Engine::new().with_backend(MvaBackend);
-        first.evaluate_batch(&[scenario(4), scenario(8)]);
-        let spill = first.cache().to_json();
-
-        let second = Engine::new().with_backend(MvaBackend);
-        assert_eq!(second.cache().load_json(&spill).unwrap().loaded, 2);
-        let results = second.evaluate_batch(&[scenario(4), scenario(8)]);
-        assert!(results.iter().all(|r| r.result.as_ref().unwrap().provenance.cached));
-        let stats = second.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 0));
     }
 
     fn fresh_store_dir(name: &str) -> std::path::PathBuf {

@@ -209,8 +209,9 @@ impl Evaluation {
         line
     }
 
-    /// Canonical JSON form, used by the cache spill file. Floats use the
-    /// shortest round-trip form, so `from_json` restores them bit-exactly.
+    /// Canonical JSON form, used by durable store entries and the serve
+    /// stream. Floats use the shortest round-trip form, so `from_json`
+    /// restores them bit-exactly.
     pub fn to_json(&self) -> String {
         let opt = |v: Option<f64>| match v {
             Some(v) => format_f64(v),

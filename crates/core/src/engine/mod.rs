@@ -17,11 +17,13 @@
 //!   [`ResilientMvaBackend`], [`SimBackend`] and [`GtpnBackend`], all
 //!   returning the common [`Evaluation`] currency with provenance;
 //! * [`Engine`] — a batch planner that dedups jobs against a bounded
-//!   content-addressed [`ResultCache`] (with an optional JSON spill
-//!   file), groups sweep-adjacent MVA work so a family shares one model
-//!   build (and, opt-in, warm starts), and fans residual work through the
-//!   deterministic parallel executor — batched results are bit-identical
-//!   to one-at-a-time evaluation at any thread count.
+//!   content-addressed [`ResultCache`] (optionally backed by the durable
+//!   [`DiskStore`]), groups sweep-adjacent MVA work so a family shares
+//!   one model build (and, opt-in, warm starts), and fans residual work
+//!   through the deterministic parallel executor — batched results are
+//!   bit-identical to one-at-a-time evaluation at any thread count.
+//!   [`Engine::with_backends`] registers backends by [`BackendId`]: the
+//!   one place an id maps to its evaluator.
 //!
 //! # Example
 //!
@@ -52,10 +54,7 @@ pub mod series;
 
 pub use backends::{Evaluator, GtpnBackend, MvaBackend, ResilientMvaBackend, SimBackend};
 pub use batch::{Engine, EngineResult, SharedEngine};
-pub use cache::{
-    CacheLoadError, CacheStats, LoadOutcome, ResultCache, CACHE_SCHEMA, DEFAULT_CAPACITY,
-    LEGACY_CACHE_SCHEMA,
-};
+pub use cache::{CacheStats, ResultCache, DEFAULT_CAPACITY};
 // The durable second cache tier (re-exported so engine users don't need
 // a direct snoop-store dependency).
 pub use snoop_store::{DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats};

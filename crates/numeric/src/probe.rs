@@ -66,9 +66,6 @@ use crate::json::json_string;
 /// so v1 readers keep working on v2 files.
 pub const SCHEMA: &str = "snoop-metrics-v2";
 
-/// The previous snapshot schema; still accepted by `snoop top`.
-pub const SCHEMA_V1: &str = "snoop-metrics-v1";
-
 /// Default number of recent samples an event recorder retains; older
 /// samples rotate out (their count is reported as `dropped` /
 /// `dropped_capacity`) while the running count / sum / min / max keep

@@ -33,10 +33,7 @@ use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use snoop_mva::engine::{
-    BackendId, DiskStore, Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario,
-    SimBackend, StoreConfig, StoreError,
-};
+use snoop_mva::engine::{BackendId, DiskStore, Engine, Scenario, StoreConfig, StoreError};
 use snoop_numeric::exec::ExecOptions;
 use snoop_numeric::json::{format_f64, json_string};
 use snoop_numeric::probe;
@@ -89,8 +86,6 @@ pub struct ServeConfig {
     pub backends: Vec<BackendId>,
     /// Engine executor threads (0 = auto: `SNOOP_THREADS` or cores).
     pub engine_threads: usize,
-    /// In-memory result-cache capacity (`None`: engine default).
-    pub cache_capacity: Option<usize>,
     /// Durable second cache tier (`None`: in-memory only).
     pub store_dir: Option<PathBuf>,
     /// Store eviction bound (`None`: unbounded).
@@ -113,7 +108,6 @@ impl Default for ServeConfig {
             queue_bound: 64,
             backends: vec![BackendId::Mva],
             engine_threads: 0,
-            cache_capacity: None,
             store_dir: None,
             store_max_entries: None,
             access_log: None,
@@ -458,22 +452,12 @@ impl Server {
     }
 }
 
-/// Builds the shared engine from the configured backends, cache bound
-/// and optional store tier (mirrors `snoop eval`'s wiring).
+/// Builds the shared engine from the configured backends and optional
+/// store tier (the same registry `snoop eval` uses).
 fn build_engine(config: &ServeConfig) -> Result<Engine, ServeError> {
-    let exec = ExecOptions::with_threads(config.engine_threads);
-    let mut engine = Engine::new().with_exec(exec);
-    if let Some(capacity) = config.cache_capacity {
-        engine = engine.with_cache_capacity(capacity);
-    }
-    for id in &config.backends {
-        engine = match id {
-            BackendId::Mva => engine.with_backend(MvaBackend),
-            BackendId::ResilientMva => engine.with_backend(ResilientMvaBackend::default()),
-            BackendId::Sim => engine.with_backend(SimBackend { exec }),
-            BackendId::Gtpn => engine.with_backend(GtpnBackend { threads: exec.threads }),
-        };
-    }
+    let mut engine = Engine::new()
+        .with_exec(ExecOptions::with_threads(config.engine_threads))
+        .with_backends(&config.backends);
     if let Some(dir) = &config.store_dir {
         let store_config = StoreConfig {
             max_entries: config.store_max_entries,

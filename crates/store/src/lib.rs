@@ -1,9 +1,10 @@
 //! `snoop-store` — a durable, sharded, crash-safe on-disk result store.
 //!
-//! The evaluation engine's in-memory [`ResultCache`] spills to a single
-//! JSON blob: one torn write loses the whole result set, and a killed
-//! sweep restarts from zero. This crate replaces that spill with real
-//! storage infrastructure, sized for million-scenario design-space
+//! The evaluation engine's in-memory `ResultCache` lives and dies with
+//! its process; this crate is the only tier that outlives it. It
+//! replaced an earlier single-file JSON spill, where one torn write lost
+//! the whole result set and a killed sweep restarted from zero, with
+//! real storage infrastructure sized for million-scenario design-space
 //! exploration:
 //!
 //! * **Sharded layout** — entries live under `shards/<hh>/`, where `hh`
@@ -37,8 +38,6 @@
 //! about `Evaluation`s. The engine layers its content-addressed keys and
 //! JSON payloads on top, which keeps the dependency graph acyclic
 //! (`snoop-numeric` ← `snoop-store` ← `snoop-mva`).
-//!
-//! [`ResultCache`]: https://example.invalid/snoop-mva
 //!
 //! # Example
 //!

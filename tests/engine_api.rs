@@ -166,28 +166,3 @@ fn batched_evaluation_is_bit_identical_to_one_at_a_time_at_every_thread_count() 
         }
     }
 }
-
-#[test]
-fn cache_spills_to_json_and_reloads_for_a_fully_cached_run() {
-    let dir = std::env::temp_dir().join("snoop_engine_api_spill");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.json");
-    let _ = std::fs::remove_file(&path);
-    let scenarios = [wo(2), wo(7), wo(12)];
-
-    let first = Engine::new().with_backend(MvaBackend);
-    let a = first.evaluate_batch(&scenarios);
-    first.cache().save_file(&path).unwrap();
-    assert_eq!(first.cache_stats().entries, 3);
-
-    let second = Engine::new().with_backend(MvaBackend);
-    assert_eq!(second.cache().load_file(&path).unwrap().loaded, 3);
-    let b = second.evaluate_batch(&scenarios);
-    let stats = second.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (3, 0), "run two is 100% cache hits");
-    for (x, y) in a.iter().zip(&b) {
-        let (x, y) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
-        assert_eq!(x, y);
-        assert!(y.provenance.cached);
-    }
-}
