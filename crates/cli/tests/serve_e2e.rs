@@ -11,7 +11,7 @@
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use snoop_mva::engine::Scenario;
 use snoop_protocol::ModSet;
@@ -250,6 +250,27 @@ fn full_queue_answers_429_and_sigterm_drains_in_flight_work() {
     // A drained daemon exits 0 (not killed by the signal).
     let mut daemon = daemon;
     let code = daemon.child.wait().expect("daemon exits");
+    assert!(code.success(), "daemon exit after SIGTERM: {code:?}");
+}
+
+#[test]
+fn sigterm_stops_an_idle_daemon_promptly() {
+    let mut daemon = boot(&[]);
+    // One exchange proves the daemon is serving; it then idles in
+    // accept() with nothing pending.
+    let (status, _, _) = roundtrip(&daemon.addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 200);
+
+    let started = Instant::now();
+    let pid = daemon.child.id().to_string();
+    assert!(Command::new("kill").args(["-TERM", &pid]).status().expect("kill runs").success());
+    let code = loop {
+        if let Some(code) = daemon.child.try_wait().expect("poll the daemon") {
+            break code;
+        }
+        assert!(started.elapsed() < Duration::from_secs(2), "daemon still running 2 s after SIGTERM");
+        std::thread::sleep(Duration::from_millis(10));
+    };
     assert!(code.success(), "daemon exit after SIGTERM: {code:?}");
 }
 

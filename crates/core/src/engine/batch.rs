@@ -5,7 +5,7 @@
 //! A batch run proceeds in four phases:
 //!
 //! 1. **enumerate** — every (scenario, backend) pair becomes a job with a
-//!    content key `"<backend>:<hash>"`;
+//!    content key ([`CacheKey`]: backend id plus scenario hash);
 //! 2. **dedup** — each job is looked up in the [`ResultCache`] (every
 //!    lookup counts toward hit/miss stats); only the first job per unique
 //!    missing key is computed;
@@ -31,7 +31,7 @@ use snoop_numeric::probe::trace;
 use snoop_store::DiskStore;
 
 use super::backends::{self, Evaluator};
-use super::cache::{CacheStats, ResultCache};
+use super::cache::{CacheKey, CacheStats, ResultCache};
 use super::evaluation::{BackendId, EvalError, Evaluation};
 use super::scenario::Scenario;
 
@@ -43,7 +43,7 @@ pub struct EngineResult {
     /// The backend that (would have) produced the value.
     pub backend: BackendId,
     /// The content-addressed cache key of the job.
-    pub key: String,
+    pub key: CacheKey,
     /// The evaluation, or why it could not be produced.
     pub result: Result<Evaluation, EvalError>,
 }
@@ -206,9 +206,10 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// The cache key of one (scenario, backend) job.
+    /// The durable store's key of one (scenario, backend) job: the text
+    /// form of its [`CacheKey`].
     pub fn job_key(backend: BackendId, scenario: &Scenario) -> String {
-        format!("{}:{:016x}", backend, scenario.content_hash())
+        CacheKey { backend, hash: scenario.content_hash() }.to_string()
     }
 
     /// Evaluates one scenario on every registered backend.
@@ -233,11 +234,12 @@ impl Engine {
         });
         let tally = Tally::default();
         // Phase 1: enumerate jobs scenario-major.
-        let mut jobs: Vec<(usize, usize, String)> = Vec::new();
+        let mut jobs: Vec<(usize, usize, CacheKey)> =
+            Vec::with_capacity(scenarios.len() * self.backends.len());
         for (si, scenario) in scenarios.iter().enumerate() {
             let hash = scenario.content_hash();
             for (bi, backend) in self.backends.iter().enumerate() {
-                jobs.push((si, bi, format!("{}:{hash:016x}", backend.id())));
+                jobs.push((si, bi, CacheKey { backend: backend.id(), hash }));
             }
         }
 
@@ -246,7 +248,7 @@ impl Engine {
         // cache outcome (the compute time of misses shows up later under
         // the `engine.group` / backend spans).
         let mut outcomes: Vec<Option<Result<Evaluation, EvalError>>> = Vec::new();
-        let mut first_seen: HashMap<&str, usize> = HashMap::new();
+        let mut first_seen: HashMap<CacheKey, usize> = HashMap::new();
         for (ji, (si, bi, key)) in jobs.iter().enumerate() {
             let scenario = &scenarios[*si];
             let mut job_trace = trace::span_with("engine.job", || {
@@ -274,7 +276,7 @@ impl Engine {
                 // In-memory miss: read through to the durable store. A
                 // store hit fills the in-memory tier, so later duplicates
                 // in this batch hit there.
-                None => match self.store_get(key, &tally) {
+                None => match self.store_get(*key, &tally) {
                     Some(eval) => {
                         job_trace.arg("cache", "store".to_string());
                         outcomes.push(Some(Ok(eval)));
@@ -282,7 +284,7 @@ impl Engine {
                     }
                     None => {
                         job_trace.arg("cache", "miss".to_string());
-                        first_seen.entry(key.as_str()).or_insert(ji);
+                        first_seen.entry(*key).or_insert(ji);
                         outcomes.push(None);
                         None
                     }
@@ -331,7 +333,7 @@ impl Engine {
                 let mut later = Vec::new();
                 let mut claims = Vec::new();
                 for item in items {
-                    match store.try_claim(&jobs[item.members[0].0].2) {
+                    match store.try_claim(&jobs[item.members[0].0].2.to_string()) {
                         Some(claim) => {
                             claims.push(claim);
                             now.push(item);
@@ -372,13 +374,14 @@ impl Engine {
             }
             for (&(ji, _), result) in item.members.iter().zip(&results) {
                 if let Ok(eval) = result {
-                    let evicted = self.cache.insert(&jobs[ji].2, eval.clone());
+                    let key = jobs[ji].2;
+                    let evicted = self.cache.insert(key, eval.clone());
                     Tally::add(&tally.cache_evictions, evicted);
                     if let Some(store) = &self.store {
                         // Publish failures (ENOSPC, torn write) are
                         // absorbed: the result still returns in-memory,
                         // it just won't survive this process.
-                        if store.put(&jobs[ji].2, eval.to_json().as_bytes()).is_ok() {
+                        if store.put(&key.to_string(), eval.to_json().as_bytes()).is_ok() {
                             Tally::add(&tally.store_writes, 1);
                         }
                     }
@@ -411,7 +414,7 @@ impl Engine {
         if !deferred.is_empty() {
             let mut still_missing: Vec<WorkItem> = Vec::new();
             for mut item in deferred {
-                item.members.retain(|&(ji, _)| match self.store_get(&jobs[ji].2, &tally) {
+                item.members.retain(|&(ji, _)| match self.store_get(jobs[ji].2, &tally) {
                     Some(eval) => {
                         outcomes[ji] = Some(Ok(eval));
                         false
@@ -428,7 +431,7 @@ impl Engine {
 
         for ji in 0..jobs.len() {
             if outcomes[ji].is_none() {
-                let first = first_seen[jobs[ji].2.as_str()];
+                let first = first_seen[&jobs[ji].2];
                 outcomes[ji] = outcomes[first].clone();
             }
         }
@@ -457,7 +460,7 @@ impl Engine {
                     // panicking under a caller (CLI command or serve
                     // request handler).
                     result: result.unwrap_or_else(|| {
-                        Err(EvalError::MissingResult { backend, scenario: key.clone() })
+                        Err(EvalError::MissingResult { backend, scenario: key.to_string() })
                     }),
                     key,
                 }
@@ -470,9 +473,9 @@ impl Engine {
     /// tier. The store itself quarantines checksum-level damage; an
     /// entry that passes the checksum but no longer parses (schema
     /// drift) reads as a miss and is recomputed and overwritten.
-    fn store_get(&self, key: &str, tally: &Tally) -> Option<Evaluation> {
+    fn store_get(&self, key: CacheKey, tally: &Tally) -> Option<Evaluation> {
         let store = self.store.as_ref()?;
-        let Some(bytes) = store.get(key) else {
+        let Some(bytes) = store.get(&key.to_string()) else {
             Tally::add(&tally.store_misses, 1);
             return None;
         };

@@ -54,7 +54,7 @@ pub mod series;
 
 pub use backends::{Evaluator, GtpnBackend, MvaBackend, ResilientMvaBackend, SimBackend};
 pub use batch::{Engine, EngineResult, SharedEngine};
-pub use cache::{CacheStats, ResultCache, DEFAULT_CAPACITY};
+pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CAPACITY};
 // The durable second cache tier (re-exported so engine users don't need
 // a direct snoop-store dependency).
 pub use snoop_store::{DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats};

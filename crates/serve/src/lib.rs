@@ -9,7 +9,8 @@
 //!
 //! The daemon is std-only, matching the workspace's zero-dependency
 //! discipline: a hand-rolled minimal HTTP/1.1 layer ([`http`]) on a
-//! [`std::net::TcpListener`], an acceptor thread feeding a **bounded**
+//! [`std::net::TcpListener`], an acceptor thread blocked in `accept()`
+//! (so a connection is taken the moment it arrives) feeding a **bounded**
 //! submission queue (backpressure: a full queue answers `429` with
 //! `Retry-After` instead of growing without bound), and a small pool of
 //! worker threads serving:
@@ -31,10 +32,12 @@
 //! overflow rather than ever stalling a worker.
 //!
 //! Shutdown (SIGTERM, ctrl-c or `POST /shutdown`) is graceful: the
-//! acceptor stops accepting, queued and in-flight requests drain, the
-//! workers join, and the store's write-through contract means nothing
-//! needs replaying. Request handlers are panic-isolated: a handler
-//! panic costs that connection a `500`, never the process.
+//! request sets a flag and wakes the blocked acceptor with one loopback
+//! connection, the acceptor stops accepting, queued and in-flight
+//! requests drain, the workers join, and the store's write-through
+//! contract means nothing needs replaying. Request handlers are
+//! panic-isolated: a handler panic costs that connection a `500`, never
+//! the process.
 //!
 //! Determinism is preserved per request: each scenario is evaluated
 //! through the same engine path as the batch CLI, and cached values are

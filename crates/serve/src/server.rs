@@ -5,18 +5,32 @@
 //!
 //! ```text
 //! accept loop ── try_send ──► sync_channel(queue_bound) ──► worker 0..K
-//!     │                │                                      │
-//!     │                └─ full → 429 + Retry-After             ├─ POST /eval   (streams NDJSON)
-//!     └─ shutdown flag (SIGTERM / ctrl-c / POST /shutdown)     ├─ GET  /metrics
-//!                                                              └─ GET  /healthz
+//!     │   ▲            │                                      │
+//!     │   │            └─ full → 429 + Retry-After             ├─ POST /eval   (streams NDJSON)
+//!     │   └─ wake connection ◄── ShutdownHandle / waker        ├─ GET  /metrics
+//!     └─ shutdown flag (SIGTERM / ctrl-c / POST /shutdown)     └─ GET  /healthz
 //! ```
+//!
+//! The acceptor blocks in `accept()`, so a connection is picked up the
+//! moment it arrives. Shutdown sets the flag and then wakes the
+//! acceptor with one connection of its own to the listener (on
+//! loopback when bound to `0.0.0.0`/`::`); the acceptor checks the flag
+//! after every `accept()` returns and drops that connection. Signals
+//! cannot run code beyond an atomic store, so a small waker thread looks
+//! for SIGTERM/ctrl-c every 20 ms and, once a signal or the
+//! flag is set, repeats the wake until the acceptor has exited — a
+//! refused first wake can never hang shutdown, and no request ever waits
+//! on that timer.
 //!
 //! The bounded channel *is* the backpressure: one queue slot is one
 //! pending connection, `try_send` never blocks the acceptor, and a full
 //! queue answers `429` immediately instead of growing a backlog. On
 //! shutdown the acceptor stops accepting and drops the sender; workers
 //! drain every queued connection, finish their in-flight requests, and
-//! exit when the channel disconnects — nothing accepted is ever dropped.
+//! exit when the channel disconnects — nothing queued is ever dropped. A
+//! connection taken after the shutdown request (the wake itself, or a
+//! client that raced it) is closed unserved, as it would have been had
+//! it still been waiting in the listen backlog.
 //!
 //! Determinism per request is preserved because every request goes
 //! through the same engine path as the batch CLI: scenarios are
@@ -25,7 +39,7 @@
 //! interior-locked cache and the store's atomic publishes.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,8 +61,17 @@ use crate::signal;
 /// connection (read and write).
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Accept-loop poll interval while idle or waiting for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How often the waker thread looks for SIGTERM/ctrl-c and, once
+/// shutdown is requested, repeats the wake until the acceptor exits.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
+
+/// Pause after a failed `accept()` (e.g. EMFILE), so an error storm
+/// cannot spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on one wake connection; a wake that times out is retried by
+/// the waker thread.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Cap on concurrent 429-rejection helper threads; past it, over-limit
 /// connections are dropped without a response.
@@ -57,7 +80,6 @@ const MAX_REJECT_THREADS: usize = 32;
 /// Answers a rejected connection with `429`, reading the request first
 /// so the close is clean (tight timeouts: the client already lost).
 fn reject_with_429(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let _ = http::read_request(&mut stream);
@@ -184,13 +206,36 @@ impl std::fmt::Display for ServeSummary {
 #[derive(Clone)]
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
+    /// Where a wake connection reaches the listener: the bound address,
+    /// with an unspecified IP mapped to loopback.
+    wake: SocketAddr,
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown; [`Server::run`] notices within one accept
-    /// poll.
+    fn new(bound: SocketAddr) -> ShutdownHandle {
+        let ip = match bound.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        ShutdownHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake: SocketAddr::new(ip, bound.port()),
+        }
+    }
+
+    /// Requests shutdown and wakes the acceptor, so [`Server::run`]
+    /// stops accepting at once. Calling it again, or after the daemon
+    /// has exited, is harmless.
     pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::Relaxed);
+        self.flag.store(true, Ordering::SeqCst);
+        // A failed wake (refused: the acceptor already exited; timed
+        // out: a full backlog) is retried by the waker thread.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+    }
+
+    fn requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -203,7 +248,7 @@ struct Job {
 /// State shared by the acceptor and every worker.
 struct Shared {
     engine: Arc<Engine>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     /// Connections accepted but not yet picked up by a worker.
     depth: AtomicUsize,
     /// Requests currently inside a worker's `handle`.
@@ -274,7 +319,7 @@ pub struct Server {
     addr: SocketAddr,
     engine: Arc<Engine>,
     config: ServeConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -293,7 +338,7 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Io { context: "resolve local address", error: e.to_string() })?;
-        Ok(Server { listener, addr, engine, config, shutdown: Arc::new(AtomicBool::new(false)) })
+        Ok(Server { listener, addr, engine, config, shutdown: ShutdownHandle::new(addr) })
     }
 
     /// The actually-bound address (the ephemeral port when `:0` was
@@ -304,7 +349,7 @@ impl Server {
 
     /// A handle that triggers graceful shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { flag: Arc::clone(&self.shutdown) }
+        self.shutdown.clone()
     }
 
     /// The shared engine (tests inspect cache stats through it).
@@ -319,16 +364,18 @@ impl Server {
     /// Holds the process-wide probe session for its lifetime, so `GET
     /// /metrics` serves live counters.
     ///
+    /// The acceptor blocks in `accept()` and a [`ShutdownHandle`] wakes
+    /// it, so connections are taken as they arrive and shutdown is
+    /// noticed at once.
+    ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the listener cannot be switched to
-    /// non-blocking accept polling.
+    /// [`ServeError::Io`] if the access log cannot be opened.
     pub fn run(self) -> Result<ServeSummary, ServeError> {
         signal::install();
         let _metrics = probe::session();
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io { context: "configure listener", error: e.to_string() })?;
+        // Present (at zero) from the start, so scrapes can alert on it.
+        probe::counter_add("serve.accept_errors", 0);
 
         let access_log = match &self.config.access_log {
             Some(path) => Some(
@@ -349,7 +396,7 @@ impl Server {
         let rx = Arc::new(Mutex::new(rx));
         let shared = Arc::new(Shared {
             engine: Arc::clone(&self.engine),
-            shutdown: Arc::clone(&self.shutdown),
+            shutdown: self.shutdown.clone(),
             depth: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
@@ -389,9 +436,31 @@ impl Server {
             })
             .collect();
 
+        // Turns a signal into a shutdown request, and repeats the wake
+        // until the acceptor has exited.
+        let acceptor_done = Arc::new(AtomicBool::new(false));
+        let waker = {
+            let handle = self.shutdown.clone();
+            let done = Arc::clone(&acceptor_done);
+            std::thread::Builder::new()
+                .name("snoop-serve-waker".to_string())
+                .spawn(move || {
+                    while !done.load(Ordering::SeqCst) {
+                        if signal::requested() || handle.requested() {
+                            handle.shutdown();
+                        }
+                        std::thread::park_timeout(SIGNAL_POLL);
+                    }
+                })
+                .expect("spawn serve waker")
+        };
+
         let rejecters = Arc::new(AtomicUsize::new(0));
-        while !self.shutdown.load(Ordering::Relaxed) && !signal::requested() {
+        while !self.shutdown.requested() {
             match self.listener.accept() {
+                // The wake connection, or a client that lost the race
+                // with shutdown: either way it is not served.
+                Ok(_) if self.shutdown.requested() => break,
                 Ok((stream, _peer)) => {
                     probe::counter_add("serve.accepted", 1);
                     // Count the job before enqueuing it: a worker may
@@ -426,12 +495,15 @@ impl Server {
                         Err(TrySendError::Disconnected(_)) => break,
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                Err(_) => {
+                    probe::counter_add("serve.accept_errors", 1);
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                 }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
         }
+        acceptor_done.store(true, Ordering::SeqCst);
+        waker.thread().unpark();
+        let _ = waker.join();
 
         // Graceful drain: no new connections; dropping the sender lets
         // workers finish every queued and in-flight request, then exit.
@@ -478,10 +550,6 @@ impl Shared {
         let waited_ms = job.accepted.elapsed().as_secs_f64() * 1e3;
         probe::record("serve.queue_wait_ms", waited_ms);
         probe::hist_record("serve.queue_wait_ms", waited_ms);
-        // Accepted sockets may inherit the listener's non-blocking mode
-        // on some platforms; request handling wants plain blocking IO
-        // with timeouts.
-        let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
         let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
         let _ = stream.set_nodelay(true);
@@ -636,7 +704,7 @@ impl Shared {
             }
             ("POST", "/shutdown") => {
                 probe::counter_add("serve.requests.shutdown", 1);
-                self.shutdown.store(true, Ordering::Relaxed);
+                self.shutdown.shutdown();
                 http::write_response(
                     stream,
                     200,
@@ -716,7 +784,7 @@ impl Shared {
                              \"backend\":\"{}\",\"key\":{},\"cached\":{},\
                              \"queue_wait_ms\":{},\"evaluation\":{}}}\n",
                             outcome.backend,
-                            json_string(&outcome.key),
+                            json_string(&outcome.key.to_string()),
                             eval.provenance.cached,
                             format_f64(waited_ms),
                             eval.to_json(),
@@ -728,7 +796,7 @@ impl Shared {
                             "{{\"scenario\":{index},\"hash\":\"{hash:016x}\",\
                              \"backend\":\"{}\",\"key\":{},\"error\":{}}}\n",
                             outcome.backend,
-                            json_string(&outcome.key),
+                            json_string(&outcome.key.to_string()),
                             json_string(&e.to_string()),
                         )
                     }
@@ -795,14 +863,32 @@ mod tests {
         }
     }
 
-    /// Boots a server on an ephemeral port.
+    /// Boots a server on an ephemeral loopback port.
     fn boot(config: ServeConfig) -> Booted {
-        let server =
-            Server::bind(ServeConfig { listen: "127.0.0.1:0".to_string(), ..config }).unwrap();
+        boot_on("127.0.0.1:0", config)
+    }
+
+    fn boot_on(listen: &str, config: ServeConfig) -> Booted {
+        let server = Server::bind(ServeConfig { listen: listen.to_string(), ..config }).unwrap();
         let addr = server.local_addr();
         let handle = server.shutdown_handle();
         let join = std::thread::spawn(move || server.run().unwrap());
         Booted { addr, handle, join: Some(join) }
+    }
+
+    /// Waits for `run()` to return on its own and reports how long that
+    /// took; past `limit` it forces the stop, so a failing test still
+    /// releases the probe session.
+    fn time_exit(srv: &mut Booted, limit: Duration) -> Duration {
+        let started = Instant::now();
+        let join = srv.join.take().expect("still running");
+        while !join.is_finished() && started.elapsed() < limit {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let took = started.elapsed();
+        srv.handle.shutdown();
+        join.join().unwrap();
+        took
     }
 
     /// One full request over a fresh connection; returns (status, body)
@@ -905,6 +991,7 @@ mod tests {
         assert!(metrics.contains("\"serve.red.eval.4xx\""), "{metrics}");
         assert!(metrics.contains("\"serve.service_ms.eval\""), "{metrics}");
         assert!(metrics.contains("\"serve.queue_wait_ms\""), "{metrics}");
+        assert!(metrics.contains("\"serve.accept_errors\": 0"), "{metrics}");
 
         let summary = srv.stop();
         assert!(summary.requests >= 6, "{summary:?}");
@@ -993,6 +1080,7 @@ mod tests {
         assert!(body.contains("snoop_hist_count{name=\"serve.service_ms.eval\"} 1"), "{body}");
         assert!(body.contains("snoop_workers 3"), "{body}");
         assert!(body.contains("snoop_queue_bound 17"), "{body}");
+        assert!(body.contains("snoop_counter_total{name=\"serve.accept_errors\"} 0\n"), "{body}");
 
         let (status, body) =
             roundtrip(addr, "GET /metrics?format=xml HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -1050,5 +1138,54 @@ mod tests {
         // The port is released: a fresh connection is refused or reset.
         std::thread::sleep(Duration::from_millis(50));
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_acceptor_at_once() {
+        let _serial = SERVER_TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // On a wildcard bind the wake must go to loopback.
+        for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let mut srv = boot_on(listen, ServeConfig::default());
+            // One exchange proves the acceptor is up; then it idles in
+            // accept() with nothing pending.
+            let local = SocketAddr::from((Ipv4Addr::LOCALHOST, srv.addr.port()));
+            let (status, _) = roundtrip(local, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(status, 200);
+            let handle = srv.handle.clone();
+            let stopper = std::thread::spawn(move || handle.shutdown());
+            let took = time_exit(&mut srv, Duration::from_millis(500));
+            stopper.join().unwrap();
+            assert!(took < Duration::from_millis(500), "{listen}: run() took {took:?} to return");
+        }
+    }
+
+    #[test]
+    fn post_shutdown_alone_stops_an_idle_daemon() {
+        let _serial = SERVER_TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut srv = boot(ServeConfig::default());
+        let (status, _) = roundtrip(
+            srv.addr,
+            "POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        let took = time_exit(&mut srv, Duration::from_millis(500));
+        assert!(took < Duration::from_millis(500), "run() took {took:?} to return");
+    }
+
+    #[test]
+    fn back_to_back_requests_do_not_wait_on_a_timer() {
+        let _serial = SERVER_TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut srv = boot(ServeConfig::default());
+        // A closed-loop client: each connection opens once the previous
+        // answer is in, so an acceptor that slept while idle (20 ms a
+        // sleep) would add its whole interval to every request.
+        let started = Instant::now();
+        for _ in 0..25 {
+            let (status, _) = roundtrip(srv.addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(status, 200);
+        }
+        let took = started.elapsed();
+        srv.stop();
+        assert!(took < Duration::from_millis(250), "25 requests took {took:?}");
     }
 }

@@ -1,5 +1,6 @@
-//! SIGTERM/SIGINT → one atomic flag, so the accept loop can notice a
-//! termination request and drain gracefully instead of dying mid-batch.
+//! SIGTERM/SIGINT → one atomic flag, so the daemon's waker thread can
+//! notice a termination request and start a graceful drain instead of
+//! dying mid-batch.
 //!
 //! # The unsafe island
 //!
@@ -12,7 +13,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler; polled by the accept loop.
+/// Set by the handler; polled by the waker thread.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether SIGTERM or SIGINT has been received since [`install`].

@@ -35,6 +35,17 @@ pub trait StoreFs: Send + Sync {
     /// Lists a directory's entries, **sorted by file name** so scans are
     /// deterministic. A missing directory lists as empty.
     fn read_dir_sorted(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
+    /// Counts a directory's entries whose file name ends in `suffix`. A
+    /// missing directory counts as zero.
+    fn count_suffix(&self, path: &Path, suffix: &str) -> io::Result<usize> {
+        Ok(self
+            .read_dir_sorted(path)?
+            .iter()
+            .filter(|p| {
+                p.file_name().is_some_and(|n| n.as_encoded_bytes().ends_with(suffix.as_bytes()))
+            })
+            .count())
+    }
     /// A file's last-modification time.
     fn modified(&self, path: &Path) -> io::Result<SystemTime>;
     /// Whether a path exists.
@@ -85,6 +96,23 @@ impl StoreFs for RealFs {
         }
         entries.sort();
         Ok(entries)
+    }
+
+    /// One plain `read_dir` pass: no paths built, nothing collected or
+    /// sorted (the store counts its entries this way at every open).
+    fn count_suffix(&self, path: &Path, suffix: &str) -> io::Result<usize> {
+        let dir = match std::fs::read_dir(path) {
+            Ok(dir) => dir,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+            Err(e) => return Err(e),
+        };
+        let mut count = 0;
+        for entry in dir {
+            if entry?.file_name().as_encoded_bytes().ends_with(suffix.as_bytes()) {
+                count += 1;
+            }
+        }
+        Ok(count)
     }
 
     fn modified(&self, path: &Path) -> io::Result<SystemTime> {

@@ -260,19 +260,11 @@ impl DiskStore {
             }
         }
 
-        // Entry count: one read_dir per populated shard.
+        // Entry count: one counting read_dir per populated shard.
         let mut entries = 0usize;
         let shards = root.join("shards");
         for shard in fs.read_dir_sorted(&shards).map_err(io("list", &shards))? {
-            entries += fs
-                .read_dir_sorted(&shard)
-                .map(|files| {
-                    files
-                        .iter()
-                        .filter(|p| p.extension().is_some_and(|e| e == "entry"))
-                        .count()
-                })
-                .unwrap_or(0);
+            entries += fs.count_suffix(&shard, ".entry").unwrap_or(0);
         }
 
         let kill_after = std::env::var(KILL_AFTER_PUTS_ENV)
@@ -799,6 +791,36 @@ mod tests {
         let stolen = successor.try_claim("family:9");
         assert!(stolen.is_some(), "zero-staleness claims steal immediately");
         assert_eq!(successor.stats().claims_stolen, 1);
+    }
+
+    #[test]
+    fn open_counts_only_entry_files() {
+        let dir = fresh("count");
+        let store = DiskStore::open(&dir).unwrap();
+        for i in 0..40 {
+            store.put(&format!("mva:{i:016x}"), b"v").unwrap();
+        }
+        drop(store);
+        // Debris a count must skip: stray files in a shard (one only
+        // contains the suffix) and a leftover temp file.
+        let shard = std::fs::read_dir(dir.join("shards")).unwrap().next().unwrap().unwrap().path();
+        std::fs::write(shard.join("notes.txt"), b"x").unwrap();
+        std::fs::write(shard.join("a.entry.tmp"), b"x").unwrap();
+        std::fs::write(dir.join("tmp").join("debris.tmp"), b"partial").unwrap();
+        let on_disk = entry_names(&dir).len();
+        assert_eq!(on_disk, 40);
+
+        // RealFs's own count, and the trait's default (FaultyFs keeps it,
+        // so fault plans see the listing), agree with the files.
+        let counted: usize = std::fs::read_dir(dir.join("shards"))
+            .unwrap()
+            .map(|shard| RealFs.count_suffix(&shard.unwrap().path(), ".entry").unwrap())
+            .sum();
+        assert_eq!(counted, on_disk);
+        assert_eq!(DiskStore::open(&dir).unwrap().len(), on_disk);
+        let faulty = faulty(&dir, StoragePlan::new());
+        assert_eq!(faulty.len(), on_disk);
+        assert_eq!(RealFs.count_suffix(&dir.join("missing"), ".entry").unwrap(), 0);
     }
 
     #[test]
