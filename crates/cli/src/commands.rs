@@ -49,9 +49,6 @@ commands:
              trace: --trace FILE[,FILE…] [--format auto|assignment|label]
              [--emit-scenario OUT.json] [--validate] [--n 4] [--sets 64]
              [--ways 2] [--windows 8] [--tau T] [--backends mva,…]
-  multiclass heterogeneous-workload model   --light 4 --heavy 4
-  hierarchy  clustered-bus model            --clusters 4 --per-cluster 8
-  measure    measure workload params from a trace simulation  --n 4
   traffic    bus-traffic decomposition      --protocol WO --sharing 5
   waits      bus-wait distribution (DES)    --n 8 --sharing 5
   help       this text
@@ -151,9 +148,6 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "sensitivity" => with_observability(&args, || cmd_sensitivity(&args)),
         "convergence" => cmd_convergence(&args),
         "calibrate" => with_observability(&args, || cmd_calibrate(&args)),
-        "multiclass" => cmd_multiclass(&args),
-        "hierarchy" => cmd_hierarchy(&args),
-        "measure" => cmd_measure(&args),
         "traffic" => cmd_traffic(&args),
         "waits" => cmd_waits(&args),
         other => Err(format!("unknown command {other:?}")),
@@ -287,6 +281,9 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     let mods = protocol_flag(args)?;
     let sharing = sharing_flag(args)?;
     let max_n: usize = args.flag_num("n", 20)?;
+    if max_n == 0 {
+        return Err(snoop_mva::MvaError::InvalidSystemSize(0).to_string());
+    }
     let sizes: Vec<usize> = (1..=max_n).collect();
     let refined = args.switch("refined")?;
     let mut out = format!(
@@ -389,9 +386,12 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
             &[("U_bus (paper MVA 0.77)".into(), 0.77, s.bus_utilization)],
         ));
     }
-    let panel = which.chars().next().filter(|c| "abc".contains(*c)).ok_or_else(|| {
-        format!("unknown table {which:?}, expected a, b, c or util")
-    })?;
+    let panel = match which.as_str() {
+        "a" => 'a',
+        "b" => 'b',
+        "c" => 'c',
+        _ => return Err(format!("unknown table {which:?}, expected a, b, c or util")),
+    };
 
     let published: Vec<_> = table_4_1().into_iter().filter(|r| r.panel == panel).collect();
     let scenarios: Vec<Scenario> = published
@@ -1043,119 +1043,6 @@ fn cmd_calibrate_grid() -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_multiclass(args: &ParsedArgs) -> Result<String, String> {
-    use snoop_mva::multiclass::{MulticlassModel, WorkloadClass};
-    use snoop_workload::derived::ModelInputs;
-    use snoop_workload::timing::TimingModel;
-    let light: usize = args.flag_num("light", 4)?;
-    let heavy: usize = args.flag_num("heavy", 4)?;
-    let mods = protocol_flag(args)?;
-    let timing = TimingModel::default();
-    let light_inputs = ModelInputs::derive_adjusted(
-        &WorkloadParams::appendix_a(SharingLevel::One),
-        mods,
-        &timing,
-    )
-    .map_err(|e| e.to_string())?;
-    let heavy_inputs = ModelInputs::derive_adjusted(
-        &WorkloadParams::appendix_a(SharingLevel::Twenty),
-        mods,
-        &timing,
-    )
-    .map_err(|e| e.to_string())?;
-    let model = MulticlassModel::new(vec![
-        WorkloadClass { count: light, inputs: light_inputs },
-        WorkloadClass { count: heavy, inputs: heavy_inputs },
-    ])
-    .map_err(|e| e.to_string())?;
-    let s = model.solve().map_err(|e| e.to_string())?;
-    let mut out = format!(
-        "multiclass model ({mods}): {light}× 1%-sharing + {heavy}× 20%-sharing processors\n"
-    );
-    let _ = writeln!(
-        out,
-        "total speedup {:.3}   U_bus {:.3}   w_bus {:.3}",
-        s.speedup, s.bus_utilization, s.w_bus
-    );
-    let _ = writeln!(
-        out,
-        "light class: {:.3} total ({:.3}/processor)   heavy class: {:.3} total ({:.3}/processor)",
-        s.class_speedup[0],
-        s.class_speedup[0] / light.max(1) as f64,
-        s.class_speedup[1],
-        s.class_speedup[1] / heavy.max(1) as f64
-    );
-    Ok(out)
-}
-
-fn cmd_hierarchy(args: &ParsedArgs) -> Result<String, String> {
-    use snoop_mva::hierarchical::{HierarchicalConfig, HierarchicalModel};
-    use snoop_workload::derived::ModelInputs;
-    use snoop_workload::timing::TimingModel;
-    let clusters: usize = args.flag_num("clusters", 4)?;
-    let per_cluster: usize = args.flag_num("per-cluster", 8)?;
-    let locality: f64 = args.flag_num("locality", 0.8)?;
-    let cluster_cache: f64 = args.flag_num("cluster-cache", 0.8)?;
-    let mods = protocol_flag(args)?;
-    let params = workload_flag(args)?;
-    let inputs = ModelInputs::derive_adjusted(&params, mods, &TimingModel::default())
-        .map_err(|e| e.to_string())?;
-    let s = HierarchicalModel::new(
-        inputs,
-        HierarchicalConfig {
-            clusters,
-            per_cluster,
-            cluster_locality: locality,
-            cluster_cache_hit: cluster_cache,
-        },
-    )
-    .map_err(|e| e.to_string())?
-    .solve()
-    .map_err(|e| e.to_string())?;
-    Ok(format!(
-        "hierarchical model: {clusters} clusters × {per_cluster} processors, {mods}\n\
-         (cluster locality {locality}, cluster-cache hit {cluster_cache})\n\
-         speedup {:.3}   U_local {:.3}   U_global {:.3}   U_mem {:.3}\n\
-         w_local {:.3}   w_global {:.3}\n",
-        s.speedup,
-        s.local_bus_utilization,
-        s.global_bus_utilization,
-        s.memory_utilization,
-        s.w_local,
-        s.w_global
-    ))
-}
-
-fn cmd_measure(args: &ParsedArgs) -> Result<String, String> {
-    use snoop_sim::trace_mode::simulate_trace_source_measuring;
-    let mods = protocol_flag(args)?;
-    let n: usize = args.flag_num("n", 4)?;
-    let config = TraceSimConfig::new(n, mods);
-    let source = config.generator().map_err(|e| e.to_string())?;
-    let (sim, params) = simulate_trace_source_measuring(&config.drive_config(), source)
-        .map_err(|e| e.to_string())?;
-    let scenario = Scenario::with_params(mods, params, n);
-    let mva = scenario
-        .to_mva_model()
-        .map_err(|e| e.to_string())?
-        .solve(scenario.n, &scenario.solver_options())
-        .map_err(|e| e.to_string())?;
-    let mut out = format!(
-        "workload parameters measured from a trace-driven simulation ({mods}, N = {n}):\n\n{}",
-        snoop_workload::file::to_string(&params)
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "trace-simulation speedup: {:.3}   MVA on measured parameters: {:.3} ({:+.1}%)",
-        sim.speedup,
-        mva.speedup,
-        (mva.speedup - sim.speedup) / sim.speedup * 100.0
-    );
-    let _ = writeln!(out, "(save the block above with --params-file workflows)");
-    Ok(out)
-}
-
 fn cmd_traffic(args: &ParsedArgs) -> Result<String, String> {
     use snoop_workload::derived::ModelInputs;
     use snoop_workload::timing::TimingModel;
@@ -1326,6 +1213,18 @@ mod tests {
     }
 
     #[test]
+    fn sweep_rejects_zero_processors_in_every_mode() {
+        for tokens in [
+            &["sweep", "--n", "0"][..],
+            &["sweep", "--n", "0", "--refined"],
+            &["sweep", "--n", "0", "--keep-going"],
+        ] {
+            let err = run_tokens(tokens).unwrap_err();
+            assert!(err.contains("invalid system size 0"), "{tokens:?}: {err}");
+        }
+    }
+
+    #[test]
     fn refined_sweep_differs_from_fixed() {
         let fixed = run_tokens(&["sweep", "--n", "3", "--sharing", "20"]).unwrap();
         let refined =
@@ -1402,14 +1301,6 @@ mod tests {
         let out = run_tokens(&["sensitivity", "--n", "10"]).unwrap();
         assert!(out.contains("h_private"));
         assert!(out.contains("elasticity"));
-    }
-
-    #[test]
-    fn multiclass_reports_both_classes() {
-        let out = run_tokens(&["multiclass", "--light", "3", "--heavy", "5"]).unwrap();
-        assert!(out.contains("light class"));
-        assert!(out.contains("heavy class"));
-        assert!(out.contains("total speedup"));
     }
 
     #[test]
@@ -1537,28 +1428,12 @@ mod tests {
     }
 
     #[test]
-    fn measure_prints_params_block() {
-        let out = run_tokens(&["measure", "--n", "2"]).unwrap();
-        assert!(out.contains("h_private ="));
-        assert!(out.contains("trace-simulation speedup"));
-    }
-
-    #[test]
     fn traffic_decomposes_the_bus() {
         let wo = run_tokens(&["traffic", "--protocol", "WO"]).unwrap();
         assert!(wo.contains("announcements"));
         assert!(wo.contains("100.0%"));
         let m1 = run_tokens(&["traffic", "--protocol", "WO+1"]).unwrap();
         assert_ne!(wo, m1);
-    }
-
-    #[test]
-    fn hierarchy_reports_both_buses() {
-        let out =
-            run_tokens(&["hierarchy", "--clusters", "2", "--per-cluster", "4"]).unwrap();
-        assert!(out.contains("U_local"));
-        assert!(out.contains("U_global"));
-        assert!(out.contains("2 clusters × 4 processors"));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! snoop trace    --n 4 [--protocol berkeley]
 //! snoop protocol [--protocol illinois]
 //! snoop asymptote
+//! snoop calibrate --trace FILE --validate
 //! ```
+//!
+//! `snoop help` lists all 19 subcommands and their flags.
 
 use std::process::ExitCode;
 

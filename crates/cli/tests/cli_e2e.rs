@@ -92,12 +92,16 @@ fn eval_repeat_run_is_fully_cached_and_byte_identical() {
 #[test]
 fn unknown_removed_and_unused_flags_fail_naming_the_token() {
     let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/example.json");
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["solve", "--protcol", "dragon", "--n", "4"], "--protcol"),
         (&["eval", "--scenarios", scenarios, "--cache", "x"], "--cache"),
         (&["sweep", "--max-n", "5"], "--max-n"),
         (&["table", "b"], "\"b\""),
+        (&["table", "--panel", "apple"], "\"apple\""),
         (&["solve", "--metrics-out", "f"], "--metrics-out"),
+        (&["multiclass", "--light", "4"], "\"multiclass\""),
+        (&["hierarchy", "--clusters", "4"], "\"hierarchy\""),
+        (&["measure", "--n", "4"], "\"measure\""),
     ];
     for (args, token) in cases {
         let out = snoop(args);

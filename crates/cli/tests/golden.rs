@@ -1,0 +1,75 @@
+//! Golden stdout: every deterministic subcommand must print exactly the
+//! bytes checked in under `tests/golden/`. Refactors that claim to leave
+//! output unchanged are held to it here rather than by hand.
+//!
+//! To accept an intended output change, rerun the command from the
+//! workspace root and overwrite its `.txt` file.
+
+use std::path::Path;
+use std::process::Command;
+
+/// (golden file stem, arguments), run from the workspace root.
+const CASES: &[(&str, &[&str])] = &[
+    ("solve", &["solve"]),
+    ("sweep", &["sweep", "--n", "30"]),
+    ("sweep_refined", &["sweep", "--refined", "--n", "30"]),
+    ("table_a", &["table", "--panel", "a"]),
+    ("table_b", &["table", "--panel", "b"]),
+    ("table_c", &["table", "--panel", "c"]),
+    ("table_util", &["table", "--panel", "util"]),
+    ("figure_csv", &["figure", "--csv"]),
+    ("asymptote", &["asymptote"]),
+    ("protocol_illinois", &["protocol", "--protocol", "illinois"]),
+    ("dot_dragon", &["dot", "--protocol", "dragon"]),
+    ("traffic", &["traffic"]),
+    ("convergence", &["convergence"]),
+    ("sensitivity", &["sensitivity"]),
+    ("stress", &["stress"]),
+    ("waits", &["waits"]),
+    ("trace", &["trace"]),
+    ("gtpn", &["gtpn", "--n", "2"]),
+    ("validate", &["validate", "--n", "4"]),
+    ("calibrate", &["calibrate"]),
+    (
+        "calibrate_trace",
+        &["calibrate", "--trace", "scenarios/traces/mesi_small_p0.trace", "--validate"],
+    ),
+    ("eval_mva", &["eval", "--scenarios", "scenarios/example.json", "--backends", "mva"]),
+    ("help", &["help"]),
+];
+
+#[test]
+fn every_subcommand_prints_its_golden_stdout() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest.join("../..");
+    let mut failures = Vec::new();
+    for (name, args) in CASES {
+        let out = Command::new(env!("CARGO_BIN_EXE_snoop"))
+            .args(*args)
+            .current_dir(&root)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "snoop {}: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let path = manifest.join("tests/golden").join(format!("{name}.txt"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let actual = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        if actual != golden {
+            let line = golden.lines().zip(actual.lines()).position(|(g, a)| g != a);
+            let line = line.unwrap_or_else(|| golden.lines().count().min(actual.lines().count()));
+            failures.push(format!(
+                "snoop {} differs from {name}.txt at line {}:\n  golden: {:?}\n  actual: {:?}",
+                args.join(" "),
+                line + 1,
+                golden.lines().nth(line).unwrap_or("<end>"),
+                actual.lines().nth(line).unwrap_or("<end>"),
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

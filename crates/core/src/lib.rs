@@ -43,9 +43,7 @@ pub mod asymptote;
 pub mod calibration;
 pub mod engine;
 pub mod equations;
-pub mod hierarchical;
 pub mod interference;
-pub mod multiclass;
 pub mod outputs;
 pub mod paper;
 pub mod report;

@@ -54,13 +54,11 @@
 mod arena;
 
 pub mod chain;
-pub mod dot;
 pub mod marking;
 pub mod models;
 pub mod net;
 pub mod reachability;
 pub mod solve;
-pub mod transient;
 
 mod error;
 
