@@ -56,8 +56,8 @@ commands:
 protocols: WO, WO+1, WO+1+4, … or write-once, illinois, berkeley, dragon,
 rwb, synapse, write-through.  sharing: 1 | 5 | 20 (percent).
 workload overrides: --params-file FILE (name = value lines, paper names).
-solver flags (solve, sweep): --max-damping-retries K (default 4, 0 = plain
-iteration only) and --solve-deadline-ms MS (wall-clock cap per attempt,
+solver flags (solve, sweep): --max-damping-retries K (default 3, 0 = Newton
+attempt only) and --solve-deadline-ms MS (wall-clock cap per attempt,
 0 = none); sweep also takes --keep-going (report unsolvable points as
 FAILED rows instead of aborting the sweep).
 parallelism: --threads K on figure, validate, gtpn and sensitivity
@@ -252,7 +252,7 @@ fn threads_flag(args: &ParsedArgs) -> Result<ExecOptions, String> {
 
 /// Resolves the resilient-solver flags shared by `solve` and `sweep`.
 fn resilient_flags(args: &ParsedArgs) -> Result<ResilientOptions, String> {
-    let max_damping_retries: usize = args.flag_num("max-damping-retries", 4)?;
+    let max_damping_retries: usize = args.flag_num("max-damping-retries", 3)?;
     let deadline_ms: u64 = args.flag_num("solve-deadline-ms", 0)?;
     Ok(ResilientOptions {
         base: SolverOptions::default(),

@@ -110,7 +110,9 @@ impl std::error::Error for EvalError {}
 #[derive(Debug, Clone)]
 pub struct Provenance {
     /// Fixed-point iterations (MVA: total across resilient attempts;
-    /// 0 for backends without an iteration count).
+    /// 0 for backends without an iteration count). A safeguarded Newton
+    /// iteration costs up to five map calls, a plain one a single call
+    /// (see [`crate::MvaSolution::iterations`]).
     pub iterations: usize,
     /// Independent simulation replications (0 for analytic backends).
     pub replications: usize,

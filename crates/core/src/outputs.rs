@@ -38,7 +38,12 @@ pub struct MvaSolution {
     /// Weighted remote-read response-time contribution `R_RemoteRead`
     /// (Eq. 4).
     pub r_remote_read: f64,
-    /// Fixed-point iterations to convergence.
+    /// Fixed-point iterations to convergence. An iteration of
+    /// [`crate::MvaModel::solve`]'s safeguarded Newton attempt applies the
+    /// 3-D mean-value map up to five times (once, three Jacobian columns,
+    /// once at the Newton point); one of plain substitution
+    /// ([`crate::MvaModel::solve_traced`], the damped retries) applies it
+    /// once.
     pub iterations: usize,
 }
 

@@ -9,11 +9,13 @@
 //! solve strategies, stopping at the first that converges to a finite
 //! solution:
 //!
-//! 1. **plain** successive substitution (the paper's method);
-//! 2. **Aitken** Δ² acceleration, which collapses the slow geometric tail;
-//! 3. **damping 0.5** under-relaxation, which stabilizes oscillation;
-//! 4. **damping 0.25** for harder oscillation;
-//! 5. **damped restart** — damping 0.125, restarted from the last finite
+//! 1. **newton** — the paper's plain step, taken from a Newton point
+//!    whenever the map moves that point less than the current iterate;
+//!    the same attempt [`MvaModel::solve`] makes first, so the two agree
+//!    bit for bit whenever it converges;
+//! 2. **damping 0.5** plain under-relaxation, which stabilizes oscillation;
+//! 3. **damping 0.25** for harder oscillation;
+//! 4. **damped restart** — damping 0.125, restarted from the last finite
 //!    iterate of the most recent failed attempt rather than from cold.
 //!
 //! Every attempt is recorded in a [`SolveDiagnostics`] — which strategy
@@ -36,7 +38,7 @@ use snoop_numeric::fixed_point::Options;
 use snoop_numeric::NumericError;
 
 use crate::outputs::MvaSolution;
-use crate::solver::{MvaModel, SolverOptions};
+use crate::solver::{fixed_point_options, MvaModel, SolverOptions};
 use crate::MvaError;
 
 /// Options for the resilient escalation ladder.
@@ -46,8 +48,8 @@ pub struct ResilientOptions {
     /// rungs; `base.max_iterations` and `base.tolerance` apply to every
     /// attempt.
     pub base: SolverOptions,
-    /// Maximum number of retries after the first (plain) attempt: `0`
-    /// means plain iteration only, `4` (the default) enables the full
+    /// Maximum number of retries after the first (Newton) attempt: `0`
+    /// means the first attempt only, `3` (the default) enables the full
     /// ladder.
     pub max_damping_retries: usize,
     /// Wall-clock deadline per attempt. `None` (the default) bounds each
@@ -59,7 +61,7 @@ impl Default for ResilientOptions {
     fn default() -> Self {
         ResilientOptions {
             base: SolverOptions::default(),
-            max_damping_retries: 4,
+            max_damping_retries: 3,
             deadline: None,
         }
     }
@@ -68,10 +70,9 @@ impl Default for ResilientOptions {
 /// A solve strategy on the escalation ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
-    /// Plain successive substitution (the paper's method).
-    Plain,
-    /// Aitken Δ² acceleration every third iterate.
-    Aitken,
+    /// Safeguarded Newton steps (plain steps taken from the Newton point
+    /// when it moves less), damped by the base damping.
+    Newton,
     /// Under-relaxed iteration with the given damping factor, from cold.
     Damped(f64),
     /// Under-relaxed iteration with the given damping factor, restarted
@@ -82,8 +83,7 @@ pub enum Strategy {
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Strategy::Plain => write!(f, "plain"),
-            Strategy::Aitken => write!(f, "aitken"),
+            Strategy::Newton => write!(f, "newton"),
             Strategy::Damped(d) => write!(f, "damped({d})"),
             Strategy::DampedRestart(d) => write!(f, "damped-restart({d})"),
         }
@@ -210,8 +210,7 @@ impl MvaModel {
         let seed = seed.filter(|s| s.iter().all(|v| v.is_finite()) && s[2] > 0.0);
         let base_damping = options.base.damping.clamp(f64::MIN_POSITIVE, 1.0);
         let ladder = [
-            Strategy::Plain,
-            Strategy::Aitken,
+            Strategy::Newton,
             Strategy::Damped(0.5 * base_damping),
             Strategy::Damped(0.25 * base_damping),
             Strategy::DampedRestart(0.125 * base_damping),
@@ -230,9 +229,8 @@ impl MvaModel {
             if !diagnostics.attempts.is_empty() {
                 snoop_numeric::probe::counter_add("mva.resilient_escalations", 1);
             }
-            let (damping, aitken, initial) = match *strategy {
-                Strategy::Plain => (base_damping, false, None),
-                Strategy::Aitken => (base_damping, true, None),
+            let (damping, newton, initial) = match *strategy {
+                Strategy::Newton => (base_damping, true, None),
                 Strategy::Damped(d) => (d, false, None),
                 Strategy::DampedRestart(d) => (d, false, last_finite.clone()),
             };
@@ -240,12 +238,9 @@ impl MvaModel {
                 .or_else(|| seed.map(|s| s.to_vec()))
                 .unwrap_or_else(|| self.zero_wait_state());
             let fp_options = Options {
-                max_iterations: options.base.max_iterations,
-                tolerance: options.base.tolerance,
-                damping,
-                record_history: false,
-                aitken,
+                newton,
                 deadline: options.deadline,
+                ..fixed_point_options(&options.base, damping)
             };
 
             match self.run_map(n, initial, &fp_options) {
@@ -326,18 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn plain_strategy_wins_on_easy_workloads() {
+    fn newton_strategy_wins_on_easy_workloads() {
         let r = model(SharingLevel::Five)
             .solve_resilient(10, &ResilientOptions::default())
             .unwrap();
-        assert_eq!(r.diagnostics.winning_strategy(), Some(Strategy::Plain));
+        assert_eq!(r.diagnostics.winning_strategy(), Some(Strategy::Newton));
         assert_eq!(r.diagnostics.retries(), 0);
         assert!(!r.diagnostics.warm_started);
-        // Matches the plain solver exactly: same method, same start.
-        let plain = model(SharingLevel::Five)
+        // Matches `solve` exactly: same first attempt, same start.
+        let direct = model(SharingLevel::Five)
             .solve(10, &SolverOptions::default())
             .unwrap();
-        assert!((r.solution.r - plain.r).abs() < 1e-12);
+        assert_eq!(r.solution, direct);
     }
 
     #[test]
@@ -396,7 +391,7 @@ mod tests {
                 }
                 Err(MvaError::SolveExhausted(d)) => {
                     // Clean failure is acceptable; silent garbage is not.
-                    assert_eq!(d.attempts.len(), 5, "N={n}: {d}");
+                    assert_eq!(d.attempts.len(), 4, "N={n}: {d}");
                 }
                 Err(other) => panic!("N={n}: unexpected error {other}"),
             }
@@ -429,6 +424,6 @@ mod tests {
         let r = m.solve_resilient(4, &ResilientOptions::default()).unwrap();
         let text = r.diagnostics.to_string();
         assert!(text.contains("N=4"), "{text}");
-        assert!(text.contains("plain converged"), "{text}");
+        assert!(text.contains("newton converged"), "{text}");
     }
 }

@@ -135,12 +135,12 @@ proptest! {
         b in prop::collection::vec(-5.0f64..5.0, 3),
         initial in prop::collection::vec(-10.0f64..10.0, 3),
         damping in 0.05f64..1.0,
-        aitken_sel in 0u8..2,
+        newton_sel in 0u8..2,
     ) {
         let options = Options {
             max_iterations: 300,
             damping,
-            aitken: aitken_sel == 1,
+            newton: newton_sel == 1,
             ..Options::default()
         };
         let result = FixedPoint::new(options).solve(initial, |x, out| {
@@ -204,6 +204,7 @@ proptest! {
         call in 1usize..20,
         period in 0usize..8,
         factor in -100.0f64..100.0,
+        newton_sel in 0u8..2,
     ) {
         let base = b.clone();
         let contraction = move |x: &[f64], out: &mut [f64]| {
@@ -215,7 +216,8 @@ proptest! {
             .with_fault(Fault::Nan { component, call })
             .with_fault(Fault::Spike { component, period, factor })
             .with_fault(Fault::Stall { component: (component + 1) % 3, from: call });
-        let options = Options { max_iterations: 200, ..Options::default() };
+        let options =
+            Options { max_iterations: 200, newton: newton_sel == 1, ..Options::default() };
         let result =
             FixedPoint::new(options).solve(vec![0.0; 3], |x, out| faulty.apply(x, out));
         match result {
