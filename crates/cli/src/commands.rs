@@ -30,7 +30,7 @@ usage: snoop <command> [flags]
 commands:
   solve      solve the MVA model            --protocol WO+1 --sharing 5 --n 10
   sweep      speedup curve over N           --protocol dragon --sharing 20 --n 100
-  table      reproduce Table 4.1            --panel a | b | c | util
+  table      reproduce Table 4.1            --panel a | b | c | util [--sim]
   figure     reproduce Figure 4.1           --csv for machine-readable output
   eval       batch-evaluate scenarios       --scenarios FILE.json --backends mva,sim
   serve      persistent evaluation daemon   --listen 127.0.0.1:7077 [--store DIR]
@@ -374,8 +374,8 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
 
 fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
     let which = args.flag_str("panel", "a");
-    let engine = Engine::new().with_backends(&[BackendId::Mva]);
     if which == "util" {
+        let engine = Engine::new().with_backends(&[BackendId::Mva]);
         // Section 4.2's side-by-side: bus utilization at N = 6, 5% sharing
         // ("the GTPN and MVA estimates of bus utilization are approximately
         // 81% and 77%").
@@ -392,6 +392,12 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
         "c" => 'c',
         _ => return Err(format!("unknown table {which:?}, expected a, b, c or util")),
     };
+    // --sim adds the discrete-event simulator to the same batch, at the
+    // scenario's default replications, as the detailed-model referee.
+    let sim = args.switch("sim")?;
+    let backends: &[BackendId] =
+        if sim { &[BackendId::Mva, BackendId::Sim] } else { &[BackendId::Mva] };
+    let engine = Engine::new().with_backends(backends);
 
     let published: Vec<_> = table_4_1().into_iter().filter(|r| r.panel == panel).collect();
     let scenarios: Vec<Scenario> = published
@@ -404,18 +410,34 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
         .collect();
     let mut evals = engine.evaluate_batch(&scenarios).into_iter();
     let mut rows = Vec::new();
+    let mut sim_rows = Vec::new();
     for row in &published {
         for (i, &n) in TABLE_N.iter().enumerate() {
-            let s = next_result(&mut evals, BackendId::Mva, format!("{} N={n}", row.sharing))?
+            let label = format!("{} N={n}", row.sharing);
+            let s = next_result(&mut evals, BackendId::Mva, &label)?
                 .result
                 .map_err(|e| e.to_string())?;
-            rows.push((format!("{} N={n}", row.sharing), row.mva[i], s.speedup));
+            if sim {
+                let des = next_result(&mut evals, BackendId::Sim, &label)?
+                    .result
+                    .map_err(|e| e.to_string())?;
+                sim_rows.push((label.clone(), des.speedup, s.speedup));
+            }
+            rows.push((label, row.mva[i], s.speedup));
         }
     }
-    Ok(comparison_table(
+    let mut out = comparison_table(
         &format!("Table 4.1({panel}): published MVA speedups vs this implementation"),
         &rows,
-    ))
+    );
+    if sim {
+        out.push('\n');
+        out.push_str(&comparison_table(
+            &format!("Table 4.1({panel}): this MVA vs this DES (paper column = DES)"),
+            &sim_rows,
+        ));
+    }
+    Ok(out)
 }
 
 fn cmd_figure(args: &ParsedArgs) -> Result<String, String> {
@@ -1190,6 +1212,9 @@ mod tests {
     fn table_util_compares_bus_utilization() {
         let out = run_tokens(&["table", "--panel", "util"]).unwrap();
         assert!(out.contains("bus utilization"));
+        // The DES referee applies to panels a, b and c only.
+        let err = run_tokens(&["table", "--panel", "util", "--sim"]).unwrap_err();
+        assert_eq!(err, "table: unknown or unused flag --sim");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! snoop solve    --protocol WO+1 --sharing 5 --n 10
 //! snoop sweep    --protocol dragon --sharing 20 --n 100
-//! snoop table    --panel a|b|c|util
+//! snoop table    --panel a|b|c|util [--sim]
 //! snoop figure   [--csv]
 //! snoop validate --n 8 [--protocol WO] [--sharing 5]
 //! snoop gtpn     --n 2 [--protocol WO] [--sharing 5]

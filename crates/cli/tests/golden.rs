@@ -38,12 +38,31 @@ const CASES: &[(&str, &[&str])] = &[
     ("help", &["help"]),
 ];
 
+/// `table --sim` runs the DES up to N = 100 at three replications: a few
+/// seconds per panel in release. The goldens pin every DES cell and each
+/// panel's worst |MVA − DES|.
+const SIM_CASES: &[(&str, &[&str])] = &[
+    ("table_a_sim", &["table", "--panel", "a", "--sim"]),
+    ("table_b_sim", &["table", "--panel", "b", "--sim"]),
+    ("table_c_sim", &["table", "--panel", "c", "--sim"]),
+];
+
 #[test]
 fn every_subcommand_prints_its_golden_stdout() {
+    check_goldens(CASES);
+}
+
+#[test]
+#[ignore = "DES up to N = 100; run in release with --ignored"]
+fn table_with_the_des_referee_prints_its_golden_stdout() {
+    check_goldens(SIM_CASES);
+}
+
+fn check_goldens(cases: &[(&str, &[&str])]) {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = manifest.join("../..");
     let mut failures = Vec::new();
-    for (name, args) in CASES {
+    for (name, args) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_snoop"))
             .args(*args)
             .current_dir(&root)

@@ -377,6 +377,9 @@ impl Scenario {
                 ("tolerance", Slot::F64(&mut s.tolerance)),
                 ("damping", Slot::F64(&mut s.damping)),
             ])?;
+            if !(s.damping > 0.0 && s.damping <= 1.0) {
+                return Err(format!("solver.damping must lie in (0, 1], got {}", s.damping));
+            }
         }
         if let Some(sim) = item.get("sim") {
             let s = &mut scenario.sim;
@@ -713,6 +716,12 @@ mod tests {
             r#"{"schema":"snoop-scenario-v1","scenarios":[{"protocol":"WO","n":2,"sharing":"7"}]}"#
         )
         .contains("sharing"));
+        for damping in ["0", "-1", "1.5"] {
+            assert!(bad(&format!(
+                r#"{{"schema":"snoop-scenario-v1","scenarios":[{{"protocol":"WO","n":2,"solver":{{"damping":{damping}}}}}]}}"#
+            ))
+            .contains(&format!("solver.damping must lie in (0, 1], got {damping}")));
+        }
     }
 
     #[test]

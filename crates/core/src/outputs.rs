@@ -42,8 +42,8 @@ pub struct MvaSolution {
     /// [`crate::MvaModel::solve`]'s safeguarded Newton attempt applies the
     /// 3-D mean-value map up to five times (once, three Jacobian columns,
     /// once at the Newton point); one of plain substitution
-    /// ([`crate::MvaModel::solve_traced`], the damped retries) applies it
-    /// once.
+    /// ([`crate::MvaModel::solve_traced`], the ladder's damped rungs)
+    /// applies it once.
     pub iterations: usize,
 }
 

@@ -7,12 +7,11 @@
 //! memory), where plain successive substitution oscillates or diverges.
 //! [`MvaModel::solve_resilient`] runs a fixed **escalation ladder** of
 //! solve strategies, stopping at the first that converges to a finite
-//! solution:
+//! solution. It is the only ladder: [`MvaModel::solve`] runs it at the
+//! default depth and drops the diagnostics.
 //!
 //! 1. **newton** — the paper's plain step, taken from a Newton point
 //!    whenever the map moves that point less than the current iterate;
-//!    the same attempt [`MvaModel::solve`] makes first, so the two agree
-//!    bit for bit whenever it converges;
 //! 2. **damping 0.5** plain under-relaxation, which stabilizes oscillation;
 //! 3. **damping 0.25** for harder oscillation;
 //! 4. **damped restart** — damping 0.125, restarted from the last finite
@@ -170,7 +169,8 @@ impl MvaModel {
     ///
     /// # Errors
     ///
-    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and
+    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0`,
+    /// [`MvaError::Numeric`] for a base damping outside `(0, 1]`, and
     /// [`MvaError::SolveExhausted`] — carrying the per-attempt
     /// diagnostics — when every strategy on the ladder fails. Never
     /// panics; a returned solution always has finite outputs.
@@ -202,13 +202,19 @@ impl MvaModel {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
+        let base_damping = options.base.damping;
+        if !(base_damping > 0.0 && base_damping <= 1.0) {
+            return Err(NumericError::InvalidArgument(format!(
+                "damping must lie in (0, 1], got {base_damping}"
+            ))
+            .into());
+        }
         // Observational only — the probe registry is never read back, so
         // collection cannot steer the escalation ladder.
         let _probe_span = snoop_numeric::probe::span("resilient_solve");
         // A seed is only usable if it is finite with a positive R —
         // otherwise the mean-value map rejects it on the first step.
         let seed = seed.filter(|s| s.iter().all(|v| v.is_finite()) && s[2] > 0.0);
-        let base_damping = options.base.damping.clamp(f64::MIN_POSITIVE, 1.0);
         let ladder = [
             Strategy::Newton,
             Strategy::Damped(0.5 * base_damping),
@@ -341,6 +347,15 @@ mod tests {
             .solve_resilient(0, &ResilientOptions::default())
             .unwrap_err();
         assert!(matches!(err, MvaError::InvalidSystemSize(0)));
+    }
+
+    #[test]
+    fn rejects_damping_outside_the_unit_interval() {
+        for damping in [0.0, -1.0, 1.5, f64::NAN] {
+            let base = SolverOptions { damping, ..SolverOptions::default() };
+            let err = model(SharingLevel::Five).solve(10, &base).unwrap_err();
+            assert!(err.to_string().contains(&format!("got {damping}")), "{err}");
+        }
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! The iteration state is the vector `[w_bus, w_mem, R]`; one application
 //! of the map evaluates Eqs. (1)–(13) in dependency order.
 //!
-//! [`MvaModel::solve`] takes a safeguarded Newton step on that 3-D map
-//! (see [`snoop_numeric::fixed_point`]): the clamps in Eqs. (5)/(7)/(12)
-//! make the map non-smooth, so the paper's plain step is taken from the
-//! Newton point only when the map moves that point less than the current
+//! [`MvaModel::solve`] runs the escalation ladder of
+//! [`crate::resilient`] and keeps only the solution. Its first rung takes
+//! a safeguarded Newton step on that 3-D map (see
+//! [`snoop_numeric::fixed_point`]): the clamps in Eqs. (5)/(7)/(12) make
+//! the map non-smooth, so the paper's plain step is taken from the Newton
+//! point only when the map moves that point less than the current
 //! iterate, and from the current iterate otherwise. It meets the 1e-12
 //! tolerance in about a dozen iterations where plain substitution needs
 //! hundreds near saturation. [`MvaModel::solve_traced`] keeps the paper's
@@ -26,6 +28,7 @@ use snoop_workload::timing::TimingModel;
 use crate::equations as eq;
 use crate::interference::Interference;
 use crate::outputs::MvaSolution;
+use crate::resilient::ResilientOptions;
 use crate::MvaError;
 
 /// Options controlling the fixed-point iteration.
@@ -181,9 +184,8 @@ impl MvaModel {
     }
 
     /// Runs the raw mean-value fixed point from an arbitrary initial state
-    /// with explicit numeric options — the primitive under both
-    /// [`MvaModel::solve`] and the resilient escalation ladder
-    /// (which needs custom damping schedules and warm starts).
+    /// with explicit numeric options — the primitive under every rung of
+    /// the escalation ladder and under [`MvaModel::solve_traced`].
     pub(crate) fn run_map(
         &self,
         n: usize,
@@ -239,7 +241,7 @@ impl MvaModel {
     ///
     /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and propagates
     /// non-convergence as [`MvaError::Numeric`]; unlike
-    /// [`MvaModel::solve`] there are no damped retries.
+    /// [`MvaModel::solve`] there is no escalation ladder.
     pub fn solve_traced(
         &self,
         n: usize,
@@ -258,41 +260,18 @@ impl MvaModel {
         Ok((self.package_solution(n, &traced.values, traced.iterations), history))
     }
 
-    /// Solves the model for `n` processors.
+    /// Solves the model for `n` processors: [`MvaModel::solve_resilient`]
+    /// at its default ladder depth, without the diagnostics.
     ///
     /// # Errors
     ///
-    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and propagates
-    /// non-convergence as [`MvaError::Numeric`].
+    /// Same contract as [`MvaModel::solve_resilient`]: invalid sizes and
+    /// damping are rejected up front, and a solve that defeats every rung
+    /// returns [`MvaError::SolveExhausted`] with the per-attempt
+    /// diagnostics.
     pub fn solve(&self, n: usize, options: &SolverOptions) -> Result<MvaSolution, MvaError> {
-        if n == 0 {
-            return Err(MvaError::InvalidSystemSize(0));
-        }
-        // Safeguarded Newton steps first; near the kinks of Eqs.
-        // (5)/(7)/(12) they fall back to the paper's plain step. Should
-        // that attempt fail, retry with plain, increasingly under-relaxed
-        // substitution, which preserves the fixed point. (For per-attempt diagnostics, warm starts and a
-        // wider escalation ladder, see [`MvaModel::solve_resilient`].)
-        let mut last_err = None;
-        let attempts = [
-            Options { newton: true, ..fixed_point_options(options, options.damping) },
-            fixed_point_options(options, 0.5 * options.damping),
-            fixed_point_options(options, 0.1 * options.damping),
-        ];
-        for fp_options in &attempts {
-            match self.run_map(n, self.zero_wait_state(), fp_options) {
-                Ok(s) => return Ok(self.package_solution(n, &s.values, s.iterations)),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| {
-                // Unreachable: the ladder above always runs at least once.
-                snoop_numeric::NumericError::InvalidArgument(
-                    "damping retry ladder made no attempts".into(),
-                )
-            })
-            .into())
+        let options = ResilientOptions { base: options.clone(), ..ResilientOptions::default() };
+        self.solve_resilient(n, &options).map(|r| r.solution)
     }
 }
 

@@ -94,20 +94,43 @@ fn gtpn_vs_simulator_at_n2() {
 fn stress_test_section_4_3() {
     // "The speedup estimates of the MVA model agreed, within 5% relative
     // error, with the speedup estimates in the GTPN" under the
-    // interference-maximizing workload. The simulator referees here; the
-    // tolerance is widened to 10% because our DES resolves cache
-    // interference more literally than either analytic model.
-    let params = WorkloadParams::stress();
-    for n in [2usize, 6, 10, 20] {
+    // interference-maximizing workload. The simulator referees here, and
+    // resolves snoop busy times per transaction, more literally than the
+    // paper's GTPN: the worst error is −5.76% at N = 4. The DES is seeded,
+    // so every MVA-vs-DES error is pinned to ±0.05 percentage points.
+    let stress = WorkloadParams::stress();
+    // A second variant: maximal broadcast pressure (every shared
+    // reference a first write to a block another cache supplies).
+    let write_heavy = WorkloadParams::builder()
+        .streams(0.5, 0.0, 0.5)
+        .r_sw(0.1)
+        .h_sw(0.6)
+        .amod_sw(0.0)
+        .csupply_sw(1.0)
+        .build()
+        .expect("valid");
+    let cases = [
+        ("stress", stress, 1usize, -0.12),
+        ("stress", stress, 2, -2.58),
+        ("stress", stress, 4, -5.76),
+        ("stress", stress, 6, -1.55),
+        ("stress", stress, 8, 1.27),
+        ("stress", stress, 10, 2.18),
+        ("stress", stress, 15, 3.15),
+        ("stress", stress, 20, 2.91),
+        ("write-heavy", write_heavy, 2, 2.12),
+        ("write-heavy", write_heavy, 6, 2.84),
+        ("write-heavy", write_heavy, 10, 5.03),
+    ];
+    for (label, params, n, pinned_pct) in cases {
         let mva = mva_speedup(&params, ModSet::new(), n);
         let sim = simulate(&SimConfig::for_protocol(n, params, ModSet::new()))
             .expect("valid config")
             .speedup;
-        let err = (mva - sim).abs() / sim;
+        let err_pct = (mva / sim - 1.0) * 100.0;
         assert!(
-            err < 0.10,
-            "stress N={n}: MVA {mva:.3} vs DES {sim:.3} ({:.1}%)",
-            err * 100.0
+            (err_pct - pinned_pct).abs() <= 0.05,
+            "{label} N={n}: MVA {mva:.3} vs DES {sim:.3} ({err_pct:+.3}%, pinned {pinned_pct:+.2}%)"
         );
     }
 }

@@ -21,7 +21,11 @@ fn simulate_trace_measuring(
 }
 
 fn config(n: usize, mods: &[u8]) -> TraceSimConfig {
-    let mut c = TraceSimConfig::new(n, ModSet::from_numbers(mods).unwrap());
+    config_for(n, ModSet::from_numbers(mods).unwrap())
+}
+
+fn config_for(n: usize, mods: ModSet) -> TraceSimConfig {
+    let mut c = TraceSimConfig::new(n, mods);
     c.warmup_references = 4_000;
     c.measured_references = 25_000;
     c
@@ -48,22 +52,47 @@ fn measured_parameters_are_plausible() {
 fn mva_on_measured_parameters_predicts_the_trace_simulation() {
     // Measure on the target protocol, predict with the MVA, compare
     // against the simulator's own speedup. The workload model is a lossy
-    // summary (no spatial locality, stream independence), so the bar is
-    // 15% — far tighter than a factor-of-two sanity bound and tight
-    // enough to make the measured parameters useful for capacity planning.
-    for (mods, n) in [(&[][..], 4), (&[], 8), (&[1], 8)] {
-        let (sim, params) = simulate_trace_measuring(&config(n, mods)).unwrap();
-        let model =
-            MvaModel::for_protocol(&params, ModSet::from_numbers(mods).unwrap()).unwrap();
-        let mva = model.solve(n, &SolverOptions::default()).unwrap();
-        let err = (mva.speedup - sim.speedup).abs() / sim.speedup;
-        assert!(
-            err < 0.15,
-            "{mods:?} N={n}: MVA-on-measured {:.3} vs trace sim {:.3} ({:.1}%)",
-            mva.speedup,
-            sim.speedup,
-            err * 100.0
-        );
+    // summary (no spatial locality, stream independence), so Write-Once
+    // at N = 8 misses by 8.55%; every other cell is within 3.3%. The
+    // trace simulation is seeded, so each signed error is pinned to
+    // ±0.05 percentage points.
+    let pinned_err_pct = [
+        ("WO", [-2.01, -4.07, -8.55]),
+        ("WO+1", [-0.74, -0.56, -0.72]),
+        ("berkeley", [-0.51, -0.62, -2.77]),
+        ("WO+1+4", [0.68, 1.12, 3.22]),
+    ];
+    for (protocol, pinned) in pinned_err_pct {
+        let mods: ModSet = protocol.parse().unwrap();
+        for (n, pinned_pct) in [2, 4, 8].into_iter().zip(pinned) {
+            let (sim, params) = simulate_trace_measuring(&config_for(n, mods)).unwrap();
+            let mva = MvaModel::for_protocol(&params, mods)
+                .unwrap()
+                .solve(n, &SolverOptions::default())
+                .unwrap();
+            let err_pct = (mva.speedup / sim.speedup - 1.0) * 100.0;
+            assert!(
+                (err_pct - pinned_pct).abs() <= 0.05,
+                "{protocol} N={n}: MVA-on-measured {:.3} vs trace sim {:.3} \
+                 ({err_pct:+.3}%, pinned {pinned_pct:+.2}%)",
+                mva.speedup,
+                sim.speedup
+            );
+            // The measured csupply_sw grows with N: the size dependence of
+            // sharing that Section 2.3 flags.
+            let pinned_csupply = match (protocol, n) {
+                ("WO", 2) => Some(0.134),
+                ("WO", 8) => Some(0.695),
+                _ => None,
+            };
+            if let Some(pinned) = pinned_csupply {
+                assert!(
+                    (params.csupply_sw - pinned).abs() <= 0.0005,
+                    "WO N={n}: csupply_sw {:.4} vs pinned {pinned}",
+                    params.csupply_sw
+                );
+            }
+        }
     }
 }
 
