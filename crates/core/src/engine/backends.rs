@@ -568,4 +568,18 @@ mod tests {
         let err = GtpnBackend::default().evaluate(&s).unwrap_err();
         assert!(matches!(err, EvalError::Failed { backend: BackendId::Gtpn, .. }), "{err}");
     }
+
+    #[test]
+    fn gtpn_zero_think_time_is_a_typed_failure() {
+        // τ = 0 is a valid workload (MVA and DES solve it) but has no
+        // geometric think time, so the GTPN must refuse it, not panic.
+        let mut s = scenario(2);
+        s.params.tau = 0.0;
+        assert!(MvaBackend.evaluate(&s).is_ok());
+        let err = GtpnBackend::default().evaluate(&s).unwrap_err();
+        assert!(
+            matches!(err, EvalError::Failed { backend: BackendId::Gtpn, ref reason } if reason.contains("tau")),
+            "{err}"
+        );
+    }
 }

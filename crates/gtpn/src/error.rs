@@ -21,6 +21,9 @@ pub enum GtpnError {
     },
     /// The net is structurally unusable (no places or no transitions).
     EmptyNet,
+    /// A model builder was given inputs it cannot represent (no
+    /// processors, a non-positive think time…).
+    InvalidInput(String),
     /// Reachability analysis exceeded the state budget.
     StateSpaceExplosion {
         /// The budget that was exceeded.
@@ -49,6 +52,7 @@ impl fmt::Display for GtpnError {
                 write!(f, "transition {transition:?} is invalid: {reason}")
             }
             GtpnError::EmptyNet => write!(f, "net has no places or no transitions"),
+            GtpnError::InvalidInput(reason) => write!(f, "invalid model input: {reason}"),
             GtpnError::StateSpaceExplosion { limit } => {
                 write!(f, "reachability exceeded the state budget of {limit} states")
             }
@@ -88,5 +92,6 @@ mod tests {
         assert!(GtpnError::StateSpaceExplosion { limit: 10 }.to_string().contains("10"));
         assert!(GtpnError::UnknownPlace { transition: "t".into() }.to_string().contains("t"));
         assert!(GtpnError::ImmediateLivelock.to_string().contains("time"));
+        assert!(GtpnError::InvalidInput("tau".into()).to_string().contains("tau"));
     }
 }

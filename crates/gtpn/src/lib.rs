@@ -11,7 +11,7 @@
 //! * **reachability analysis** producing the timed state graph (markings ×
 //!   in-flight firings),
 //! * an **embedded discrete-time Markov chain** whose steady state (solved
-//!   directly or iteratively via `snoop-numeric`) yields time-averaged
+//!   by sparse power iteration in `snoop-numeric`) yields time-averaged
 //!   token populations and transition throughputs.
 //!
 //! The cost of this pipeline climbs steeply with the number of processors

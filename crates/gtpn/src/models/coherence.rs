@@ -103,11 +103,8 @@ impl CoherenceNet {
     ///
     /// # Errors
     ///
-    /// Propagates net-construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `tau <= 0`.
+    /// Returns [`GtpnError::InvalidInput`] if `n == 0` or `tau` is not
+    /// positive, and propagates net-construction failures.
     pub fn build(inputs: &ModelInputs, n: usize) -> Result<Self, GtpnError> {
         Self::build_with_options(inputs, n, CoherenceNetOptions::default())
     }
@@ -116,18 +113,22 @@ impl CoherenceNet {
     ///
     /// # Errors
     ///
-    /// Propagates net-construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `tau <= 0`.
+    /// Returns [`GtpnError::InvalidInput`] if `n == 0` or `tau` is not
+    /// positive, and propagates net-construction failures.
     pub fn build_with_options(
         inputs: &ModelInputs,
         n: usize,
         options: CoherenceNetOptions,
     ) -> Result<Self, GtpnError> {
-        assert!(n > 0, "need at least one processor");
-        assert!(inputs.tau > 0.0, "geometric think time needs positive tau");
+        if n == 0 {
+            return Err(GtpnError::InvalidInput("need at least one processor".into()));
+        }
+        if inputs.tau.is_nan() || inputs.tau <= 0.0 {
+            return Err(GtpnError::InvalidInput(format!(
+                "geometric think time needs positive tau, got {}",
+                inputs.tau
+            )));
+        }
         let mut b = NetBuilder::new();
         let bus_free = b.place("bus-free", 1);
         // Aggregated memory modules: m interchangeable tokens (per-module
@@ -368,6 +369,16 @@ mod tests {
             "expected a state-space explosion, got {err:?}"
         );
         assert!(start.elapsed().as_secs() < 30, "explosion must be detected promptly");
+    }
+
+    #[test]
+    fn unrepresentable_inputs_are_typed_errors() {
+        let mut i = inputs(SharingLevel::Five, &[]);
+        let err = CoherenceNet::build(&i, 0).unwrap_err();
+        assert!(matches!(err, GtpnError::InvalidInput(_)), "{err:?}");
+        i.tau = 0.0;
+        let err = CoherenceNet::build(&i, 2).unwrap_err();
+        assert!(matches!(err, GtpnError::InvalidInput(ref r) if r.contains("tau")), "{err:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Steady-state solution and performance measures.
 
-use snoop_numeric::markov::{steady_state_sparse, SparseOptions};
+use snoop_numeric::markov::steady_state_sparse;
 
 use crate::chain::transition_matrix;
 use crate::net::{Net, PlaceId, TransitionId};
@@ -61,8 +61,6 @@ pub struct GtpnSolution {
     graph: StateGraph,
     pi: Vec<f64>,
     measures: Measures,
-    iterations: usize,
-    used_dense: bool,
 }
 
 impl GtpnSolution {
@@ -74,17 +72,6 @@ impl GtpnSolution {
     /// The stationary state distribution.
     pub fn stationary(&self) -> &[f64] {
         &self.pi
-    }
-
-    /// Power-method iterations spent on the stationary distribution
-    /// (0 when the direct dense path was used).
-    pub fn solve_iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Whether the stationary distribution came from the dense LU path.
-    pub fn used_dense(&self) -> bool {
-        self.used_dense
     }
 
     /// Time-averaged token population of a place (tokens held by in-flight
@@ -114,11 +101,10 @@ impl GtpnSolution {
 
 /// Explores and solves a net with the given budgets.
 ///
-/// The stationary distribution comes from
-/// [`steady_state_sparse`]: direct dense LU for small chains, sparse
-/// Aitken-accelerated power iteration — started from the settled initial
-/// distribution, so a reducible chain converges to the recurrent class the
-/// net actually reaches — for large ones.
+/// The stationary distribution comes from [`steady_state_sparse`]: sparse
+/// Aitken-accelerated power iteration, started from the settled initial
+/// distribution so a reducible chain converges to the recurrent class the
+/// net actually reaches.
 ///
 /// # Errors
 ///
@@ -134,15 +120,9 @@ pub fn solve_with_options(
     for &(s, prob) in &graph.initial {
         initial[s] += prob;
     }
-    let solve = steady_state_sparse(&p, Some(&initial), &SparseOptions::default())?;
-    let measures = Measures::accumulate(&graph, &solve.pi);
-    Ok(GtpnSolution {
-        graph,
-        pi: solve.pi,
-        measures,
-        iterations: solve.iterations,
-        used_dense: solve.used_dense,
-    })
+    let pi = steady_state_sparse(&p, Some(&initial))?.pi;
+    let measures = Measures::accumulate(&graph, &pi);
+    Ok(GtpnSolution { graph, pi, measures })
 }
 
 /// Explores and solves with default budgets.

@@ -4,31 +4,75 @@
 //! these tests pin the contract that refactor must keep on a real model —
 //! the N = 3 Write-Once coherence net (254 states, in waves wide enough
 //! for the parallel expansion): no state is interned twice, the graph is
-//! a proper stochastic matrix, the parallel frontier expansion reproduces
-//! the serial graph bit for bit, and the embedded chain still solves to
-//! the same stationary distribution by both the dense and sparse paths.
+//! a proper stochastic matrix, and the parallel frontier expansion
+//! reproduces the serial graph bit for bit.
+//!
+//! It also pins the production steady-state solver against the dense-LU
+//! reference over the chains the benchmark's gtpn-exact workload solves:
+//! every modification set × sharing level at N = 2 and 3 here, and N = 4
+//! as a release case:
+//!
+//! ```text
+//! cargo test --release -p snoop-gtpn --test arena_equivalence -- --ignored
+//! ```
 
 use std::collections::HashSet;
 
 use snoop_gtpn::chain::transition_matrix;
 use snoop_gtpn::models::coherence::CoherenceNet;
 use snoop_gtpn::reachability::{explore, ReachabilityOptions, StateGraph};
-use snoop_numeric::markov::{steady_state_dense, steady_state_sparse, SparseOptions};
+use snoop_numeric::markov::{steady_state_dense, steady_state_sparse};
 use snoop_protocol::ModSet;
 use snoop_workload::derived::ModelInputs;
 use snoop_workload::params::{SharingLevel, WorkloadParams};
 use snoop_workload::timing::TimingModel;
 
-fn write_once_graph(threads: usize) -> StateGraph {
+fn coherence_graph(mods: ModSet, level: SharingLevel, n: usize, threads: usize) -> StateGraph {
     let inputs = ModelInputs::derive_adjusted(
-        &WorkloadParams::appendix_a(SharingLevel::Five),
-        ModSet::new(),
+        &WorkloadParams::appendix_a(level),
+        mods,
         &TimingModel::default(),
     )
     .expect("appendix A inputs derive");
-    let net = CoherenceNet::build(&inputs, 3).expect("N = 3 write-once net builds");
+    let net = CoherenceNet::build(&inputs, n).expect("coherence net builds");
     let options = ReachabilityOptions { threads, ..ReachabilityOptions::default() };
     explore(&net.net, &options).expect("graph fits default budgets")
+}
+
+fn write_once_graph(threads: usize) -> StateGraph {
+    coherence_graph(ModSet::new(), SharingLevel::Five, 3, threads)
+}
+
+/// Solves every modification set × sharing level at each `n` with the
+/// production solver and the dense reference, and asserts they agree to
+/// 1e-12 in every component.
+fn assert_production_matches_dense(ns: &[usize]) {
+    let mut worst = 0.0_f64;
+    for &n in ns {
+        for mods in ModSet::power_set() {
+            for level in SharingLevel::ALL {
+                let graph = coherence_graph(mods, level, n, 1);
+                let p = transition_matrix(&graph).expect("transition matrix builds");
+                let dense = steady_state_dense(&p).expect("dense steady state");
+                let mut initial = vec![0.0; graph.len()];
+                for &(s, prob) in &graph.initial {
+                    initial[s] += prob;
+                }
+                let sparse = steady_state_sparse(&p, Some(&initial)).expect("sparse steady state");
+                let diff = dense
+                    .iter()
+                    .zip(&sparse.pi)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0_f64, f64::max);
+                assert!(
+                    diff <= 1e-12,
+                    "{mods} at {level}, N = {n}: |pi - pi_dense| = {diff:.3e}"
+                );
+                worst = worst.max(diff);
+            }
+        }
+    }
+    println!("N = {ns:?}: max |pi - pi_dense| = {worst:.3e}");
 }
 
 #[test]
@@ -65,27 +109,11 @@ fn parallel_expansion_reproduces_the_serial_graph() {
 
 #[test]
 fn arena_graph_solves_to_the_same_stationary_distribution() {
-    let graph = write_once_graph(1);
-    let p = transition_matrix(&graph).expect("transition matrix builds");
-    let dense = steady_state_dense(&p).expect("dense steady state");
+    assert_production_matches_dense(&[2, 3]);
+}
 
-    let mut initial = vec![0.0; graph.len()];
-    for &(s, prob) in &graph.initial {
-        initial[s] += prob;
-    }
-    // Force the iterative sparse path for a genuine cross-solver check.
-    let options = SparseOptions {
-        dense_threshold: 0,
-        dense_fallback_limit: 0,
-        ..SparseOptions::default()
-    };
-    let sparse =
-        steady_state_sparse(&p, Some(&initial), &options).expect("sparse steady state");
-
-    let max_diff = dense
-        .iter()
-        .zip(&sparse.pi)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0_f64, f64::max);
-    assert!(max_diff < 1e-9, "dense and sparse solutions diverge: {max_diff:.3e}");
+#[test]
+#[ignore = "release: 48 chains of up to ~500 states through dense LU"]
+fn production_steady_state_matches_dense_at_n4() {
+    assert_production_matches_dense(&[4]);
 }

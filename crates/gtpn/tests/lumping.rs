@@ -26,7 +26,7 @@ use snoop_gtpn::marking::{ActiveFiring, TimedState};
 use snoop_gtpn::models::coherence::{CoherenceMeasures, CoherenceNet, CoherenceNetOptions};
 use snoop_gtpn::net::{Firing, Net, NetBuilder, PlaceId, TransitionId};
 use snoop_gtpn::reachability::{explore, ReachabilityOptions, StateGraph};
-use snoop_numeric::markov::{steady_state_dense, steady_state_sparse, SparseOptions};
+use snoop_numeric::markov::{steady_state_dense, steady_state_sparse};
 use snoop_protocol::ModSet;
 use snoop_workload::derived::ModelInputs;
 use snoop_workload::params::{SharingLevel, WorkloadParams};
@@ -193,15 +193,7 @@ fn solve(net: &Net, dense_limit: usize) -> Solved {
         for &(s, prob) in &graph.initial {
             initial[s] += prob;
         }
-        // Far below the production tolerance, so the iterate is accurate
-        // even for the rare transition kinds' small throughputs.
-        let options = SparseOptions {
-            tolerance: 1e-16,
-            dense_threshold: 0,
-            dense_fallback_limit: 0,
-            ..SparseOptions::default()
-        };
-        steady_state_sparse(&p, Some(&initial), &options).expect("sparse steady state").pi
+        steady_state_sparse(&p, Some(&initial)).expect("sparse steady state").pi
     };
     Solved { graph, pi }
 }

@@ -15,11 +15,12 @@
 //!   by the sweep, sensitivity, simulation-replication and GTPN
 //!   reachability layers.
 //! * [`matrix`] / [`lu`] — dense matrices and LU decomposition with partial
-//!   pivoting, used for direct steady-state solutions of small Markov chains.
+//!   pivoting: the dense reference that tests check the sparse
+//!   steady-state solver against.
 //! * [`sparse`] — compressed-sparse-row matrices for the reachability-graph
 //!   Markov chains produced by the GTPN engine.
-//! * [`markov`] — steady-state solvers for discrete- and continuous-time
-//!   Markov chains (direct for small chains, iterative for large ones).
+//! * [`markov`] — the sparse iterative steady-state solver for the GTPN's
+//!   embedded Markov chains, and its dense-LU reference.
 //! * [`stats`] — streaming sample statistics, Student-t confidence intervals
 //!   and batch-means analysis for the discrete-event simulator.
 //! * [`probe`] — a zero-dependency observability layer (span timers,

@@ -1,8 +1,7 @@
 //! LU decomposition with partial pivoting.
 //!
-//! Used for the direct steady-state solution of small embedded Markov chains
-//! (GTPN reachability graphs for 1–4 processor configurations) and for
-//! general dense linear solves in tests.
+//! Backs [`crate::markov::steady_state_dense`], the direct reference
+//! solution the tests hold the sparse steady-state solver to.
 
 use crate::matrix::Matrix;
 use crate::NumericError;
@@ -31,8 +30,6 @@ pub struct Lu {
     factors: Matrix,
     /// Row permutation: `perm[i]` is the original row in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -52,7 +49,6 @@ impl Lu {
         let n = a.rows();
         let mut m = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
         let scale = a.max_abs().max(1.0);
 
         for col in 0..n {
@@ -76,7 +72,6 @@ impl Lu {
                     m[(pivot_row, c)] = tmp;
                 }
                 perm.swap(col, pivot_row);
-                perm_sign = -perm_sign;
             }
 
             let pivot = m[(col, col)];
@@ -90,7 +85,7 @@ impl Lu {
             }
         }
 
-        Ok(Lu { factors: m, perm, perm_sign })
+        Ok(Lu { factors: m, perm })
     }
 
     /// Solves `A·x = b` using the stored factorization.
@@ -127,11 +122,6 @@ impl Lu {
         Ok(x)
     }
 
-    /// The determinant of the factored matrix.
-    pub fn determinant(&self) -> f64 {
-        let n = self.factors.rows();
-        self.perm_sign * (0..n).map(|i| self.factors[(i, i)]).product::<f64>()
-    }
 }
 
 /// Convenience wrapper: solves `A·x = b` in one call.
@@ -188,22 +178,6 @@ mod tests {
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(Lu::factor(&a), Err(NumericError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn determinant_of_permutation() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.determinant() - -1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_of_identity_scaled() {
-        let mut a = Matrix::identity(3);
-        a[(0, 0)] = 2.0;
-        a[(1, 1)] = 3.0;
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.determinant() - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! The GTPN engine reduces a timed Petri net to a discrete-time Markov chain
 //! over its tangible markings; the performance measures of the detailed
 //! model are then time-weighted averages under that chain's stationary
-//! distribution. Two solution paths are provided:
+//! distribution.
 //!
-//! * a **direct** solve (dense LU on the balance equations) for small chains,
-//!   mirroring the exact solution used by the GTPN tool of \[VeHo86\], and
-//! * an **iterative** power-method solve on the sparse transition matrix for
-//!   chains too large to factor densely — this is what makes the detailed
-//!   model's cost blow up with system size, the very point of the paper.
+//! [`steady_state_sparse`] is the one production solver: a damped,
+//! Aitken-accelerated power iteration on the sparse transition matrix,
+//! whose cost grows with the chain — what makes the detailed model's cost
+//! blow up with system size, the very point of the paper.
+//! [`steady_state_dense`] solves the balance equations by dense LU; it is
+//! the reference the tests compare the iteration against.
 
 use crate::lu;
 use crate::matrix::Matrix;
@@ -103,149 +104,71 @@ pub fn steady_state_dense(p: &CsrMatrix) -> Result<Vec<f64>, NumericError> {
     Ok(pi)
 }
 
-/// Solves `π P = π` by power iteration with uniform start.
-///
-/// Suitable for large sparse chains. Requires the chain to be aperiodic for
-/// convergence; GTPN chains are (self-loops from deterministic holding times
-/// are common), and a small uniformization shift is applied defensively.
-///
-/// # Errors
-///
-/// Returns [`NumericError::NoConvergence`] if the tolerance is not reached
-/// within `max_iterations`.
-pub fn steady_state_power(
-    p: &CsrMatrix,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<Vec<f64>, NumericError> {
-    check_stochastic(p, 1e-9)?;
-    let n = p.rows();
-    let mut pi = vec![1.0 / n as f64; n];
-    // Damped update π ← α·πP + (1-α)·π removes periodicity without changing
-    // the fixed point.
-    const ALPHA: f64 = 0.9;
+/// Convergence tolerance on the max-norm update residual of one sweep.
+const TOLERANCE: f64 = 1e-15;
+/// Sweep budget; past it the solve reports [`NumericError::NoConvergence`].
+const MAX_SWEEPS: usize = 200_000;
+/// Damping factor α of the update `π ← α·πP + (1−α)·π` (removes
+/// periodicity without moving the fixed point).
+const DAMPING: f64 = 0.9;
+/// Sweeps between guarded Aitken Δ² extrapolations.
+const AITKEN_PERIOD: usize = 16;
 
-    let mut residual = f64::INFINITY;
-    for iteration in 1..=max_iterations {
-        let next = p.vec_mul(&pi)?;
-        residual = 0.0;
-        for i in 0..n {
-            let updated = ALPHA * next[i] + (1.0 - ALPHA) * pi[i];
-            residual = residual.max((updated - pi[i]).abs());
-            pi[i] = updated;
-        }
-        let total: f64 = pi.iter().sum();
-        for v in &mut pi {
-            *v /= total;
-        }
-        if residual < tolerance {
-            let _ = iteration;
-            return Ok(pi);
-        }
-    }
-    Err(NumericError::NoConvergence { iterations: max_iterations, residual })
-}
-
-/// Options for [`steady_state_sparse`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseOptions {
-    /// Convergence tolerance on the per-component update residual.
-    pub tolerance: f64,
-    /// Iteration budget for the power method.
-    pub max_iterations: usize,
-    /// Chains at or below this state count are solved directly (dense LU)
-    /// first; the iterative path is then only a fallback for reducible
-    /// chains. `0` forces the iterative path.
-    pub dense_threshold: usize,
-    /// Damping factor α of the update `π ← α·πP + (1−α)·π` (removes
-    /// periodicity without moving the fixed point).
-    pub damping: f64,
-    /// Apply componentwise Aitken Δ² acceleration every this many
-    /// iterations (collapses the slow geometric tail of the second
-    /// eigenvalue). `0` disables acceleration.
-    pub aitken_period: usize,
-    /// Largest chain the *non-convergence* dense fallback will attempt to
-    /// factor (LU is O(n³); beyond this the iteration error is returned
-    /// instead).
-    pub dense_fallback_limit: usize,
-}
-
-impl Default for SparseOptions {
-    fn default() -> Self {
-        SparseOptions {
-            tolerance: 1e-13,
-            max_iterations: 200_000,
-            dense_threshold: 512,
-            damping: 0.9,
-            aitken_period: 16,
-            dense_fallback_limit: 2_048,
-        }
-    }
-}
-
-/// A solved stationary distribution with solve-path metadata.
+/// A solved stationary distribution and the sweeps it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseSolve {
     /// The stationary distribution.
     pub pi: Vec<f64>,
-    /// Power-method iterations spent (0 when the direct path won).
+    /// Power-method sweeps spent (0 for a one-state chain).
     pub iterations: usize,
-    /// Whether the returned distribution came from the dense LU path.
-    pub used_dense: bool,
 }
 
-/// Solves `π P = π` on a sparse chain: direct LU for small chains,
-/// Aitken-accelerated damped power iteration otherwise.
+/// Solves `π P = π` on a sparse chain by damped, Aitken-accelerated power
+/// iteration.
 ///
-/// This is the production steady-state entry point for GTPN reachability
+/// This is the production steady-state solver for GTPN reachability
 /// chains, whose transition matrices are extremely sparse (a handful of
 /// successors per tangible state) and whose size is the paper's cost
-/// driver. Strategy:
-///
-/// 1. chains with at most [`SparseOptions::dense_threshold`] states go
-///    through [`steady_state_dense`] (exact, and cheap at that size);
-///    a reducible chain — the LU path rejects it — falls through to 2;
-/// 2. damped power iteration on the CSR matrix, started from `initial`
-///    when given (a reducible chain then converges to the recurrent class
-///    actually entered from that distribution), with componentwise Aitken
-///    Δ² acceleration every [`SparseOptions::aitken_period`] iterations;
-/// 3. if the iteration exhausts its budget, one dense LU attempt is made
-///    as a last resort (bounded by [`SparseOptions::dense_fallback_limit`]).
+/// driver. The iteration starts from `initial` when given (a reducible
+/// chain then converges to the recurrent class actually entered from that
+/// distribution), damps every sweep by α = 0.9, tries a guarded
+/// componentwise Aitken Δ² extrapolation every 16 sweeps, and stops when
+/// the max-norm update residual falls below 1e-15.
 ///
 /// The solve is single-threaded and fully deterministic: the same matrix
-/// and options produce bit-identical distributions on every run.
+/// and initial distribution produce bit-identical results on every run.
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::NoConvergence`] when both the iterative and
-/// fallback paths fail, and propagates stochasticity/dimension errors.
+/// Returns [`NumericError::NoConvergence`] when 200 000 sweeps do not
+/// reach the tolerance, and propagates stochasticity/dimension errors.
 pub fn steady_state_sparse(
     p: &CsrMatrix,
     initial: Option<&[f64]>,
-    options: &SparseOptions,
 ) -> Result<SparseSolve, NumericError> {
     // Observational only; see `crate::probe` — values recorded here are
     // never read back, so collection cannot change the solve.
     let _probe_span = crate::probe::span("gtpn_steady_state");
     crate::probe::counter_add("markov.sparse_solves", 1);
+    power_iterate(p, initial, MAX_SWEEPS)
+}
+
+/// The iteration behind [`steady_state_sparse`], with its sweep budget as
+/// an argument so tests can exhaust it.
+fn power_iterate(
+    p: &CsrMatrix,
+    initial: Option<&[f64]>,
+    max_sweeps: usize,
+) -> Result<SparseSolve, NumericError> {
     check_stochastic(p, 1e-9)?;
     let n = p.rows();
     if n == 1 {
-        return Ok(SparseSolve { pi: vec![1.0], iterations: 0, used_dense: false });
+        return Ok(SparseSolve { pi: vec![1.0], iterations: 0 });
     }
     if let Some(init) = initial {
         if init.len() != n {
             return Err(NumericError::DimensionMismatch { expected: n, actual: init.len() });
         }
-    }
-
-    if n <= options.dense_threshold {
-        if let Ok(pi) = steady_state_dense(p) {
-            return Ok(SparseSolve { pi, iterations: 0, used_dense: true });
-        }
-        // Reducible chain: the balance system is rank-deficient. Fall
-        // through to the iterative path, which (from `initial`) converges
-        // to the stationary distribution of the class actually reached.
     }
 
     // Start from the caller's distribution mixed with a tiny uniform floor
@@ -262,7 +185,6 @@ pub fn steady_state_sparse(
     };
     normalize(&mut pi);
 
-    let alpha = options.damping.clamp(f64::MIN_POSITIVE, 1.0);
     // `π^T P` on the CSR of P is a column-scatter; transposing once turns
     // every sweep into the unrolled row-gather kernel with the damped
     // update and convergence residual fused into the same pass
@@ -275,30 +197,25 @@ pub fn steady_state_sparse(
     let mut prev2: Vec<f64> = Vec::new();
     let mut prev1: Vec<f64> = Vec::new();
     let mut residual = f64::INFINITY;
-    for iteration in 1..=options.max_iterations {
-        if options.aitken_period > 0 {
-            std::mem::swap(&mut prev2, &mut prev1);
-            prev1.clear();
-            prev1.extend_from_slice(&pi);
-        }
-        residual = pt.power_sweep_into(&pi, alpha, &mut next)?;
+    for iteration in 1..=max_sweeps {
+        std::mem::swap(&mut prev2, &mut prev1);
+        prev1.clear();
+        prev1.extend_from_slice(&pi);
+        residual = pt.power_sweep_into(&pi, DAMPING, &mut next)?;
         std::mem::swap(&mut pi, &mut next);
         normalize(&mut pi);
-        if residual < options.tolerance {
+        if residual < TOLERANCE {
             crate::probe::counter_add("markov.power_iterations", iteration as u64);
             crate::probe::record("markov.power_residual", residual);
-            return Ok(SparseSolve { pi, iterations: iteration, used_dense: false });
+            return Ok(SparseSolve { pi, iterations: iteration });
         }
-        if options.aitken_period > 0
-            && iteration % options.aitken_period == 0
-            && !prev2.is_empty()
-        {
+        if iteration % AITKEN_PERIOD == 0 && !prev2.is_empty() {
             // Guarded acceleration: adopt the Δ² extrapolation only when a
             // trial update from it has a smaller residual than the current
             // iterate (componentwise Aitken can overshoot when the modes
             // are mixed, so unguarded acceleration may regress).
             if let Some(accelerated) = aitken_extrapolate(&prev2, &prev1, &pi) {
-                let trial_residual = pt.power_sweep_into(&accelerated, alpha, &mut next)?;
+                let trial_residual = pt.power_sweep_into(&accelerated, DAMPING, &mut next)?;
                 if trial_residual < residual {
                     std::mem::swap(&mut pi, &mut next);
                     normalize(&mut pi);
@@ -311,16 +228,9 @@ pub fn steady_state_sparse(
         }
     }
 
-    // Last resort: one direct factorization, if the chain is small enough
-    // to make O(n³) tolerable.
-    crate::probe::counter_add("markov.power_iterations", options.max_iterations as u64);
+    crate::probe::counter_add("markov.power_iterations", max_sweeps as u64);
     crate::probe::record("markov.power_residual", residual);
-    if n <= options.dense_fallback_limit {
-        if let Ok(pi) = steady_state_dense(p) {
-            return Ok(SparseSolve { pi, iterations: options.max_iterations, used_dense: true });
-        }
-    }
-    Err(NumericError::NoConvergence { iterations: options.max_iterations, residual })
+    Err(NumericError::NoConvergence { iterations: max_sweeps, residual })
 }
 
 /// Componentwise Aitken Δ² over three consecutive iterates; `None` when
@@ -355,34 +265,6 @@ fn normalize(pi: &mut [f64]) {
             *v /= total;
         }
     }
-}
-
-/// Converts per-state mean holding times into time-weighted stationary
-/// probabilities.
-///
-/// For a semi-Markov process with embedded stationary distribution `pi` and
-/// mean holding time `hold[i]` in state `i`, the long-run fraction of time in
-/// state `i` is `pi[i]·hold[i] / Σ_j pi[j]·hold[j]`. The GTPN performance
-/// measures are computed this way.
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] on length mismatch and
-/// [`NumericError::InvalidArgument`] if a holding time is negative or all
-/// weights vanish.
-pub fn time_weighted(pi: &[f64], hold: &[f64]) -> Result<Vec<f64>, NumericError> {
-    if pi.len() != hold.len() {
-        return Err(NumericError::DimensionMismatch { expected: pi.len(), actual: hold.len() });
-    }
-    if let Some(i) = hold.iter().position(|&h| h < 0.0) {
-        return Err(NumericError::InvalidArgument(format!("holding time {i} is negative")));
-    }
-    let weights: Vec<f64> = pi.iter().zip(hold).map(|(p, h)| p * h).collect();
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return Err(NumericError::InvalidArgument("all time weights are zero".into()));
-    }
-    Ok(weights.into_iter().map(|w| w / total).collect())
 }
 
 #[cfg(test)]
@@ -430,16 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn power_matches_dense() {
-        let p = birth_death(20, 0.4);
-        let dense = steady_state_dense(&p).unwrap();
-        let power = steady_state_power(&p, 1e-13, 20_000).unwrap();
-        for (a, b) in dense.iter().zip(&power) {
-            assert!((a - b).abs() < 1e-8, "dense {a} vs power {b}");
-        }
-    }
-
-    #[test]
     fn birth_death_is_geometric() {
         // Detailed balance: pi[i+1]/pi[i] = p/(1-p).
         let p = 0.25;
@@ -463,37 +335,19 @@ mod tests {
     }
 
     #[test]
-    fn periodic_chain_converges_with_damping() {
-        // Pure swap chain is periodic; damping handles it.
-        let p = CsrMatrix::from_triplets(
-            2,
-            2,
-            &[
-                Triplet { row: 0, col: 1, value: 1.0 },
-                Triplet { row: 1, col: 0, value: 1.0 },
-            ],
-        )
-        .unwrap();
-        let pi = steady_state_power(&p, 1e-12, 10_000).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sparse_small_chain_uses_dense_path() {
-        let solve =
-            steady_state_sparse(&two_state(), None, &SparseOptions::default()).unwrap();
-        assert!(solve.used_dense);
-        assert_eq!(solve.iterations, 0);
-        assert!((solve.pi[0] - 2.0 / 3.0).abs() < 1e-12);
+    fn sparse_two_state_matches_closed_form() {
+        // π = (q, p)/(p + q) for leave-probabilities p = 0.1, q = 0.2.
+        let solve = steady_state_sparse(&two_state(), None).unwrap();
+        assert!(solve.iterations > 0);
+        assert!((solve.pi[0] - 2.0 / 3.0).abs() < 1e-14, "pi = {:?}", solve.pi);
+        assert!((solve.pi[1] - 1.0 / 3.0).abs() < 1e-14, "pi = {:?}", solve.pi);
     }
 
     #[test]
     fn sparse_large_chain_matches_dense() {
         let p = birth_death(80, 0.4);
         let dense = steady_state_dense(&p).unwrap();
-        let options = SparseOptions { dense_threshold: 0, ..SparseOptions::default() };
-        let solve = steady_state_sparse(&p, None, &options).unwrap();
-        assert!(!solve.used_dense);
+        let solve = steady_state_sparse(&p, None).unwrap();
         assert!(solve.iterations > 0);
         for (a, b) in dense.iter().zip(&solve.pi) {
             assert!((a - b).abs() < 1e-9, "dense {a} vs sparse {b}");
@@ -503,20 +357,20 @@ mod tests {
     #[test]
     fn sparse_aitken_accelerates_slow_chain() {
         // Near-critical birth-death: second eigenvalue close to 1, so the
-        // plain power method crawls; Aitken should cut the iteration count.
+        // damped power method alone needs ~17 200 sweeps to reach the
+        // tolerance; the guarded Aitken steps bring that to ~4 600 without
+        // moving the answer.
+        const SLOW_CHAIN_SWEEP_BOUND: usize = 6_000;
         let p = birth_death(60, 0.49);
-        let base = SparseOptions { dense_threshold: 0, dense_fallback_limit: 0, ..SparseOptions::default() };
-        let plain = steady_state_sparse(&p, None, &SparseOptions { aitken_period: 0, ..base })
-            .unwrap();
-        let accelerated = steady_state_sparse(&p, None, &base).unwrap();
+        let dense = steady_state_dense(&p).unwrap();
+        let solve = steady_state_sparse(&p, None).unwrap();
         assert!(
-            accelerated.iterations < plain.iterations,
-            "aitken {} vs plain {}",
-            accelerated.iterations,
-            plain.iterations
+            solve.iterations <= SLOW_CHAIN_SWEEP_BOUND,
+            "{} sweeps, bound {SLOW_CHAIN_SWEEP_BOUND}",
+            solve.iterations
         );
-        for (a, b) in plain.pi.iter().zip(&accelerated.pi) {
-            assert!((a - b).abs() < 1e-9);
+        for (a, b) in dense.iter().zip(&solve.pi) {
+            assert!((a - b).abs() < 1e-12, "dense {a} vs sparse {b}");
         }
     }
 
@@ -535,9 +389,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let options = SparseOptions { dense_fallback_limit: 0, ..SparseOptions::default() };
-        let solve = steady_state_sparse(&p, Some(&[0.0, 1.0, 0.0]), &options).unwrap();
-        assert!(!solve.used_dense, "reducible chain must fall through to iteration");
+        let solve = steady_state_sparse(&p, Some(&[0.0, 1.0, 0.0])).unwrap();
         assert!((solve.pi[0] - 0.5).abs() < 1e-6, "pi = {:?}", solve.pi);
         assert!((solve.pi[2] - 0.5).abs() < 1e-6);
     }
@@ -553,41 +405,31 @@ mod tests {
             ],
         )
         .unwrap();
-        let options = SparseOptions { dense_threshold: 0, ..SparseOptions::default() };
-        let solve = steady_state_sparse(&p, None, &options).unwrap();
+        let solve = steady_state_sparse(&p, None).unwrap();
         assert!((solve.pi[0] - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn sparse_rejects_bad_initial_length() {
-        let err = steady_state_sparse(&two_state(), Some(&[1.0]), &SparseOptions::default());
+        let err = steady_state_sparse(&two_state(), Some(&[1.0]));
         assert!(err.is_err());
     }
 
     #[test]
-    fn sparse_dense_fallback_after_budget_exhaustion() {
-        // One iteration is never enough, so the solve must come from the
-        // dense fallback.
-        let p = birth_death(20, 0.4);
-        let options = SparseOptions {
-            dense_threshold: 0,
-            max_iterations: 1,
-            ..SparseOptions::default()
-        };
-        let solve = steady_state_sparse(&p, None, &options).unwrap();
-        assert!(solve.used_dense);
-        let dense = steady_state_dense(&p).unwrap();
-        for (a, b) in dense.iter().zip(&solve.pi) {
-            assert!((a - b).abs() < 1e-12);
-        }
+    fn sparse_budget_exhaustion_is_no_convergence() {
+        // One sweep is never enough; the solve must say so, not guess.
+        let err = power_iterate(&birth_death(20, 0.4), None, 1).unwrap_err();
+        assert!(
+            matches!(err, NumericError::NoConvergence { iterations: 1, residual } if residual > 0.0),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn sparse_is_deterministic() {
         let p = birth_death(50, 0.45);
-        let options = SparseOptions { dense_threshold: 0, ..SparseOptions::default() };
-        let a = steady_state_sparse(&p, None, &options).unwrap();
-        let b = steady_state_sparse(&p, None, &options).unwrap();
+        let a = steady_state_sparse(&p, None).unwrap();
+        let b = steady_state_sparse(&p, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -597,24 +439,5 @@ mod tests {
         let sum: f64 = pi.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert!(pi.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn time_weighting() {
-        let pi = [0.5, 0.5];
-        let hold = [1.0, 3.0];
-        let tw = time_weighted(&pi, &hold).unwrap();
-        assert!((tw[0] - 0.25).abs() < 1e-12);
-        assert!((tw[1] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighting_rejects_negative_holds() {
-        assert!(time_weighted(&[1.0], &[-1.0]).is_err());
-    }
-
-    #[test]
-    fn time_weighting_rejects_mismatch() {
-        assert!(time_weighted(&[1.0], &[1.0, 2.0]).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! Dense row-major matrices.
 //!
-//! A deliberately small dense-matrix type sufficient for the direct
-//! steady-state solution of the Markov chains produced by the GTPN engine on
-//! small configurations (a few thousand states at most).
+//! A deliberately small dense-matrix type for [`crate::lu`] and the
+//! dense-LU reference steady state on small GTPN chains (a few thousand
+//! states at most).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -19,7 +19,7 @@ use crate::NumericError;
 /// let mut m = Matrix::zeros(2, 2);
 /// m[(0, 0)] = 1.0;
 /// m[(1, 1)] = 2.0;
-/// assert_eq!(m.trace(), 3.0);
+/// assert_eq!(m.mul_vec(&[3.0, 4.0]).unwrap(), vec![3.0, 8.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -97,16 +97,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -116,16 +106,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Sum of the diagonal entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
     /// Matrix-vector product `self * x`.
@@ -161,34 +141,6 @@ impl Matrix {
             }
             for (o, a) in out.iter_mut().zip(self.row(i)) {
                 *o += xi * a;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if the inner dimensions
-    /// disagree.
-    pub fn mul(&self, other: &Matrix) -> Result<Matrix, NumericError> {
-        if self.cols != other.rows {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.cols,
-                actual: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
             }
         }
         Ok(out)
@@ -265,14 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_product() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let ab = a.mul(&b).unwrap();
-        assert_eq!(ab, Matrix::from_rows(&[vec![2.0, 1.0], vec![4.0, 3.0]]).unwrap());
-    }
-
-    #[test]
     fn vec_mul_matches_transpose_mul_vec() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let x = [1.0, -1.0, 2.0];
@@ -288,9 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_max_abs() {
+    fn max_abs_is_the_max_norm() {
         let m = Matrix::from_rows(&[vec![1.0, -7.0], vec![2.0, 3.0]]).unwrap();
-        assert_eq!(m.trace(), 4.0);
         assert_eq!(m.max_abs(), 7.0);
     }
 

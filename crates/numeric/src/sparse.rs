@@ -189,54 +189,16 @@ impl CsrMatrix {
         self.col_idx[span.clone()].iter().copied().zip(self.values[span].iter().copied())
     }
 
-    /// Matrix-vector product `self * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, NumericError> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * x` written into a caller-owned
-    /// buffer — the allocation-free form iterative solvers call once per
-    /// sweep.
-    ///
-    /// The row accumulation is unrolled by four with independent
-    /// accumulators (autovectorizable); the reassociation is fixed by
-    /// construction — `(a0 + a2) + (a1 + a3)` over lanes, in-order tail —
-    /// so results are bit-identical across runs, threads and platforms
-    /// with the same FP semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `x.len() != cols`
-    /// or `out.len() != rows`.
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericError> {
-        if x.len() != self.cols {
-            return Err(NumericError::DimensionMismatch { expected: self.cols, actual: x.len() });
-        }
-        if out.len() != self.rows {
-            return Err(NumericError::DimensionMismatch { expected: self.rows, actual: out.len() });
-        }
-        for r in 0..self.rows {
-            let span = self.row_ptr[r]..self.row_ptr[r + 1];
-            out[r] = dot_gather(&self.col_idx[span.clone()], &self.values[span], x);
-        }
-        Ok(())
-    }
-
     /// One fused sweep of the damped power iteration
     /// `out = α·(self·x) + (1−α)·x`, returning the max-norm residual
     /// `max_i |out[i] − x[i]|` computed in the same pass.
     ///
     /// `self` is expected to be the *transpose* of a row-stochastic
-    /// matrix, so the product is the row-gather form of `x^T P` — the
-    /// unrolled [`CsrMatrix::mul_vec_into`] kernel — and the damped
-    /// update plus convergence residual fold into the same cache-resident
-    /// traversal instead of two extra passes over `x` and `out`.
+    /// matrix, so the product is the row-gather form of `x^T P` — an
+    /// unrolled kernel with a fixed, deterministic reassociation — and the
+    /// damped update plus convergence residual fold into the same
+    /// cache-resident traversal instead of two extra passes over `x` and
+    /// `out`.
     ///
     /// # Errors
     ///
@@ -394,13 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_dense() {
-        let m = simple();
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(m.mul_vec(&x).unwrap(), m.to_dense().mul_vec(&x).unwrap());
-    }
-
-    #[test]
     fn vec_mul_matches_dense() {
         let m = simple();
         let x = [1.0, -1.0, 0.5];
@@ -416,7 +371,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.nnz(), 1);
-        assert_eq!(m.mul_vec(&[1.0]).unwrap(), vec![2.0]);
+        assert_eq!(m.vec_mul(&[1.0]).unwrap(), vec![2.0]);
     }
 
     #[test]
@@ -505,21 +460,17 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_into_matches_mul_vec() {
-        let m = ragged(13, 11);
-        let x: Vec<f64> = (0..11).map(|i| (i as f64).cos()).collect();
+    fn power_sweep_matches_vec_mul_on_ragged_rows() {
+        // α = 1 makes the sweep on Mᵀ a plain product xᵀM, so the unrolled
+        // gather kernel is checked against the scatter reference on every
+        // tail length.
+        let m = ragged(13, 13);
+        let x: Vec<f64> = (0..13).map(|i| (i as f64).cos()).collect();
         let mut out = vec![0.0; 13];
-        m.mul_vec_into(&x, &mut out).unwrap();
-        assert_eq!(out, m.mul_vec(&x).unwrap());
-    }
-
-    #[test]
-    fn mul_vec_into_rejects_bad_buffer_lengths() {
-        let m = simple();
-        let mut short = vec![0.0; 2];
-        assert!(m.mul_vec_into(&[1.0, 2.0, 3.0], &mut short).is_err());
-        let mut out = vec![0.0; 3];
-        assert!(m.mul_vec_into(&[1.0, 2.0], &mut out).is_err());
+        m.transpose().power_sweep_into(&x, 1.0, &mut out).unwrap();
+        for (a, b) in out.iter().zip(&m.vec_mul(&x).unwrap()) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
     }
 
     #[test]
@@ -575,6 +526,15 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 3, &[Triplet { row: 0, col: 2, value: 1.0 }]).unwrap();
         let mut out = vec![0.0; 2];
         assert!(m.power_sweep_into(&[1.0, 0.0, 0.0], 0.9, &mut out).is_err());
+    }
+
+    #[test]
+    fn power_sweep_rejects_bad_buffer_lengths() {
+        let m = simple();
+        let mut short = vec![0.0; 2];
+        assert!(m.power_sweep_into(&[1.0, 2.0, 3.0], 0.9, &mut short).is_err());
+        let mut out = vec![0.0; 3];
+        assert!(m.power_sweep_into(&[1.0, 2.0], 0.9, &mut out).is_err());
     }
 
     #[test]
