@@ -930,7 +930,10 @@ fn cmd_calibrate_trace(args: &ParsedArgs) -> Result<String, String> {
         exec: threads_flag(args)?,
         ..MeasureConfig::default()
     };
-    let measured = measure_source(&mut trace, &config).map_err(|e| e.to_string())?;
+    // A replay error explains any measurement error that follows from it.
+    let measured = measure_source(&mut trace, &config);
+    replay_check(&trace)?;
+    let measured = measured.map_err(|e| e.to_string())?;
 
     let shown = if paths.len() == 1 {
         paths[0].display().to_string()
@@ -961,6 +964,16 @@ fn cmd_calibrate_trace(args: &ParsedArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Fails a calibration whose replay stopped early because a trace file
+/// changed after its prescan: the records before the error are a
+/// truncated trace.
+fn replay_check(trace: &snoop_workload::ingest::FileTrace) -> Result<(), String> {
+    match trace.replay_error() {
+        Some(e) => Err(format!("trace replay failed: {e}")),
+        None => Ok(()),
+    }
+}
+
 /// The `--validate` leg of trace calibration: replays the *same* trace
 /// through the trace-driven simulator and compares the measured-parameter
 /// model predictions (every backend in `--backends`) against it. The two
@@ -978,7 +991,7 @@ fn calibrate_validate(
 
     // A fresh streaming pass over the files — the measurement pass above
     // consumed the cursors.
-    let trace = FileTrace::open(paths, format, options).map_err(|e| e.to_string())?;
+    let mut trace = FileTrace::open(paths, format, options).map_err(|e| e.to_string())?;
     let shortest =
         trace.record_counts().iter().copied().min().unwrap_or(0) as usize;
 
@@ -998,8 +1011,9 @@ fn calibrate_validate(
              {shortest} references"
         ));
     }
-    let sim = snoop_sim::trace_mode::simulate_trace_source(&drive, trace)
-        .map_err(|e| e.to_string())?;
+    let sim = snoop_sim::trace_mode::simulate_trace_source(&drive, &mut trace);
+    replay_check(&trace)?;
+    let sim = sim.map_err(|e| e.to_string())?;
 
     let backends = backends_flag(args)?;
     let engine = Engine::new().with_exec(threads_flag(args)?).with_backends(&backends);

@@ -27,8 +27,6 @@
 //!   counters, bounded event recorders) behind a global registry that the
 //!   solver crates instrument their hot paths with; disabled by default
 //!   and strictly observational, so it cannot perturb solver output.
-//! * [`roots`] — bracketed scalar root finding (bisection / regula falsi),
-//!   used for asymptotic (N → ∞) analyses.
 //!
 //! # Example
 //!
@@ -65,7 +63,6 @@ pub mod lu;
 pub mod markov;
 pub mod matrix;
 pub mod probe;
-pub mod roots;
 pub mod sparse;
 pub mod stats;
 

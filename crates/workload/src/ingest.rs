@@ -25,6 +25,13 @@
 //! shared-writable). Replay then re-reads the files through per-processor
 //! cursors, so memory is proportional to the number of distinct blocks,
 //! never the trace length.
+//!
+//! Every reader reads lines as bytes into one reused buffer and tokenizes
+//! them in place, so parsing allocates only to report an error. A label
+//! cursor fully parses only the records it owns. Replay stops at the first
+//! line that no longer parses, or at a stream whose length differs from the
+//! prescan count. Either means the file changed after it was opened, and
+//! [`FileTrace::replay_error`] reports it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -51,22 +58,25 @@ pub enum TraceFormat {
 impl TraceFormat {
     /// Sniffs the format from the first record line of `path`.
     pub fn detect(path: &Path) -> Result<TraceFormat, IngestError> {
-        let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
-        let reader = BufReader::new(file);
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| IngestError::io(path, &e))?;
-            let content = line.split('#').next().unwrap_or("");
-            let Some((col, token)) = split_tokens(content).into_iter().next() else {
+        let mut lines = Lines::open(path)?;
+        while let Some((line_no, text)) =
+            lines.next_line().map_err(|e| IngestError::io(path, &e))?
+        {
+            let Some((col, token)) = Tokens::new(text).next() else {
                 continue;
             };
             return match token {
                 "0" | "1" | "2" => Ok(TraceFormat::Assignment),
-                t if t.chars().all(|c| c.is_ascii_alphabetic()) => Ok(TraceFormat::Label),
+                t if t.bytes().all(|b| b.is_ascii_alphabetic()) => Ok(TraceFormat::Label),
                 t => Err(IngestError::Parse(TraceParseError {
                     path: path.display().to_string(),
-                    line: idx + 1,
+                    line: line_no,
                     col: col + 1,
-                    source: line.clone(),
+                    // As `BufRead::lines` yields it: without `\n` or `\r\n`.
+                    source: text
+                        .strip_suffix('\n')
+                        .map_or(text, |t| t.strip_suffix('\r').unwrap_or(t))
+                        .to_string(),
                     message: format!(
                         "cannot detect trace format from `{t}` (expected 0/1/2 or l/s/r/w)"
                     ),
@@ -217,6 +227,7 @@ pub fn discover_processor_files(first: &Path) -> Vec<PathBuf> {
 }
 
 /// One parsed line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParsedLine {
     /// A memory reference (byte address).
     Record { address: u64, is_write: bool },
@@ -224,47 +235,226 @@ enum ParsedLine {
     Think { cycles: u64 },
 }
 
-/// Byte-offset/token pairs of a line's whitespace-separated fields.
-fn split_tokens(line: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, ch) in line.char_indices() {
-        if ch.is_whitespace() {
-            if let Some(s) = start.take() {
-                out.push((s, &line[s..i]));
-            }
-        } else if start.is_none() {
-            start = Some(i);
+/// Reads a trace line by line into one reused byte buffer.
+struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    /// 1-based number of the line in `buf`.
+    line_no: usize,
+}
+
+impl Lines<BufReader<File>> {
+    fn open(path: &Path) -> Result<Self, IngestError> {
+        let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
+        Ok(Lines::new(BufReader::new(file)))
+    }
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines { reader, buf: Vec::new(), line_no: 0 }
+    }
+
+    /// The next raw line, terminator included, with its 1-based number;
+    /// `None` at end of file.
+    fn next_raw(&mut self) -> std::io::Result<Option<(usize, &[u8])>> {
+        self.buf.clear();
+        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        self.line_no += 1;
+        Ok(Some((self.line_no, &self.buf)))
+    }
+
+    /// As [`Lines::next_raw`], as text.
+    fn next_line(&mut self) -> std::io::Result<Option<(usize, &str)>> {
+        match self.next_raw()? {
+            None => Ok(None),
+            Some((line_no, raw)) => Ok(Some((line_no, utf8(raw)?))),
         }
     }
-    if let Some(s) = start {
-        out.push((s, &line[s..]));
+}
+
+/// A raw line as text, rejecting invalid UTF-8 with the error
+/// `BufRead::read_line` gives.
+fn utf8(raw: &[u8]) -> std::io::Result<&str> {
+    std::str::from_utf8(raw).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
+}
+
+/// Locates a parse failure on line `line_no` of `path`.
+fn located(
+    path: &Path,
+    line_no: usize,
+    text: &str,
+    (col, message): (usize, String),
+) -> TraceParseError {
+    TraceParseError {
+        path: path.display().to_string(),
+        line: line_no,
+        col,
+        source: text.trim_end_matches(['\n', '\r']).to_string(),
+        message,
     }
-    out
+}
+
+/// A line's whitespace-separated fields up to its first `#`, as
+/// byte-offset/token pairs, yielded lazily without allocating.
+///
+/// Fields split on `char::is_whitespace`. ASCII bytes are classified
+/// directly (tab, LF, VT, FF, CR and space; `u8::is_ascii_whitespace` omits
+/// VT); a non-ASCII character is decoded, so Unicode spaces split too.
+struct Tokens<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Self {
+        Tokens { line, pos: 0 }
+    }
+
+    /// Whether the non-ASCII character at byte `i` is whitespace, and its
+    /// width in bytes.
+    fn wide_char(&self, i: usize) -> (bool, usize) {
+        let ch = self.line[i..].chars().next().unwrap_or_default();
+        (ch.is_whitespace(), ch.len_utf8())
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let bytes = self.line.as_bytes();
+        let mut i = self.pos;
+        let start = loop {
+            match bytes.get(i) {
+                None | Some(b'#') => {
+                    self.pos = i;
+                    return None;
+                }
+                Some(b'\t'..=b'\r' | b' ') => i += 1,
+                Some(0..=0x7F) => break i,
+                Some(_) => match self.wide_char(i) {
+                    (true, width) => i += width,
+                    (false, _) => break i,
+                },
+            }
+        };
+        loop {
+            match bytes.get(i) {
+                None | Some(b'#' | b'\t'..=b'\r' | b' ') => break,
+                Some(0..=0x7F) => i += 1,
+                Some(_) => match self.wide_char(i) {
+                    (false, width) => i += width,
+                    (true, _) => break,
+                },
+            }
+        }
+        self.pos = i;
+        Some((start, &self.line[start..i]))
+    }
+}
+
+/// Whether a raw line holds a record rather than only whitespace and a
+/// comment. Label cursors ask this of the lines other processors own; the
+/// prescan has already parsed them.
+fn has_record(raw: &[u8]) -> bool {
+    let Some(i) = raw.iter().position(|b| !matches!(b, b'\t'..=b'\r' | b' ')) else {
+        return false;
+    };
+    match raw[i] {
+        b'#' => false,
+        0..=0x7F => true,
+        _ => std::str::from_utf8(&raw[i..]).map_or(true, |rest| Tokens::new(rest).next().is_some()),
+    }
+}
+
+/// Why a numeric field did not parse.
+enum NumberError {
+    /// A character outside the radix (or no digits at all).
+    Invalid,
+    /// Well-formed but larger than `u64::MAX`.
+    Overflow,
+}
+
+/// Hexadecimal digit values by byte; `0xFF` marks a non-digit.
+const HEX_DIGITS: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 16 {
+        let digit = i as u8;
+        let (lower, upper) = if i < 10 {
+            (b'0' + digit, b'0' + digit)
+        } else {
+            (b'a' + digit - 10, b'A' + digit - 10)
+        };
+        table[lower as usize] = digit;
+        table[upper as usize] = digit;
+        i += 1;
+    }
+    table
+};
+
+/// Parses a hexadecimal address with an optional `0x`/`0X` prefix.
+fn parse_hex(tok: &str) -> Result<u64, NumberError> {
+    let digits = tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")).unwrap_or(tok);
+    if digits.is_empty() {
+        return Err(NumberError::Invalid);
+    }
+    let (mut value, mut spilled) = (0u64, 0u64);
+    for b in digits.bytes() {
+        let digit = HEX_DIGITS[usize::from(b)];
+        if digit > 0xF {
+            return Err(NumberError::Invalid);
+        }
+        // Any nonzero nibble shifted out of the top is an overflow.
+        spilled |= value >> 60;
+        value = value << 4 | u64::from(digit);
+    }
+    if spilled == 0 {
+        Ok(value)
+    } else {
+        Err(NumberError::Overflow)
+    }
+}
+
+/// Parses a decimal count as `str::parse::<u64>` does: an optional `+`,
+/// then at least one digit.
+fn parse_decimal(tok: &str) -> Option<u64> {
+    let digits = tok.strip_prefix('+').unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0u64, |value, b| {
+        let digit = b.checked_sub(b'0').filter(|d| *d <= 9)?;
+        value.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
 /// Parses one raw line (comment stripping included). `Ok(None)` for blank
 /// or comment-only lines; `Err((col, message))` locates the problem.
 fn parse_line(raw: &str, format: TraceFormat) -> Result<Option<ParsedLine>, (usize, String)> {
-    let content = raw.split('#').next().unwrap_or("");
-    let tokens = split_tokens(content);
-    let Some(&(op_col, op)) = tokens.first() else {
+    let mut tokens = Tokens::new(raw);
+    let Some((op_col, op)) = tokens.next() else {
         return Ok(None);
     };
-    let value = tokens.get(1).copied();
-    if let Some(&(extra_col, extra)) = tokens.get(2) {
+    let value = tokens.next();
+    if let Some((extra_col, extra)) = tokens.next() {
         return Err((extra_col + 1, format!("unexpected trailing token `{extra}`")));
     }
     let address = |(col, tok): (usize, &str)| -> Result<u64, (usize, String)> {
-        let digits = tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")).unwrap_or(tok);
-        if digits.is_empty() || !digits.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err((col + 1, format!("invalid address `{tok}` (expected hexadecimal)")));
-        }
-        u64::from_str_radix(digits, 16)
-            .map_err(|_| (col + 1, format!("address `{tok}` out of range")))
+        parse_hex(tok).map_err(|e| match e {
+            NumberError::Invalid => {
+                (col + 1, format!("invalid address `{tok}` (expected hexadecimal)"))
+            }
+            NumberError::Overflow => (col + 1, format!("address `{tok}` out of range")),
+        })
     };
     let required = |kind: &str| {
-        value.ok_or((op_col + op.len() + 1, format!("missing {kind} after `{op}`")))
+        value.ok_or_else(|| (op_col + op.len() + 1, format!("missing {kind} after `{op}`")))
     };
     match format {
         TraceFormat::Assignment => match op {
@@ -274,9 +464,8 @@ fn parse_line(raw: &str, format: TraceFormat) -> Result<Option<ParsedLine>, (usi
             }
             "2" => {
                 let (col, tok) = required("cycle count")?;
-                let cycles = tok
-                    .parse::<u64>()
-                    .map_err(|_| (col + 1, format!("invalid cycle count `{tok}`")))?;
+                let cycles = parse_decimal(tok)
+                    .ok_or_else(|| (col + 1, format!("invalid cycle count `{tok}`")))?;
                 Ok(Some(ParsedLine::Think { cycles }))
             }
             other => Err((
@@ -285,15 +474,19 @@ fn parse_line(raw: &str, format: TraceFormat) -> Result<Option<ParsedLine>, (usi
             )),
         },
         TraceFormat::Label => {
-            let is_write = match op.to_ascii_lowercase().as_str() {
-                "l" | "r" | "load" | "read" => false,
-                "s" | "w" | "store" | "write" => true,
-                other => {
-                    return Err((
-                        op_col + 1,
-                        format!("unknown label `{other}` (expected l/r=load, s/w=store)"),
-                    ))
-                }
+            let is = |words: [&str; 4]| words.iter().any(|w| op.eq_ignore_ascii_case(w));
+            let is_write = if is(["l", "r", "load", "read"]) {
+                false
+            } else if is(["s", "w", "store", "write"]) {
+                true
+            } else {
+                return Err((
+                    op_col + 1,
+                    format!(
+                        "unknown label `{}` (expected l/r=load, s/w=store)",
+                        op.to_ascii_lowercase()
+                    ),
+                ));
             };
             let addr = address(required("address")?)?;
             Ok(Some(ParsedLine::Record { address: addr, is_write }))
@@ -303,42 +496,65 @@ fn parse_line(raw: &str, format: TraceFormat) -> Result<Option<ParsedLine>, (usi
 
 /// A replay cursor over one processor's share of a trace file.
 struct Cursor {
-    reader: BufReader<File>,
+    path: PathBuf,
+    lines: Lines<BufReader<File>>,
     format: TraceFormat,
-    /// Deliver records whose running index `% modulo == phase` (label
-    /// sharding; assignment cursors use `modulo = 1`).
-    modulo: u64,
-    phase: u64,
-    index: u64,
-    buf: String,
+    /// Records owned by other processors between two of this cursor's
+    /// (label sharding: `processors - 1`; assignment cursors own all).
+    stride: u64,
+    /// Records still to pass over before the next one this cursor owns.
+    skip: u64,
 }
 
 impl Cursor {
-    fn open(path: &Path, format: TraceFormat, modulo: u64, phase: u64) -> Result<Self, IngestError> {
-        let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
-        Ok(Cursor { reader: BufReader::new(file), format, modulo, phase, buf: String::new(), index: 0 })
+    fn open(
+        path: &Path,
+        format: TraceFormat,
+        stride: u64,
+        phase: u64,
+    ) -> Result<Self, IngestError> {
+        let lines = Lines::open(path)?;
+        Ok(Cursor { path: path.to_path_buf(), lines, format, stride, skip: phase })
     }
 
-    /// Next byte-address record owned by this cursor's processor. The
-    /// prescan has validated the file, so any residual parse or I/O
-    /// failure is treated as end of stream.
-    fn next(&mut self) -> Option<(u64, bool)> {
+    /// An I/O failure on line `line_no` during replay.
+    fn io_error(&self, line_no: usize, e: &std::io::Error) -> IngestError {
+        IngestError::Io {
+            path: self.path.display().to_string(),
+            message: format!("line {line_no}: {e}"),
+        }
+    }
+
+    /// Next byte-address record owned by this cursor's processor.
+    ///
+    /// A line owned by another processor is only told apart from blank and
+    /// comment lines, not parsed: the prescan has parsed every record line,
+    /// and the cursor that owns it parses it again. A failure here means
+    /// the file changed after it was opened.
+    fn next(&mut self) -> Result<Option<(u64, bool)>, IngestError> {
         loop {
-            self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) | Err(_) => return None,
-                Ok(_) => {}
-            }
-            match parse_line(&self.buf, self.format) {
-                Ok(Some(ParsedLine::Record { address, is_write })) => {
-                    let mine = self.index % self.modulo == self.phase;
-                    self.index += 1;
-                    if mine {
-                        return Some((address, is_write));
-                    }
+            let (line_no, raw) = match self.lines.next_raw() {
+                Ok(Some(line)) => line,
+                Ok(None) => return Ok(None),
+                Err(e) => return Err(self.io_error(self.lines.line_no + 1, &e)),
+            };
+            if self.skip > 0 {
+                if has_record(raw) {
+                    self.skip -= 1;
                 }
-                Ok(Some(ParsedLine::Think { .. })) | Ok(None) => {}
-                Err(_) => return None,
+                continue;
+            }
+            let text = match utf8(raw) {
+                Ok(text) => text,
+                Err(e) => return Err(self.io_error(line_no, &e)),
+            };
+            match parse_line(text, self.format) {
+                Ok(Some(ParsedLine::Record { address, is_write })) => {
+                    self.skip = self.stride;
+                    return Ok(Some((address, is_write)));
+                }
+                Ok(Some(ParsedLine::Think { .. }) | None) => {}
+                Err(e) => return Err(located(&self.path, line_no, text, e).into()),
             }
         }
     }
@@ -359,6 +575,8 @@ pub struct FileTrace {
     delivered: Vec<u64>,
     tau: Option<f64>,
     distinct_blocks: u64,
+    /// The first error replay met; replay stops there.
+    replay_error: Option<IngestError>,
 }
 
 impl fmt::Debug for FileTrace {
@@ -425,27 +643,13 @@ impl FileTrace {
             byte_address / options.bytes_per_word / options.words_per_block
         };
         for (file_idx, path) in paths.iter().enumerate() {
-            let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
-            let mut reader = BufReader::new(file);
-            let mut buf = String::new();
-            let mut line_no = 0usize;
+            let mut lines = Lines::open(path)?;
             let mut label_index = 0u64;
-            loop {
-                buf.clear();
-                let read = reader.read_line(&mut buf).map_err(|e| IngestError::io(path, &e))?;
-                if read == 0 {
-                    break;
-                }
-                line_no += 1;
-                let parsed = parse_line(&buf, format).map_err(|(col, message)| {
-                    TraceParseError {
-                        path: path.display().to_string(),
-                        line: line_no,
-                        col,
-                        source: buf.trim_end_matches(['\n', '\r']).to_string(),
-                        message,
-                    }
-                })?;
+            while let Some((line_no, text)) =
+                lines.next_line().map_err(|e| IngestError::io(path, &e))?
+            {
+                let parsed =
+                    parse_line(text, format).map_err(|e| located(path, line_no, text, e))?;
                 match parsed {
                     Some(ParsedLine::Record { address, is_write }) => {
                         let p = match format {
@@ -495,10 +699,10 @@ impl FileTrace {
         let cursors = match format {
             TraceFormat::Assignment => paths
                 .iter()
-                .map(|p| Cursor::open(p, format, 1, 0))
+                .map(|p| Cursor::open(p, format, 0, 0))
                 .collect::<Result<Vec<_>, _>>()?,
             TraceFormat::Label => (0..processors)
-                .map(|p| Cursor::open(&paths[0], format, processors as u64, p as u64))
+                .map(|p| Cursor::open(&paths[0], format, processors as u64 - 1, p as u64))
                 .collect::<Result<Vec<_>, _>>()?,
         };
 
@@ -512,6 +716,7 @@ impl FileTrace {
             delivered: vec![0; processors],
             tau: think_applicable.then(|| think_cycles as f64 / total as f64),
             distinct_blocks,
+            replay_error: None,
         })
     }
 
@@ -538,6 +743,14 @@ impl FileTrace {
     pub fn distinct_blocks(&self) -> u64 {
         self.distinct_blocks
     }
+
+    /// The error that stopped replay early, if any: a line that no longer
+    /// parses, an I/O failure, or a processor stream longer or shorter
+    /// than the prescan counted. Each means a file changed after it was
+    /// opened, and the records delivered before it are a truncated trace.
+    pub fn replay_error(&self) -> Option<&IngestError> {
+        self.replay_error.as_ref()
+    }
 }
 
 impl TraceSource for FileTrace {
@@ -550,7 +763,31 @@ impl TraceSource for FileTrace {
     }
 
     fn next_for(&mut self, processor: usize) -> Option<TraceRecord> {
-        let (byte_address, is_write) = self.cursors.get_mut(processor)?.next()?;
+        if self.replay_error.is_some() {
+            return None;
+        }
+        let cursor = self.cursors.get_mut(processor)?;
+        let (delivered, count) = (self.delivered[processor], self.counts[processor]);
+        let (byte_address, is_write) = match cursor.next() {
+            Ok(Some(record)) if delivered < count => record,
+            Ok(None) if delivered == count => return None,
+            Ok(record) => {
+                let found = if record.is_some() { "more" } else { "fewer" };
+                self.replay_error = Some(IngestError::Io {
+                    path: cursor.path.display().to_string(),
+                    message: format!(
+                        "line {}: processor {processor} has {found} than the {count} records \
+                         counted when the trace was opened; the file changed since",
+                        cursor.lines.line_no
+                    ),
+                });
+                return None;
+            }
+            Err(e) => {
+                self.replay_error = Some(e);
+                return None;
+            }
+        };
         self.delivered[processor] += 1;
         let address = byte_address / self.options.bytes_per_word;
         let block = address / self.options.words_per_block;
@@ -567,6 +804,9 @@ impl TraceSource for FileTrace {
         self.tau
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -655,6 +895,78 @@ mod tests {
         // touched by both and written → shared-writable.
         assert_eq!(r0[0].stream, Stream::Private);
         assert_eq!(r1[2].stream, Stream::SharedWritable);
+    }
+
+    #[test]
+    fn label_cursors_skip_to_the_same_shards_as_a_full_parse() {
+        let text = "# header\nl 0x1000\n\n  # indented comment\r\ns 0x2000\r\nr 0x3000 # note\n\
+                    \t\r\nw 0x4000\nL 0x5000\r\n#\nS 0x6000\n\nl 0x7000";
+        let f = temp_file("skip.trace", text);
+        let options = IngestOptions { processors: 3, ..IngestOptions::default() };
+        let mut t = FileTrace::open(std::slice::from_ref(&f), TraceFormat::Label, options).unwrap();
+
+        // Full parse of every line, sharded round-robin over the records.
+        let mut expected = vec![Vec::new(); 3];
+        let records = text.split_inclusive('\n').filter_map(|line| {
+            match parse_line(line, TraceFormat::Label).unwrap() {
+                Some(ParsedLine::Record { address, is_write }) => Some((address / 4, is_write)),
+                _ => None,
+            }
+        });
+        for (i, record) in records.enumerate() {
+            expected[i % 3].push(record);
+        }
+
+        for (p, want) in expected.iter().enumerate() {
+            let got: Vec<_> = drain(&mut t, p).iter().map(|r| (r.address, r.is_write)).collect();
+            assert_eq!(&got, want, "processor {p}");
+            assert_eq!(got.len() as u64, t.record_counts()[p]);
+        }
+        assert_eq!(t.record_counts(), &[3, 2, 2]);
+        assert!(t.replay_error().is_none());
+    }
+
+    #[test]
+    fn a_line_rewritten_after_the_prescan_is_a_replay_error() {
+        let f = temp_file("rewritten.trace", "l 0x1000\ns 0x2000\nl 0x3000\nw 0x4000\n");
+        let options = IngestOptions { processors: 2, ..IngestOptions::default() };
+        let mut t = FileTrace::open(std::slice::from_ref(&f), TraceFormat::Label, options).unwrap();
+        fs::write(&f, "l 0x1000\ns 0x2000\nl 0xZZ\nw 0x4000\n").unwrap();
+
+        assert_eq!(drain(&mut t, 0).len(), 1, "replay stops at the bad line");
+        let Some(IngestError::Parse(e)) = t.replay_error() else {
+            panic!("expected a parse error, got {:?}", t.replay_error())
+        };
+        assert_eq!((e.line, e.col), (3, 3));
+        assert!(e.to_string().starts_with(&format!("{}:3:3: invalid address `0xZZ`", f.display())));
+        // Replay stays stopped on every processor.
+        assert!(t.next_for(1).is_none());
+    }
+
+    #[test]
+    fn a_stream_shortened_or_lengthened_after_the_prescan_is_a_replay_error() {
+        let p0 = temp_file("short_p0.trace", "0 0x100\n2 5\n1 0x104\n0 0x108\n");
+        let mut t = FileTrace::open(
+            std::slice::from_ref(&p0),
+            TraceFormat::Assignment,
+            IngestOptions::default(),
+        )
+        .unwrap();
+        fs::write(&p0, "0 0x100\n2 5\n").unwrap();
+        assert_eq!(drain(&mut t, 0).len(), 1);
+        let message = t.replay_error().expect("truncation is reported").to_string();
+        assert!(message.contains("line 2: processor 0 has fewer than the 3 records"), "{message}");
+
+        let mut t = FileTrace::open(
+            std::slice::from_ref(&p0),
+            TraceFormat::Assignment,
+            IngestOptions::default(),
+        )
+        .unwrap();
+        fs::write(&p0, "0 0x100\n2 5\n1 0x104\n").unwrap();
+        assert_eq!(drain(&mut t, 0).len(), 1);
+        let message = t.replay_error().expect("growth is reported").to_string();
+        assert!(message.contains("line 3: processor 0 has more than the 1 records"), "{message}");
     }
 
     #[test]

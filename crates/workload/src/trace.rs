@@ -73,6 +73,30 @@ pub trait TraceSource {
     }
 }
 
+/// Lends a source to a consumer that takes it by value, so the caller can
+/// inspect it afterwards (e.g. [`crate::ingest::FileTrace::replay_error`]).
+impl<S: TraceSource + ?Sized> TraceSource for &mut S {
+    fn processors(&self) -> usize {
+        (**self).processors()
+    }
+
+    fn words_per_block(&self) -> u64 {
+        (**self).words_per_block()
+    }
+
+    fn next_for(&mut self, processor: usize) -> Option<TraceRecord> {
+        (**self).next_for(processor)
+    }
+
+    fn remaining_hint(&self, processor: usize) -> Option<u64> {
+        (**self).remaining_hint(processor)
+    }
+
+    fn measured_tau(&self) -> Option<f64> {
+        (**self).measured_tau()
+    }
+}
+
 /// Configuration of the synthetic address space.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {

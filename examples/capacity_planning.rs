@@ -2,7 +2,7 @@
 //! this bus worth, and which protocol stretches it furthest?
 //!
 //! Uses the closed-form N → ∞ speedup (Section 4.1's extension of Table
-//! 4.1 to arbitrary sizes) and a bracketed root find for the "knee": the
+//! 4.1 to arbitrary sizes) and a binary search for the "knee": the
 //! smallest N whose speedup reaches 90% of the asymptote.
 //!
 //! ```text
@@ -11,7 +11,6 @@
 
 use snoop::mva::asymptote::asymptotic;
 use snoop::mva::{MvaModel, SolverOptions};
-use snoop::numeric::roots::bisect;
 use snoop::protocol::ModSet;
 use snoop::workload::params::{SharingLevel, WorkloadParams};
 
@@ -30,18 +29,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let limit = asymptotic(model.inputs()).speedup;
             let target = 0.9 * limit;
 
-            // Speedup is continuous and increasing in N up to saturation;
-            // treat N as real for the root find, then round up.
-            let gap = |n: f64| {
-                let n = n.max(1.0).round() as usize;
-                model
-                    .solve(n, &SolverOptions::default())
-                    .map(|s| s.speedup - target)
-                    .unwrap_or(f64::NAN)
-            };
-            let knee = bisect(gap, 1.0, 200.0, 0.51, 64)
-                .map(|x| x.ceil() as usize)
-                .unwrap_or(200);
+            // Speedup increases with N up to saturation, so the smallest N
+            // that reaches the target splits 1..=200 in two.
+            let (mut knee, mut hi) = (1usize, 200usize);
+            while knee < hi {
+                let mid = (knee + hi) / 2;
+                if model.solve(mid, &SolverOptions::default())?.speedup >= target {
+                    hi = mid;
+                } else {
+                    knee = mid + 1;
+                }
+            }
             let util = model.solve(knee, &SolverOptions::default())?.bus_utilization;
             println!(
                 "{:<10} {:<9} {:>10.3} {:>12} {:>14.3}",
