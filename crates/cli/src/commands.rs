@@ -6,12 +6,11 @@ use std::sync::Arc;
 
 use snoop_mva::asymptote::asymptotic;
 use snoop_mva::engine::{
-    self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries,
-    ResilientMvaBackend, Scenario, StoreConfig,
+    self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries, Scenario,
+    StoreConfig,
 };
 use snoop_mva::paper::{table_4_1, TABLE_N};
 use snoop_mva::report::comparison_table;
-use snoop_mva::resilient::ResilientOptions;
 use snoop_mva::SolverOptions;
 use snoop_numeric::exec::ExecOptions;
 use snoop_protocol::{ModSet, Protocol};
@@ -56,9 +55,7 @@ commands:
 protocols: WO, WO+1, WO+1+4, … or write-once, illinois, berkeley, dragon,
 rwb, synapse, write-through.  sharing: 1 | 5 | 20 (percent).
 workload overrides: --params-file FILE (name = value lines, paper names).
-solver flags (solve, sweep): --max-damping-retries K (default 3, 0 = Newton
-attempt only) and --solve-deadline-ms MS (wall-clock cap per attempt,
-0 = none); sweep also takes --keep-going (report unsolvable points as
+sweep takes --keep-going (report unsolvable points as
 FAILED rows instead of aborting the sweep).
 parallelism: --threads K on figure, validate, gtpn and sensitivity
 (0 = auto: SNOOP_THREADS or available cores; results are identical for
@@ -250,25 +247,15 @@ fn threads_flag(args: &ParsedArgs) -> Result<ExecOptions, String> {
     Ok(ExecOptions::with_threads(args.flag_num("threads", 0)?))
 }
 
-/// Resolves the resilient-solver flags shared by `solve` and `sweep`.
-fn resilient_flags(args: &ParsedArgs) -> Result<ResilientOptions, String> {
-    let max_damping_retries: usize = args.flag_num("max-damping-retries", 3)?;
-    let deadline_ms: u64 = args.flag_num("solve-deadline-ms", 0)?;
-    Ok(ResilientOptions {
-        base: SolverOptions::default(),
-        max_damping_retries,
-        deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
-    })
-}
-
 fn cmd_solve(args: &ParsedArgs) -> Result<String, String> {
     let scenario = scenario_flag(args, 10)?;
-    let options = resilient_flags(args)?;
     // The full MvaSolution (response-time components, interference terms)
     // is richer than the engine's common currency, so `solve` keeps the
     // direct resilient path — built from the blessed conversion.
     let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
-    let resilient = model.solve_resilient(scenario.n, &options).map_err(|e| e.to_string())?;
+    let resilient = model
+        .solve_resilient(scenario.n, &scenario.solver_options())
+        .map_err(|e| e.to_string())?;
     let mut out = format!("{}\n{}\n", scenario.protocol, resilient.solution);
     // Only surface the ladder when it actually had to escalate.
     if resilient.diagnostics.retries() > 0 {
@@ -293,8 +280,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     let _ = writeln!(out, "{:>5} {:>9} {:>8} {:>8}", "N", "speedup", "U_bus", "w_bus");
     if refined {
         // Size-dependent sharing ([GrMi87] refinement), anchored at N = 10.
-        // The derived inputs change with N, so the warm-started resilient
-        // sweep does not apply here.
+        // The derived inputs change with N, so each size is its own model.
         let series = snoop_mva::sweep::refined_speedup_series(
             mods,
             sharing,
@@ -313,16 +299,9 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
         return Ok(out);
     }
 
-    // Warm-started escalation-ladder sweep through the engine: the
-    // resilient backend chains each N from the previous N's converged
-    // state. The solver flags and --keep-going apply only here.
-    let options = resilient_flags(args)?;
+    // --keep-going applies only to the fixed-inputs sweep.
     let keep_going = args.switch("keep-going")?;
-    let engine = Engine::new().with_backend(ResilientMvaBackend {
-        max_damping_retries: options.max_damping_retries,
-        deadline: options.deadline,
-        warm_start_chains: true,
-    });
+    let engine = Engine::new().with_backends(&[BackendId::Mva]);
     let scenarios: Vec<Scenario> =
         sizes.iter().map(|&n| Scenario::appendix_a(mods, sharing, n)).collect();
     let results = engine.evaluate_batch(&scenarios);
@@ -959,7 +938,7 @@ fn cmd_calibrate_trace(args: &ParsedArgs) -> Result<String, String> {
     }
 
     if args.switch("validate")? {
-        out.push_str(&calibrate_validate(args, &paths, format, options, scenario)?);
+        out.push_str(&calibrate_validate(args, &mut trace, scenario)?);
     }
     Ok(out)
 }
@@ -981,17 +960,14 @@ fn replay_check(trace: &snoop_workload::ingest::FileTrace) -> Result<(), String>
 /// estimator actually captured the workload.
 fn calibrate_validate(
     args: &ParsedArgs,
-    paths: &[std::path::PathBuf],
-    format: snoop_workload::ingest::TraceFormat,
-    options: snoop_workload::ingest::IngestOptions,
+    trace: &mut snoop_workload::ingest::FileTrace,
     scenario: Scenario,
 ) -> Result<String, String> {
     use snoop_sim::trace_mode::TraceDriveConfig;
-    use snoop_workload::ingest::FileTrace;
 
-    // A fresh streaming pass over the files — the measurement pass above
-    // consumed the cursors.
-    let mut trace = FileTrace::open(paths, format, options).map_err(|e| e.to_string())?;
+    // A second streaming pass over the files — the measurement pass above
+    // consumed the cursors; the prescan's counts are reused.
+    trace.rewind().map_err(|e| e.to_string())?;
     let shortest =
         trace.record_counts().iter().copied().min().unwrap_or(0) as usize;
 
@@ -1011,8 +987,8 @@ fn calibrate_validate(
              {shortest} references"
         ));
     }
-    let sim = snoop_sim::trace_mode::simulate_trace_source(&drive, &mut trace);
-    replay_check(&trace)?;
+    let sim = snoop_sim::trace_mode::simulate_trace_source(&drive, &mut *trace);
+    replay_check(trace)?;
     let sim = sim.map_err(|e| e.to_string())?;
 
     let backends = backends_flag(args)?;
@@ -1273,38 +1249,11 @@ mod tests {
     }
 
     #[test]
-    fn solver_flags_accepted_on_solve() {
-        let out = run_tokens(&[
-            "solve",
-            "--protocol",
-            "WO",
-            "--sharing",
-            "5",
-            "--n",
-            "10",
-            "--max-damping-retries",
-            "2",
-            "--solve-deadline-ms",
-            "5000",
-        ])
-        .unwrap();
-        assert!(out.contains("speedup"));
-        // The default workload converges on the first attempt, so no
-        // escalation diagnostics are printed.
-        assert!(!out.contains("solver:"), "{out}");
-    }
-
-    #[test]
     fn sweep_keep_going_matches_default_when_all_points_solve() {
         let plain = run_tokens(&["sweep", "--n", "5"]).unwrap();
         let kept = run_tokens(&["sweep", "--n", "5", "--keep-going"]).unwrap();
         assert_eq!(plain, kept);
         assert!(!kept.contains("FAILED"));
-    }
-
-    #[test]
-    fn bad_solver_flag_value_is_reported() {
-        assert!(run_tokens(&["solve", "--max-damping-retries", "many"]).is_err());
     }
 
     #[test]
@@ -1555,7 +1504,7 @@ mod tests {
         // serve checks before binding: it would otherwise run until stopped.
         let err = run_tokens(&["serve", "--listen", "127.0.0.1:0", "--queue-bund", "4"]);
         assert_eq!(err.unwrap_err(), "serve: unknown or unused flag --queue-bund");
-        // --refined takes neither the solver flags nor --keep-going.
+        // --refined does not take --keep-going.
         let err = run_tokens(&["sweep", "--n", "3", "--refined", "--keep-going"]).unwrap_err();
         assert!(err.contains("--keep-going"), "{err}");
         // --backends only applies to calibrate --trace ... --validate.

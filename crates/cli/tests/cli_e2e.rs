@@ -92,7 +92,7 @@ fn eval_repeat_run_is_fully_cached_and_byte_identical() {
 #[test]
 fn unknown_removed_and_unused_flags_fail_naming_the_token() {
     let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/example.json");
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["solve", "--protcol", "dragon", "--n", "4"], "--protcol"),
         (&["eval", "--scenarios", scenarios, "--cache", "x"], "--cache"),
         (&["sweep", "--max-n", "5"], "--max-n"),
@@ -102,6 +102,8 @@ fn unknown_removed_and_unused_flags_fail_naming_the_token() {
         (&["multiclass", "--light", "4"], "\"multiclass\""),
         (&["hierarchy", "--clusters", "4"], "\"hierarchy\""),
         (&["measure", "--n", "4"], "\"measure\""),
+        (&["solve", "--max-damping-retries", "2"], "--max-damping-retries"),
+        (&["sweep", "--solve-deadline-ms", "5"], "--solve-deadline-ms"),
     ];
     for (args, token) in cases {
         let out = snoop(args);

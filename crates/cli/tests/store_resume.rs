@@ -31,7 +31,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 }
 
 /// Six Appendix-A scenarios across two sharing families, so the batch
-/// spans several warm-start groups the way a real sweep does.
+/// spans several model-sharing groups the way a real sweep does.
 fn write_batch(path: &Path) {
     let mut scenarios = Vec::new();
     for sharing in [SharingLevel::Five, SharingLevel::Twenty] {

@@ -1,5 +1,6 @@
-//! The [`Evaluator`] trait and its four implementations: plain MVA,
-//! resilient MVA, discrete-event simulation and GTPN.
+//! The [`Evaluator`] trait and its implementations: the MVA (one
+//! evaluator behind the `mva` and `mva-resilient` ids), discrete-event
+//! simulation and GTPN.
 //!
 //! Every backend answers the same [`Scenario`] with the same
 //! [`Evaluation`] currency, so callers compare models by swapping a
@@ -16,9 +17,7 @@ use snoop_sim::runner::replicate_exec;
 
 use super::evaluation::{BackendId, EvalError, Evaluation, Provenance};
 use super::scenario::Scenario;
-use crate::resilient::ResilientOptions;
 use crate::solver::MvaModel;
-use crate::MvaError;
 
 /// Opens the standard per-solve timeline span: named after the backend,
 /// tagged with the scenario's content hash, family hash and system size.
@@ -69,38 +68,19 @@ pub trait Evaluator: Send + Sync {
     /// [`Evaluator::group_key`], returning one result per scenario in
     /// order. The default simply maps [`Evaluator::evaluate`]; overrides
     /// must stay result-identical to that (shared work is allowed, shared
-    /// *state that changes answers* is not — the resilient backend's
-    /// warm-start chains are the documented, opt-in exception).
+    /// *state that changes answers* is not).
     fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
         scenarios.iter().map(|s| self.evaluate(s)).collect()
     }
 }
 
-/// Converts an MVA solution into the common currency.
-fn mva_evaluation(
-    backend: BackendId,
-    s: &crate::outputs::MvaSolution,
-    iterations: usize,
-    strategy: Option<String>,
-    wall_ms: f64,
-) -> Evaluation {
-    Evaluation {
-        backend,
-        n: s.n,
-        r: s.r,
-        speedup: s.speedup,
-        speedup_half_width: None,
-        bus_utilization: s.bus_utilization,
-        memory_utilization: Some(s.memory_utilization),
-        w_bus: Some(s.w_bus),
-        w_mem: Some(s.w_mem),
-        q_bus: Some(s.q_bus),
-        provenance: Provenance { iterations, strategy, wall_ms, ..Provenance::new(0, 0, 0) },
-    }
-}
-
-/// The paper's customized MVA fixed point, solved with the scenario's
-/// plain [`crate::SolverOptions`].
+/// The paper's customized MVA fixed point, solved through the escalation
+/// ladder ([`MvaModel::solve_resilient`]) with the scenario's
+/// [`crate::SolverOptions`].
+///
+/// Provenance reports the iterations summed over every ladder attempt,
+/// and names the winning rung (`strategy`) only when the ladder had to
+/// escalate past its first, Newton, attempt.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MvaBackend;
 
@@ -110,20 +90,69 @@ impl Evaluator for MvaBackend {
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
+        Mva(BackendId::Mva).evaluate(scenario)
+    }
+
+    fn group_key(&self, scenario: &Scenario) -> Option<u64> {
+        Mva(BackendId::Mva).group_key(scenario)
+    }
+
+    fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
+        Mva(BackendId::Mva).evaluate_group(scenarios)
+    }
+}
+
+/// The one MVA evaluator behind both registry ids: `mva` ([`MvaBackend`])
+/// and `mva-resilient`, which differ only in the id they report.
+#[derive(Debug, Clone, Copy)]
+struct Mva(BackendId);
+
+impl Mva {
+    /// Solves one system size on an already-built `model`.
+    fn solve(&self, model: &MvaModel, scenario: &Scenario) -> Result<Evaluation, EvalError> {
         let started = Instant::now();
-        let _span = snoop_numeric::probe::span("engine.mva");
-        let _trace = solve_trace(BackendId::Mva, scenario);
-        let model = scenario.to_mva_model()?;
-        let solution = model
-            .solve(scenario.n, &scenario.solver_options())
-            .map_err(|e| EvalError::Failed { backend: BackendId::Mva, reason: e.to_string() })?;
-        Ok(mva_evaluation(
-            BackendId::Mva,
-            &solution,
-            solution.iterations,
-            None,
-            started.elapsed().as_secs_f64() * 1e3,
-        ))
+        let _trace = solve_trace(self.0, scenario);
+        let resilient = model
+            .solve_resilient(scenario.n, &scenario.solver_options())
+            .map_err(|e| EvalError::Failed { backend: self.0, reason: e.to_string() })?;
+        let (s, diagnostics) = (&resilient.solution, &resilient.diagnostics);
+        let strategy = if diagnostics.retries() > 0 {
+            diagnostics.winning_strategy().map(|s| s.to_string())
+        } else {
+            None
+        };
+        Ok(Evaluation {
+            backend: self.0,
+            n: s.n,
+            r: s.r,
+            speedup: s.speedup,
+            speedup_half_width: None,
+            bus_utilization: s.bus_utilization,
+            memory_utilization: Some(s.memory_utilization),
+            w_bus: Some(s.w_bus),
+            w_mem: Some(s.w_mem),
+            q_bus: Some(s.q_bus),
+            provenance: Provenance {
+                iterations: diagnostics.total_iterations(),
+                strategy,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                ..Provenance::new(0, 0, 0)
+            },
+        })
+    }
+}
+
+impl Evaluator for Mva {
+    fn id(&self) -> BackendId {
+        self.0
+    }
+
+    fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
+        let _span = snoop_numeric::probe::span(match self.0 {
+            BackendId::ResilientMva => "engine.mva_resilient",
+            _ => "engine.mva",
+        });
+        self.solve(&scenario.to_mva_model()?, scenario)
     }
 
     fn group_key(&self, scenario: &Scenario) -> Option<u64> {
@@ -135,154 +164,12 @@ impl Evaluator for MvaBackend {
         let Some(first) = scenarios.first() else {
             return Vec::new();
         };
-        // One model build for the whole family; `solve` is pure, so each
+        // One model build for the whole family; the solve is pure, so each
         // result is bit-identical to a standalone `evaluate`.
-        let model = match first.to_mva_model() {
-            Ok(model) => model,
-            Err(e) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
-        };
-        scenarios
-            .iter()
-            .map(|scenario| {
-                let started = Instant::now();
-                let _trace = solve_trace(BackendId::Mva, scenario);
-                let solution = model
-                    .solve(scenario.n, &scenario.solver_options())
-                    .map_err(|e| EvalError::Failed {
-                        backend: BackendId::Mva,
-                        reason: e.to_string(),
-                    })?;
-                Ok(mva_evaluation(
-                    BackendId::Mva,
-                    &solution,
-                    solution.iterations,
-                    None,
-                    started.elapsed().as_secs_f64() * 1e3,
-                ))
-            })
-            .collect()
-    }
-}
-
-/// The MVA behind the resilient escalation ladder
-/// ([`MvaModel::solve_resilient`]), optionally warm-starting sweep-adjacent
-/// batch members from each other.
-#[derive(Debug, Clone, Copy)]
-pub struct ResilientMvaBackend {
-    /// Retries beyond the first plain attempt (the ladder depth).
-    pub max_damping_retries: usize,
-    /// Optional wall-clock deadline per attempt.
-    pub deadline: Option<std::time::Duration>,
-    /// Warm-start each group member from the previous member's converged
-    /// state (members are ordered by `N` by the engine), retrying a failed
-    /// warm solve cold. This can change iteration *counts* (not solutions
-    /// beyond the solver tolerance), so it is off by default.
-    pub warm_start_chains: bool,
-}
-
-impl Default for ResilientMvaBackend {
-    fn default() -> Self {
-        let defaults = ResilientOptions::default();
-        ResilientMvaBackend {
-            max_damping_retries: defaults.max_damping_retries,
-            deadline: defaults.deadline,
-            warm_start_chains: false,
+        match first.to_mva_model() {
+            Ok(model) => scenarios.iter().map(|s| self.solve(&model, s)).collect(),
+            Err(e) => scenarios.iter().map(|_| Err(e.clone())).collect(),
         }
-    }
-}
-
-impl ResilientMvaBackend {
-    fn options(&self, scenario: &Scenario) -> ResilientOptions {
-        ResilientOptions {
-            base: scenario.solver_options(),
-            max_damping_retries: self.max_damping_retries,
-            deadline: self.deadline,
-        }
-    }
-
-    /// Solves one system size on `model`, warm-started from `seed`: a
-    /// failed warm solve is retried cold before being reported as failed.
-    fn solve_chained(
-        &self,
-        model: &MvaModel,
-        scenario: &Scenario,
-        seed: Option<[f64; 3]>,
-    ) -> Result<crate::resilient::ResilientSolution, MvaError> {
-        model
-            .solve_resilient_seeded(scenario.n, seed, &self.options(scenario))
-            .or_else(|e| {
-                if seed.is_some() && !matches!(e, MvaError::InvalidSystemSize(_)) {
-                    model.solve_resilient(scenario.n, &self.options(scenario))
-                } else {
-                    Err(e)
-                }
-            })
-    }
-
-    fn package(
-        &self,
-        result: Result<crate::resilient::ResilientSolution, MvaError>,
-        started: Instant,
-    ) -> Result<Evaluation, EvalError> {
-        let resilient = result.map_err(|e| EvalError::Failed {
-            backend: BackendId::ResilientMva,
-            reason: e.to_string(),
-        })?;
-        Ok(mva_evaluation(
-            BackendId::ResilientMva,
-            &resilient.solution,
-            resilient.diagnostics.total_iterations(),
-            resilient.diagnostics.winning_strategy().map(|s| s.to_string()),
-            started.elapsed().as_secs_f64() * 1e3,
-        ))
-    }
-}
-
-impl Evaluator for ResilientMvaBackend {
-    fn id(&self) -> BackendId {
-        BackendId::ResilientMva
-    }
-
-    fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
-        let started = Instant::now();
-        let _span = snoop_numeric::probe::span("engine.mva_resilient");
-        let _trace = solve_trace(BackendId::ResilientMva, scenario);
-        let model = scenario.to_mva_model()?;
-        self.package(model.solve_resilient(scenario.n, &self.options(scenario)), started)
-    }
-
-    fn group_key(&self, scenario: &Scenario) -> Option<u64> {
-        self.warm_start_chains.then(|| scenario.family_hash())
-    }
-
-    fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        if !self.warm_start_chains {
-            return scenarios.iter().map(|s| self.evaluate(s)).collect();
-        }
-        let Some(first) = scenarios.first() else {
-            return Vec::new();
-        };
-        let model = match first.to_mva_model() {
-            Ok(model) => model,
-            Err(e) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
-        };
-        // The warm chain: seed each size from the previous converged
-        // [w_bus, w_mem, R], dropping the seed after a failure.
-        let mut seed: Option<[f64; 3]> = None;
-        scenarios
-            .iter()
-            .map(|scenario| {
-                let started = Instant::now();
-                let mut member_trace = solve_trace(BackendId::ResilientMva, scenario);
-                member_trace.arg("warm", seed.is_some().to_string());
-                let result = self.solve_chained(&model, scenario, seed);
-                seed = result
-                    .as_ref()
-                    .ok()
-                    .map(|r| [r.solution.w_bus, r.solution.w_mem, r.solution.r]);
-                self.package(result, started)
-            })
-            .collect()
     }
 }
 
@@ -396,7 +283,7 @@ impl Evaluator for GtpnBackend {
 pub(super) fn evaluator(id: BackendId, exec: ExecOptions) -> Box<dyn Evaluator> {
     match id {
         BackendId::Mva => Box::new(MvaBackend),
-        BackendId::ResilientMva => Box::new(ResilientMvaBackend::default()),
+        BackendId::ResilientMva => Box::new(Mva(BackendId::ResilientMva)),
         BackendId::Sim => Box::new(SimBackend { exec }),
         BackendId::Gtpn => Box::new(GtpnBackend { threads: exec.threads }),
     }
@@ -441,70 +328,22 @@ mod tests {
 
     #[test]
     fn resilient_backend_reports_strategy_and_iterations() {
-        let eval = ResilientMvaBackend::default().evaluate(&scenario(10)).unwrap();
+        let eval = Mva(BackendId::ResilientMva).evaluate(&scenario(10)).unwrap();
         assert_eq!(eval.backend, BackendId::ResilientMva);
-        assert_eq!(eval.provenance.strategy.as_deref(), Some("newton"));
+        // Newton won at once, so no escalation strategy is reported.
+        assert_eq!(eval.provenance.strategy, None);
         assert!(eval.provenance.iterations > 0);
-        // Same first attempt as the MVA backend: the same answer, bit for bit.
+        // The same evaluator as `mva`: the same answer, bit for bit.
         let direct = MvaBackend.evaluate(&scenario(10)).unwrap();
-        assert_eq!(eval.speedup, direct.speedup);
-    }
-
-    #[test]
-    fn resilient_warm_chain_matches_the_sweep_solutions() {
-        let backend = ResilientMvaBackend { warm_start_chains: true, ..Default::default() };
-        let scenarios = [scenario(2), scenario(4), scenario(8)];
-        let refs: Vec<&Scenario> = scenarios.iter().collect();
-        let chained = backend.evaluate_group(&refs);
-        for (scenario, chained) in scenarios.iter().zip(&chained) {
-            let cold = ResilientMvaBackend::default().evaluate(scenario).unwrap();
-            let chained = chained.as_ref().unwrap();
-            // Same solution within tolerance; iteration counts may differ.
-            assert!((chained.speedup - cold.speedup).abs() < 1e-6 * cold.speedup);
-        }
-    }
-
-    /// Iterations summed over a warm- or cold-chained resilient run of
-    /// one (protocol, sharing) series through the engine; panics on any
-    /// failed point.
-    fn chained_iterations(mods: ModSet, sharing: SharingLevel, warm: bool) -> usize {
-        let engine = super::super::Engine::new().with_backend(ResilientMvaBackend {
-            warm_start_chains: warm,
-            ..Default::default()
-        });
-        let scenarios: Vec<Scenario> = crate::paper::TABLE_N
-            .iter()
-            .map(|&n| Scenario::appendix_a(mods, sharing, n))
-            .collect();
-        let results = engine.evaluate_batch(&scenarios);
-        assert_eq!(results.len(), crate::paper::TABLE_N.len());
-        results
-            .iter()
-            .map(|r| match &r.result {
-                Ok(e) => e.provenance.iterations,
-                Err(err) => panic!("{mods} {sharing} scenario {} (warm={warm}): {err}", r.scenario),
-            })
-            .sum()
-    }
-
-    #[test]
-    fn warm_start_beats_cold_on_table_4_1_configs() {
-        // Over the paper's Table 4.1 protocol/sharing grid, warm-chained
-        // sweeps spend strictly fewer total iterations than cold ones.
-        for (mods, sharing) in crate::sweep::figure_4_1_grid() {
-            let warm = chained_iterations(mods, sharing, true);
-            let cold = chained_iterations(mods, sharing, false);
-            assert!(warm < cold, "{mods} {sharing}: warm {warm} vs cold {cold}");
-        }
+        assert_eq!(Evaluation { backend: BackendId::Mva, ..eval }, direct);
     }
 
     #[test]
     fn failed_points_degrade_gracefully() {
         // An unreachable tolerance defeats every strategy at every size:
-        // the chain must still return one (failed) result per size rather
+        // the group must still return one (failed) result per size rather
         // than aborting, and each failure must carry a reason.
-        let engine = super::super::Engine::new()
-            .with_backend(ResilientMvaBackend { warm_start_chains: true, ..Default::default() });
+        let engine = super::super::Engine::new().with_backends(&[BackendId::ResilientMva]);
         let scenarios: Vec<Scenario> = [1, 2, 4]
             .iter()
             .map(|&n| {
@@ -521,7 +360,7 @@ mod tests {
             match &r.result {
                 Err(EvalError::Failed { backend, reason }) => {
                     assert_eq!(*backend, BackendId::ResilientMva);
-                    assert!(!reason.is_empty());
+                    assert!(reason.contains("every solve strategy failed"), "{reason}");
                 }
                 other => panic!("expected a failed point, got {other:?}"),
             }

@@ -11,8 +11,7 @@
 //!    missing key is computed;
 //! 3. **group** — missing work is grouped by the backend's
 //!    [`Evaluator::group_key`] and ordered by system size, so an MVA
-//!    family shares one model build and the resilient backend can chain
-//!    warm starts along a sweep;
+//!    family shares one model build;
 //! 4. **execute** — groups run through [`snoop_numeric::exec::par_map`];
 //!    within a group, members run sequentially in size order. Results are
 //!    scattered back to all duplicate jobs and returned in input order.
@@ -317,8 +316,7 @@ impl Engine {
                 None => items.push(WorkItem { backend: bi, members: vec![(ji, si)] }),
             }
         }
-        // Order group members by system size so adjacent solves can share
-        // warm state; ties keep first-seen order.
+        // Order group members by system size; ties keep first-seen order.
         for item in &mut items {
             item.members.sort_by_key(|&(ji, si)| (scenarios[si].n, ji));
         }
@@ -510,7 +508,7 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::backends::{GtpnBackend, MvaBackend, ResilientMvaBackend, SimBackend};
+    use super::super::backends::{GtpnBackend, MvaBackend, SimBackend};
     use super::*;
     use snoop_protocol::ModSet;
     use snoop_workload::params::SharingLevel;
@@ -556,15 +554,17 @@ mod tests {
         // Each result's backend is its evaluator's `id()`, so this also
         // checks that every id round-trips through the registry.
         assert_eq!(order, want);
-        // The registry builds the same evaluators as wiring them by hand.
+        // The registry builds the same evaluators as wiring them by hand;
+        // `mva-resilient` is the MVA evaluator under its own id.
         let by_hand = Engine::new()
             .with_exec(exec)
             .with_backend(GtpnBackend { threads: exec.threads })
             .with_backend(MvaBackend)
             .with_backend(SimBackend { exec })
-            .with_backend(ResilientMvaBackend::default());
+            .with_backend(MvaBackend);
         for (got, want) in results.iter().zip(by_hand.evaluate_batch(&scenarios)) {
-            assert_eq!(got.result.as_ref().unwrap(), want.result.as_ref().unwrap());
+            let want = want.result.unwrap();
+            assert_eq!(got.result.as_ref().unwrap(), &Evaluation { backend: got.backend, ..want });
         }
     }
 
@@ -605,16 +605,14 @@ mod tests {
             .iter()
             .flat_map(|s| {
                 Engine::new()
-                    .with_backend(MvaBackend)
-                    .with_backend(ResilientMvaBackend::default())
+                    .with_backends(&[BackendId::Mva, BackendId::ResilientMva])
                     .evaluate(s)
             })
             .collect();
         for threads in [1, 2, 8] {
             let engine = Engine::new()
-                .with_backend(MvaBackend)
-                .with_backend(ResilientMvaBackend::default())
-                .with_exec(ExecOptions::with_threads(threads));
+                .with_exec(ExecOptions::with_threads(threads))
+                .with_backends(&[BackendId::Mva, BackendId::ResilientMva]);
             let batched = engine.evaluate_batch(&scenarios);
             assert_eq!(batched.len(), serial.len());
             for (b, s) in batched.iter().zip(&serial) {
@@ -847,11 +845,8 @@ mod tests {
         let scenarios = [scenario(2), scenario(4), scenario(8), scenario(16)];
         let run = |threads: usize| {
             let engine = Engine::new()
-                .with_backend(ResilientMvaBackend {
-                    warm_start_chains: true,
-                    ..Default::default()
-                })
-                .with_exec(ExecOptions::with_threads(threads));
+                .with_exec(ExecOptions::with_threads(threads))
+                .with_backends(&[BackendId::ResilientMva]);
             engine.evaluate_batch(&scenarios)
         };
         let serial = run(1);

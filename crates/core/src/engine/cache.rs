@@ -4,7 +4,7 @@
 //! [`super::Scenario::content_hash`] — so a cached value is valid for
 //! exactly the scenarios that would recompute it. Only successful
 //! evaluations are cached — errors are recomputed every time, so a
-//! transient failure (e.g. a deadline) cannot poison later runs.
+//! failed job is never served from the cache.
 //! Persistence across processes is the durable store's job
 //! ([`snoop_store::DiskStore`], attached with `Engine::with_store`).
 

@@ -1,5 +1,5 @@
 //! The unified evaluation engine: one [`Scenario`]/[`Evaluator`] API over
-//! the MVA, the resilient MVA, the discrete-event simulator and the GTPN.
+//! the MVA, the discrete-event simulator and the GTPN.
 //!
 //! Before this module, each consumer hand-wired the three model stacks:
 //! the CLI built `MvaModel`s, `SimConfig`s and `CoherenceNet`s with its
@@ -14,12 +14,13 @@
 //!   [`Scenario::to_coherence_net`]) — the only supported paths from a
 //!   description to a concrete model;
 //! * [`Evaluator`] — the backend trait, implemented by [`MvaBackend`],
-//!   [`ResilientMvaBackend`], [`SimBackend`] and [`GtpnBackend`], all
-//!   returning the common [`Evaluation`] currency with provenance;
+//!   [`SimBackend`] and [`GtpnBackend`], all returning the common
+//!   [`Evaluation`] currency with provenance (the `mva-resilient` id is
+//!   the same MVA evaluator reporting under its own id);
 //! * [`Engine`] — a batch planner that dedups jobs against a bounded
 //!   content-addressed [`ResultCache`] (optionally backed by the durable
 //!   [`DiskStore`]), groups sweep-adjacent MVA work so a family shares
-//!   one model build (and, opt-in, warm starts), and fans residual work
+//!   one model build, and fans residual work
 //!   through the deterministic parallel executor — batched results are
 //!   bit-identical to one-at-a-time evaluation at any thread count.
 //!   [`Engine::with_backends`] registers backends by [`BackendId`]: the
@@ -52,7 +53,7 @@ mod scenario;
 
 pub mod series;
 
-pub use backends::{Evaluator, GtpnBackend, MvaBackend, ResilientMvaBackend, SimBackend};
+pub use backends::{Evaluator, GtpnBackend, MvaBackend, SimBackend};
 pub use batch::{Engine, EngineResult, SharedEngine};
 pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CAPACITY};
 // The durable second cache tier (re-exported so engine users don't need

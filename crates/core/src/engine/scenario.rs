@@ -207,7 +207,7 @@ impl Scenario {
     /// Like [`Scenario::content_hash`] with the system size masked out:
     /// scenarios with equal family hashes describe the same model at
     /// different `N`, so a batch planner can evaluate them as one
-    /// sweep-adjacent group (shared model construction, warm starts).
+    /// sweep-adjacent group (shared model construction).
     pub fn family_hash(&self) -> u64 {
         let mut family = *self;
         family.n = 0;

@@ -57,5 +57,5 @@ mod error;
 
 pub use error::MvaError;
 pub use outputs::MvaSolution;
-pub use resilient::{ResilientOptions, ResilientSolution, SolveDiagnostics};
+pub use resilient::{ResilientSolution, SolveDiagnostics};
 pub use solver::{MvaModel, SolverOptions};

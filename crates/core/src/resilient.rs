@@ -7,8 +7,10 @@
 //! memory), where plain successive substitution oscillates or diverges.
 //! [`MvaModel::solve_resilient`] runs a fixed **escalation ladder** of
 //! solve strategies, stopping at the first that converges to a finite
-//! solution. It is the only ladder: [`MvaModel::solve`] runs it at the
-//! default depth and drops the diagnostics.
+//! solution. It is the only ladder: [`MvaModel::solve`] runs it and drops
+//! the diagnostics. Every rung runs from the scenario's own
+//! [`SolverOptions`] (`max_iterations`, `tolerance`, `damping`); the
+//! ladder has no settings of its own.
 //!
 //! 1. **newton** — the paper's plain step, taken from a Newton point
 //!    whenever the map moves that point less than the current iterate;
@@ -22,16 +24,11 @@
 //! failed — so a production caller can see *why* a configuration was
 //! expensive, not just that it was. If the whole ladder fails, the
 //! diagnostics come back inside [`MvaError::SolveExhausted`]; the pipeline
-//! never panics and never returns non-finite values.
-//!
-//! Sweeps build on the same entry point through the engine's
-//! [`crate::engine::ResilientMvaBackend`]: with `warm_start_chains` it
-//! warm-starts each system size from the previous size's converged state,
-//! and a size that defeats the ladder becomes a failed result instead of
-//! aborting the sweep.
+//! never panics and never returns non-finite values. Every solve starts
+//! cold, from zero waiting times, so its result depends on the model, `N`
+//! and the options alone.
 
 use std::fmt;
-use std::time::Duration;
 
 use snoop_numeric::fixed_point::Options;
 use snoop_numeric::NumericError;
@@ -39,32 +36,6 @@ use snoop_numeric::NumericError;
 use crate::outputs::MvaSolution;
 use crate::solver::{fixed_point_options, MvaModel, SolverOptions};
 use crate::MvaError;
-
-/// Options for the resilient escalation ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOptions {
-    /// Base solver options. `base.damping` scales the ladder's damped
-    /// rungs; `base.max_iterations` and `base.tolerance` apply to every
-    /// attempt.
-    pub base: SolverOptions,
-    /// Maximum number of retries after the first (Newton) attempt: `0`
-    /// means the first attempt only, `3` (the default) enables the full
-    /// ladder.
-    pub max_damping_retries: usize,
-    /// Wall-clock deadline per attempt. `None` (the default) bounds each
-    /// attempt only by `base.max_iterations`.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for ResilientOptions {
-    fn default() -> Self {
-        ResilientOptions {
-            base: SolverOptions::default(),
-            max_damping_retries: 3,
-            deadline: None,
-        }
-    }
-}
 
 /// A solve strategy on the escalation ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,8 +82,6 @@ pub struct SolveDiagnostics {
     /// Every attempt, in ladder order. The last entry is the one that
     /// converged (when the solve succeeded).
     pub attempts: Vec<AttemptRecord>,
-    /// Whether the solve was seeded from a previous solution (warm start).
-    pub warm_started: bool,
 }
 
 impl SolveDiagnostics {
@@ -164,45 +133,27 @@ pub struct ResilientSolution {
 }
 
 impl MvaModel {
-    /// Solves the model for `n` processors through the escalation ladder,
-    /// from a cold start.
+    /// Solves the model for `n` processors through the escalation ladder.
+    /// `options.damping` scales the ladder's damped rungs;
+    /// `options.max_iterations` and `options.tolerance` apply to every
+    /// attempt.
     ///
     /// # Errors
     ///
     /// Returns [`MvaError::InvalidSystemSize`] for `n = 0`,
-    /// [`MvaError::Numeric`] for a base damping outside `(0, 1]`, and
+    /// [`MvaError::Numeric`] for a damping outside `(0, 1]`, and
     /// [`MvaError::SolveExhausted`] — carrying the per-attempt
     /// diagnostics — when every strategy on the ladder fails. Never
     /// panics; a returned solution always has finite outputs.
     pub fn solve_resilient(
         &self,
         n: usize,
-        options: &ResilientOptions,
-    ) -> Result<ResilientSolution, MvaError> {
-        self.solve_resilient_seeded(n, None, options)
-    }
-
-    /// Like [`MvaModel::solve_resilient`], warm-started from a previous
-    /// converged state `[w_bus, w_mem, R]` when `seed` is `Some`.
-    ///
-    /// A good seed (the solution of a nearby configuration, e.g. the
-    /// previous `N` of a sweep) typically converges in a handful of
-    /// iterations; a bad seed costs one failed attempt before the ladder
-    /// falls back to cold starts, so warm-starting is always safe.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MvaModel::solve_resilient`].
-    pub fn solve_resilient_seeded(
-        &self,
-        n: usize,
-        seed: Option<[f64; 3]>,
-        options: &ResilientOptions,
+        options: &SolverOptions,
     ) -> Result<ResilientSolution, MvaError> {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
-        let base_damping = options.base.damping;
+        let base_damping = options.damping;
         if !(base_damping > 0.0 && base_damping <= 1.0) {
             return Err(NumericError::InvalidArgument(format!(
                 "damping must lie in (0, 1], got {base_damping}"
@@ -212,9 +163,6 @@ impl MvaModel {
         // Observational only — the probe registry is never read back, so
         // collection cannot steer the escalation ladder.
         let _probe_span = snoop_numeric::probe::span("resilient_solve");
-        // A seed is only usable if it is finite with a positive R —
-        // otherwise the mean-value map rejects it on the first step.
-        let seed = seed.filter(|s| s.iter().all(|v| v.is_finite()) && s[2] > 0.0);
         let ladder = [
             Strategy::Newton,
             Strategy::Damped(0.5 * base_damping),
@@ -222,15 +170,11 @@ impl MvaModel {
             Strategy::DampedRestart(0.125 * base_damping),
         ];
 
-        let mut diagnostics = SolveDiagnostics {
-            n,
-            attempts: Vec::new(),
-            warm_started: seed.is_some(),
-        };
+        let mut diagnostics = SolveDiagnostics { n, attempts: Vec::new() };
         // Restart point harvested from the most recent structured failure.
         let mut last_finite: Option<Vec<f64>> = None;
 
-        for strategy in ladder.iter().take(1 + options.max_damping_retries) {
+        for strategy in &ladder {
             snoop_numeric::probe::counter_add("mva.resilient_attempts", 1);
             if !diagnostics.attempts.is_empty() {
                 snoop_numeric::probe::counter_add("mva.resilient_escalations", 1);
@@ -240,14 +184,8 @@ impl MvaModel {
                 Strategy::Damped(d) => (d, false, None),
                 Strategy::DampedRestart(d) => (d, false, last_finite.clone()),
             };
-            let initial = initial
-                .or_else(|| seed.map(|s| s.to_vec()))
-                .unwrap_or_else(|| self.zero_wait_state());
-            let fp_options = Options {
-                newton,
-                deadline: options.deadline,
-                ..fixed_point_options(&options.base, damping)
-            };
+            let initial = initial.unwrap_or_else(|| self.zero_wait_state());
+            let fp_options = Options { newton, ..fixed_point_options(options, damping) };
 
             match self.run_map(n, initial, &fp_options) {
                 Ok(converged) => {
@@ -329,11 +267,10 @@ mod tests {
     #[test]
     fn newton_strategy_wins_on_easy_workloads() {
         let r = model(SharingLevel::Five)
-            .solve_resilient(10, &ResilientOptions::default())
+            .solve_resilient(10, &SolverOptions::default())
             .unwrap();
         assert_eq!(r.diagnostics.winning_strategy(), Some(Strategy::Newton));
         assert_eq!(r.diagnostics.retries(), 0);
-        assert!(!r.diagnostics.warm_started);
         // Matches `solve` exactly: same first attempt, same start.
         let direct = model(SharingLevel::Five)
             .solve(10, &SolverOptions::default())
@@ -344,7 +281,7 @@ mod tests {
     #[test]
     fn rejects_zero_processors() {
         let err = model(SharingLevel::Five)
-            .solve_resilient(0, &ResilientOptions::default())
+            .solve_resilient(0, &SolverOptions::default())
             .unwrap_err();
         assert!(matches!(err, MvaError::InvalidSystemSize(0)));
     }
@@ -359,46 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_seed_from_fixed_point_converges_immediately() {
-        let m = model(SharingLevel::Twenty);
-        let cold = m.solve_resilient(20, &ResilientOptions::default()).unwrap();
-        let seed = [cold.solution.w_bus, cold.solution.w_mem, cold.solution.r];
-        let warm = m
-            .solve_resilient_seeded(20, Some(seed), &ResilientOptions::default())
-            .unwrap();
-        assert!(warm.diagnostics.warm_started);
-        assert!(
-            warm.diagnostics.total_iterations() < cold.diagnostics.total_iterations(),
-            "warm {} vs cold {}",
-            warm.diagnostics.total_iterations(),
-            cold.diagnostics.total_iterations()
-        );
-        assert!((warm.solution.r - cold.solution.r).abs() < 1e-6 * cold.solution.r);
-    }
-
-    #[test]
-    fn non_finite_seed_is_ignored() {
-        let m = model(SharingLevel::Five);
-        let r = m
-            .solve_resilient_seeded(
-                10,
-                Some([f64::NAN, 0.0, 1.0]),
-                &ResilientOptions::default(),
-            )
-            .unwrap();
-        // Fell back to a cold start rather than propagating the NaN.
-        assert!(r.solution.r.is_finite());
-        assert!(!r.diagnostics.warm_started);
-    }
-
-    #[test]
     fn saturation_regime_never_returns_non_finite() {
         // N ≥ 64 with slow memory: deep saturation, the regime the ladder
         // exists for.
         let slow = WorkloadParams::stress();
         let m = MvaModel::for_protocol(&slow, ModSet::new()).unwrap();
         for n in [64, 256, 1024] {
-            match m.solve_resilient(n, &ResilientOptions::default()) {
+            match m.solve_resilient(n, &SolverOptions::default()) {
                 Ok(r) => {
                     assert!(r.solution.r.is_finite(), "N={n}");
                     assert!(r.solution.speedup.is_finite(), "N={n}");
@@ -414,20 +318,25 @@ mod tests {
     }
 
     #[test]
-    fn ladder_is_bounded_by_max_damping_retries() {
-        // With a tolerance of 0 nothing can converge: every rung must run
-        // and the count must honour the cap.
-        let m = model(SharingLevel::Five);
-        let options = ResilientOptions {
-            base: SolverOptions { max_iterations: 10, tolerance: 0.0, damping: 1.0 },
-            max_damping_retries: 2,
-            deadline: None,
-        };
-        let err = m.solve_resilient(10, &options).unwrap_err();
-        match err {
+    fn exhausted_ladder_records_every_rung() {
+        // With a tolerance of 0 nothing can converge: all four rungs run,
+        // in ladder order, each scaled by the base damping.
+        let options = SolverOptions { max_iterations: 10, tolerance: 0.0, damping: 0.5 };
+        match model(SharingLevel::Five).solve_resilient(10, &options).unwrap_err() {
             MvaError::SolveExhausted(d) => {
-                assert_eq!(d.attempts.len(), 3, "{d}");
+                let rungs: Vec<Strategy> = d.attempts.iter().map(|a| a.strategy).collect();
+                assert_eq!(
+                    rungs,
+                    [
+                        Strategy::Newton,
+                        Strategy::Damped(0.25),
+                        Strategy::Damped(0.125),
+                        Strategy::DampedRestart(0.0625)
+                    ],
+                    "{d}"
+                );
                 assert!(d.attempts.iter().all(|a| a.error.is_some()));
+                assert_eq!(d.winning_strategy(), None);
             }
             other => panic!("expected exhaustion, got {other}"),
         }
@@ -436,7 +345,7 @@ mod tests {
     #[test]
     fn diagnostics_display_is_readable() {
         let m = model(SharingLevel::Five);
-        let r = m.solve_resilient(4, &ResilientOptions::default()).unwrap();
+        let r = m.solve_resilient(4, &SolverOptions::default()).unwrap();
         let text = r.diagnostics.to_string();
         assert!(text.contains("N=4"), "{text}");
         assert!(text.contains("newton converged"), "{text}");

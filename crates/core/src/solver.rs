@@ -28,7 +28,6 @@ use snoop_workload::timing::TimingModel;
 use crate::equations as eq;
 use crate::interference::Interference;
 use crate::outputs::MvaSolution;
-use crate::resilient::ResilientOptions;
 use crate::MvaError;
 
 /// Options controlling the fixed-point iteration.
@@ -261,7 +260,7 @@ impl MvaModel {
     }
 
     /// Solves the model for `n` processors: [`MvaModel::solve_resilient`]
-    /// at its default ladder depth, without the diagnostics.
+    /// without the diagnostics.
     ///
     /// # Errors
     ///
@@ -270,8 +269,7 @@ impl MvaModel {
     /// returns [`MvaError::SolveExhausted`] with the per-attempt
     /// diagnostics.
     pub fn solve(&self, n: usize, options: &SolverOptions) -> Result<MvaSolution, MvaError> {
-        let options = ResilientOptions { base: options.clone(), ..ResilientOptions::default() };
-        self.solve_resilient(n, &options).map(|r| r.solution)
+        self.solve_resilient(n, options).map(|r| r.solution)
     }
 }
 
@@ -464,6 +462,31 @@ mod tests {
             .expect("plain substitution converges")
     }
 
+    /// Every output of `s` within 1e-9 (relative) of plain substitution's.
+    fn assert_matches_plain(s: &MvaSolution, p: &MvaSolution, what: &str) {
+        let fields = [
+            (s.r, p.r),
+            (s.speedup, p.speedup),
+            (s.processing_power, p.processing_power),
+            (s.bus_utilization, p.bus_utilization),
+            (s.memory_utilization, p.memory_utilization),
+            (s.w_bus, p.w_bus),
+            (s.w_mem, p.w_mem),
+            (s.q_bus, p.q_bus),
+            (s.n_interference, p.n_interference),
+            (s.t_interference, p.t_interference),
+            (s.r_local, p.r_local),
+            (s.r_broadcast, p.r_broadcast),
+            (s.r_remote_read, p.r_remote_read),
+        ];
+        for (i, (a, b)) in fields.into_iter().enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+                "{what} field {i}: solve {a} vs plain {b}"
+            );
+        }
+    }
+
     #[test]
     fn newton_solve_matches_plain_substitution_over_the_grid() {
         // Every modification set × {1, 5, 20}% sharing and the stress
@@ -493,27 +516,7 @@ mod tests {
                     iterations.push(s.iterations);
 
                     let p = plain_substitution(&model, n, &options);
-                    let fields = [
-                        (s.r, p.r),
-                        (s.speedup, p.speedup),
-                        (s.processing_power, p.processing_power),
-                        (s.bus_utilization, p.bus_utilization),
-                        (s.memory_utilization, p.memory_utilization),
-                        (s.w_bus, p.w_bus),
-                        (s.w_mem, p.w_mem),
-                        (s.q_bus, p.q_bus),
-                        (s.n_interference, p.n_interference),
-                        (s.t_interference, p.t_interference),
-                        (s.r_local, p.r_local),
-                        (s.r_broadcast, p.r_broadcast),
-                        (s.r_remote_read, p.r_remote_read),
-                    ];
-                    for (i, (a, b)) in fields.into_iter().enumerate() {
-                        assert!(
-                            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
-                            "{numbers:?} N={n} field {i}: newton {a} vs plain {b}"
-                        );
-                    }
+                    assert_matches_plain(&s, &p, &format!("{numbers:?} N={n}"));
                 }
             }
         }
@@ -521,6 +524,34 @@ mod tests {
         iterations.sort_unstable();
         let p99 = iterations[iterations.len() * 99 / 100];
         assert!(p99 <= 30, "iterations p99 {p99}, max {}", iterations.last().unwrap());
+    }
+
+    #[test]
+    fn ladder_rescues_write_once_at_1_percent_sharing_n222() {
+        // Newton gives up on growing residuals after 32 iterations; the
+        // damped(0.5) rung converges in 199, for 231 in total.
+        use crate::engine::{BackendId, Engine, Scenario};
+        use crate::resilient::Strategy;
+
+        let n = 222;
+        let scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::One, n);
+        let model = scenario.to_mva_model().unwrap();
+        let options = SolverOptions::default();
+        let r = model.solve_resilient(n, &options).unwrap();
+        let attempts: Vec<(Strategy, usize)> =
+            r.diagnostics.attempts.iter().map(|a| (a.strategy, a.iterations)).collect();
+        assert_eq!(attempts, [(Strategy::Newton, 32), (Strategy::Damped(0.5), 199)]);
+        assert_matches_plain(&r.solution, &plain_substitution(&model, n, &options), "N=222");
+
+        let eval = Engine::new()
+            .with_backends(&[BackendId::Mva])
+            .evaluate(&scenario)
+            .remove(0)
+            .result
+            .unwrap();
+        assert_eq!(eval.provenance.iterations, 231);
+        assert_eq!(eval.provenance.strategy.as_deref(), Some("damped(0.5)"));
+        assert_eq!(eval.speedup.to_bits(), r.solution.speedup.to_bits());
     }
 
     #[test]

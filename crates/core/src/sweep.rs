@@ -2,9 +2,9 @@
 //! speedup series and one-parameter sensitivity sweeps.
 //!
 //! Fixed-input speedup curves (Figure 4.1, Table 4.1, `snoop sweep`) run
-//! through [`crate::engine`], whose resilient backend warm-starts each
-//! system size from the previous one; what stays here are the sweeps
-//! whose inputs change from point to point.
+//! through [`crate::engine`], which builds one model per family and
+//! solves each system size on it; what stays here are the sweeps whose
+//! inputs change from point to point.
 
 use snoop_protocol::ModSet;
 use snoop_workload::params::{SharingLevel, WorkloadParams};

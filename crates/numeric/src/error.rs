@@ -19,8 +19,7 @@ pub enum NumericError {
     },
     /// An iterative method was abandoned early because its trajectory was
     /// detectably hopeless: non-finite or overflowing iterates, residuals
-    /// growing over a sliding window, a period-2/3 limit cycle, or an
-    /// elapsed wall-clock deadline.
+    /// growing over a sliding window, or a period-2/3 limit cycle.
     ///
     /// Carries the full [`ConvergenceFailure`] diagnosis, including the
     /// trailing residual trajectory and the last finite iterate (a valid

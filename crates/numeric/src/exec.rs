@@ -10,10 +10,10 @@
 //! Design constraints, in order:
 //!
 //! 1. **Determinism** — the output of [`par_map`] is *bit-identical* to the
-//!    serial `items.iter().map(f).collect()` for any thread count and any
-//!    grain, because each result is written to the slot of its input index
-//!    and `f` itself must be a pure function of its item. Thread count and
-//!    chunking change wall-clock time, never results.
+//!    serial `items.iter().map(f).collect()` for any thread count, because
+//!    each result is written to the slot of its input index and `f` itself
+//!    must be a pure function of its item. Thread count and chunking
+//!    change wall-clock time, never results.
 //! 2. **No new crates** — the repo is offline-first, so the executor is
 //!    built on a [persistent worker pool](pool) of std threads instead of
 //!    rayon. Lifetime erasure inside the pool lets `f` borrow the caller's
@@ -24,7 +24,7 @@
 //!    push plus condvar wakeups, not a `thread::scope` spawn/join cycle.
 //!    Work is claimed in *chunks* from a shared atomic cursor
 //!    (self-balancing: a thread that draws slow items simply claims fewer
-//!    chunks), with the grain picked by [`ExecOptions::resolved_grain`] so
+//!    chunks), four chunks per worker (`max(1, items / (threads * 4))`) so
 //!    micro-item callers (sensitivity rows, small GTPN waves) amortize
 //!    cursor traffic and per-item dispatch overhead automatically.
 //!
@@ -62,34 +62,23 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Configuration for the parallel executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration for the parallel executor. The default is the auto
+/// thread count (see [module docs](self) for the resolution rules).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
     /// Worker-thread count. `0` means auto: `SNOOP_THREADS` when set,
     /// otherwise the machine's available parallelism. `1` runs inline on
     /// the calling thread (no pool dispatch at all).
     pub threads: usize,
-    /// Items claimed per cursor fetch. `0` means auto:
-    /// `max(1, items / (threads * 4))` — four chunks per worker balances
-    /// load against cursor contention. Larger grains amortize dispatch for
-    /// micro-items; grain ≥ items degenerates to serial.
-    pub grain: usize,
 }
 
 impl ExecOptions {
     /// Run everything inline on the calling thread.
-    pub const SERIAL: ExecOptions = ExecOptions { threads: 1, grain: 0 };
+    pub const SERIAL: ExecOptions = ExecOptions { threads: 1 };
 
-    /// An explicit thread count (`0` = auto), with auto grain.
+    /// An explicit thread count (`0` = auto).
     pub fn with_threads(threads: usize) -> Self {
-        ExecOptions { threads, grain: 0 }
-    }
-
-    /// Overrides the chunk grain (`0` = auto heuristic).
-    #[must_use]
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain;
-        self
+        ExecOptions { threads }
     }
 
     /// The concrete worker count this configuration resolves to.
@@ -100,25 +89,14 @@ impl ExecOptions {
             default_threads()
         }
     }
-
-    /// The chunk size used for `items` work items on `threads` workers:
-    /// the explicit [`ExecOptions::grain`] when set, otherwise
-    /// `max(1, items / (threads * 4))`.
-    pub fn resolved_grain(&self, items: usize, threads: usize) -> usize {
-        if self.grain > 0 {
-            self.grain
-        } else {
-            (items / (threads.max(1) * 4)).max(1)
-        }
-    }
 }
 
-impl Default for ExecOptions {
-    /// Auto thread count and grain (see [module docs](self) for the
-    /// resolution rules).
-    fn default() -> Self {
-        ExecOptions { threads: 0, grain: 0 }
-    }
+/// The chunk size used for `items` work items on `threads` workers:
+/// `max(1, items / (threads * 4))` — four chunks per worker balances load
+/// against cursor contention, and larger chunks amortize dispatch for
+/// micro-items.
+fn resolved_grain(items: usize, threads: usize) -> usize {
+    (items / (threads.max(1) * 4)).max(1)
 }
 
 /// Test-only override for [`default_threads`]; `0` means "no override".
@@ -255,7 +233,7 @@ where
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, item)| f(item, i)).collect();
     }
-    let chunk = options.resolved_grain(len, threads);
+    let chunk = resolved_grain(len, threads);
     // One participant per chunk at most; the submitter takes one share.
     let attachers = threads.min(len.div_ceil(chunk)).saturating_sub(1);
     if attachers == 0 {
@@ -369,30 +347,33 @@ mod tests {
 
     #[test]
     fn explicit_grain_matches_serial_bitwise() {
-        let items: Vec<f64> = (1..97).map(|i| f64::from(i) * 0.73).collect();
+        // Item counts × thread counts that resolve to grain 1 and to
+        // grains above 1 that divide the input unevenly.
         let f = |x: &f64| (x.cos() + x.ln()).tan();
-        let serial = par_map(&items, &ExecOptions::SERIAL, f);
-        // Grains that divide the input unevenly, exceed it, and equal 1.
-        for grain in [1, 5, 7, 64, 200] {
+        let (mut unit, mut uneven) = (false, false);
+        for len in [5, 40, 97, 1000] {
+            let items: Vec<f64> = (1..=len).map(|i| f64::from(i) * 0.73).collect();
+            let serial = par_map(&items, &ExecOptions::SERIAL, f);
             for threads in [2, 3, 8] {
-                let opts = ExecOptions::with_threads(threads).with_grain(grain);
-                let parallel = par_map(&items, &opts, f);
+                let grain = resolved_grain(items.len(), threads);
+                unit |= grain == 1;
+                uneven |= grain > 1 && !items.len().is_multiple_of(grain);
+                let parallel = par_map(&items, &ExecOptions::with_threads(threads), f);
                 let same = serial
                     .iter()
                     .zip(&parallel)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "grain {grain}, {threads} threads diverged");
+                assert!(same, "{len} items, grain {grain}, {threads} threads diverged");
             }
         }
+        assert!(unit && uneven, "grain 1 covered: {unit}, uneven grain covered: {uneven}");
     }
 
     #[test]
     fn auto_grain_heuristic() {
-        let opts = ExecOptions::with_threads(4);
-        assert_eq!(opts.resolved_grain(1000, 4), 62); // 1000 / 16
-        assert_eq!(opts.resolved_grain(9, 4), 1); // floors at 1
-        assert_eq!(opts.resolved_grain(0, 4), 1);
-        assert_eq!(ExecOptions::with_threads(4).with_grain(17).resolved_grain(1000, 4), 17);
+        assert_eq!(resolved_grain(1000, 4), 62); // 1000 / 16
+        assert_eq!(resolved_grain(9, 4), 1); // floors at 1
+        assert_eq!(resolved_grain(0, 4), 1);
     }
 
     #[test]
@@ -457,9 +438,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunked boom")]
     fn panic_inside_a_chunk_propagates() {
+        // 100 items on 4 threads resolve to chunks of 6.
         let items: Vec<usize> = (0..100).collect();
-        let opts = ExecOptions::with_threads(4).with_grain(8);
-        par_map(&items, &opts, |&x| {
+        assert_eq!(resolved_grain(items.len(), 4), 6);
+        par_map(&items, &ExecOptions::with_threads(4), |&x| {
             assert!(x != 57, "chunked boom");
             x
         });

@@ -28,7 +28,6 @@
 //!
 //! The failure carries the trailing residual trajectory and the last finite
 //! iterate so callers can retry with damping from where the run left off.
-//! A wall-clock [`Options::deadline`] bounds the run in real time.
 //!
 //! # Safeguarded Newton steps
 //!
@@ -46,7 +45,6 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use crate::NumericError;
 
@@ -91,11 +89,6 @@ pub struct Options {
     /// moves that point less than the current iterate. Costs up to `n + 2`
     /// map calls per iteration for an `n`-component map.
     pub newton: bool,
-    /// Wall-clock deadline for the whole run. When set, the iteration is
-    /// abandoned with [`DivergenceReason::DeadlineExceeded`] once the
-    /// elapsed time exceeds this duration. `None` (the default) means the
-    /// run is bounded only by [`Options::max_iterations`].
-    pub deadline: Option<Duration>,
 }
 
 impl Default for Options {
@@ -106,7 +99,6 @@ impl Default for Options {
             damping: 1.0,
             record_history: false,
             newton: false,
-            deadline: None,
         }
     }
 }
@@ -137,8 +129,6 @@ pub enum DivergenceReason {
         /// Cycle length (2 or 3).
         period: usize,
     },
-    /// The wall-clock [`Options::deadline`] elapsed.
-    DeadlineExceeded,
 }
 
 impl fmt::Display for DivergenceReason {
@@ -154,7 +144,6 @@ impl fmt::Display for DivergenceReason {
             DivergenceReason::LimitCycle { period } => {
                 write!(f, "period-{period} limit cycle")
             }
-            DivergenceReason::DeadlineExceeded => write!(f, "wall-clock deadline exceeded"),
         }
     }
 }
@@ -246,8 +235,8 @@ impl FixedPoint {
     /// Returns [`NumericError::NoConvergence`] if the tolerance is not met
     /// within the iteration budget, [`NumericError::Diverged`] when the run
     /// is abandoned early because it is detectably hopeless (non-finite or
-    /// overflowing iterates, growing residuals, a period-2/3 limit cycle,
-    /// or an elapsed [`Options::deadline`]), and
+    /// overflowing iterates, growing residuals or a period-2/3 limit
+    /// cycle), and
     /// [`NumericError::InvalidArgument`] if `initial` is empty or the
     /// damping factor is outside `(0, 1]`.
     pub fn solve<F>(&self, initial: Vec<f64>, mut f: F) -> Result<Solution, NumericError>
@@ -289,7 +278,6 @@ impl FixedPoint {
 
         // Every buffer the loop touches is allocated here, so an iteration
         // performs no heap allocation (history recording aside).
-        let start = self.options.deadline.map(|_| Instant::now());
         let mut trajectory: VecDeque<f64> = VecDeque::with_capacity(TRAJECTORY_CAP);
         // Per-iteration max-abs step norms, trailing 2·GROWTH_WINDOW.
         let mut step_norms: VecDeque<f64> = VecDeque::with_capacity(2 * GROWTH_WINDOW);
@@ -319,12 +307,6 @@ impl FixedPoint {
                     last_finite,
                 }))
             };
-
-            if let (Some(start), Some(deadline)) = (start, self.options.deadline) {
-                if start.elapsed() > deadline {
-                    return fail(DivergenceReason::DeadlineExceeded, residual, trajectory, current);
-                }
-            }
 
             f(&current, &mut next);
             // `current` is still the last fully-finite iterate here: the
@@ -750,40 +732,20 @@ mod tests {
     }
 
     #[test]
-    fn deadline_abandons_long_runs() {
-        use std::time::Duration;
-        // x <- x + 1 drifts forever with constant steps: no cycle, no step
-        // growth, residual 1/x never reaches the tolerance — only the
-        // deadline can end the run.
-        let err = FixedPoint::new(Options {
-            max_iterations: usize::MAX,
-            tolerance: 0.0,
-            deadline: Some(Duration::from_millis(5)),
-            ..Options::default()
-        })
-        .solve(vec![0.0], |x, out| out[0] = x[0] + 1.0)
-        .unwrap_err();
-        match err {
-            NumericError::Diverged(failure) => {
-                assert_eq!(failure.reason, DivergenceReason::DeadlineExceeded);
-                assert!(failure.last_finite[0].is_finite());
-            }
-            other => panic!("expected deadline divergence, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn residual_trajectory_is_capped() {
-        let err = FixedPoint::new(Options {
-            max_iterations: usize::MAX,
-            tolerance: 0.0,
-            deadline: Some(std::time::Duration::from_millis(20)),
-            ..Options::default()
-        })
-        .solve(vec![0.0], |x, out| out[0] = x[0] + 1.0)
-        .unwrap_err();
+        // x <- x + 1 drifts with constant steps (no cycle, no step growth)
+        // for 1000 iterations, then turns non-finite: the failure keeps
+        // only the trailing 512 residuals.
+        let options = Options { max_iterations: 2000, tolerance: 0.0, ..Options::default() };
+        let err = FixedPoint::new(options)
+            .solve(vec![0.0], |x, out| {
+                out[0] = if x[0] < 1000.0 { x[0] + 1.0 } else { f64::NAN };
+            })
+            .unwrap_err();
         if let NumericError::Diverged(failure) = err {
-            assert!(failure.residual_trajectory.len() <= 512);
+            assert!(matches!(failure.reason, DivergenceReason::NonFinite { component: 0 }));
+            assert_eq!(failure.iterations, 1001);
+            assert_eq!(failure.residual_trajectory.len(), 512);
         } else {
             panic!("expected divergence");
         }
@@ -950,21 +912,6 @@ mod tests {
                 }
                 other => panic!("{name}: expected divergence, got {other:?}"),
             }
-        }
-
-        let err = FixedPoint::new(Options {
-            max_iterations: usize::MAX,
-            tolerance: 0.0,
-            deadline: Some(std::time::Duration::from_millis(5)),
-            ..newton()
-        })
-        .solve(vec![0.0], |x, out| out[0] = x[0] + 1.0)
-        .unwrap_err();
-        match err {
-            NumericError::Diverged(failure) => {
-                assert_eq!(failure.reason, DivergenceReason::DeadlineExceeded);
-            }
-            other => panic!("deadline: expected divergence, got {other:?}"),
         }
     }
 

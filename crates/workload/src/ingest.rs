@@ -502,6 +502,8 @@ struct Cursor {
     /// Records owned by other processors between two of this cursor's
     /// (label sharding: `processors - 1`; assignment cursors own all).
     stride: u64,
+    /// Records before this cursor's first (label sharding: its processor).
+    phase: u64,
     /// Records still to pass over before the next one this cursor owns.
     skip: u64,
 }
@@ -514,7 +516,7 @@ impl Cursor {
         phase: u64,
     ) -> Result<Self, IngestError> {
         let lines = Lines::open(path)?;
-        Ok(Cursor { path: path.to_path_buf(), lines, format, stride, skip: phase })
+        Ok(Cursor { path: path.to_path_buf(), lines, format, stride, phase, skip: phase })
     }
 
     /// An I/O failure on line `line_no` during replay.
@@ -751,6 +753,25 @@ impl FileTrace {
     pub fn replay_error(&self) -> Option<&IngestError> {
         self.replay_error.as_ref()
     }
+
+    /// Restarts replay from the first record of every processor stream,
+    /// keeping the prescan's counts and sharing classification, so a
+    /// second pass over the same trace skips the prescan. Clears any
+    /// replay error.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::Io`] when a trace file can no longer be opened.
+    pub fn rewind(&mut self) -> Result<(), IngestError> {
+        self.cursors = self
+            .cursors
+            .iter()
+            .map(|c| Cursor::open(&c.path, c.format, c.stride, c.phase))
+            .collect::<Result<_, _>>()?;
+        self.delivered.fill(0);
+        self.replay_error = None;
+        Ok(())
+    }
 }
 
 impl TraceSource for FileTrace {
@@ -924,6 +945,34 @@ mod tests {
         }
         assert_eq!(t.record_counts(), &[3, 2, 2]);
         assert!(t.replay_error().is_none());
+    }
+
+    #[test]
+    fn a_rewound_trace_replays_the_same_records_as_a_fresh_open() {
+        let p0 = temp_file("rw_p0.trace", "0 0x100\n2 12\n1 0x400\n0 0x800\n");
+        let p1 = temp_file("rw_p1.trace", "0 0x400\n1 0x800\n");
+        let label =
+            temp_file("rw.trace", "# h\nl 0x1000\ns 0x2000\n\nl 0x3000\nw 0x2000\nl 0x1000\n");
+        let labelled = IngestOptions { processors: 2, ..IngestOptions::default() };
+        let cases = [
+            (vec![p0, p1], TraceFormat::Assignment, IngestOptions::default()),
+            (vec![label], TraceFormat::Label, labelled),
+        ];
+        for (paths, format, options) in cases {
+            let replay = |t: &mut FileTrace| -> Vec<Vec<TraceRecord>> {
+                (0..t.processors()).map(|p| drain(t, p)).collect()
+            };
+            let fresh = replay(&mut FileTrace::open(&paths, format, options).unwrap());
+            let mut t = FileTrace::open(&paths, format, options).unwrap();
+            // Rewind after a partial pass and after a full one.
+            t.next_for(0).unwrap();
+            t.rewind().unwrap();
+            assert_eq!(t.remaining_hint(0), Some(t.record_counts()[0]));
+            assert_eq!(replay(&mut t), fresh, "{format}");
+            t.rewind().unwrap();
+            assert_eq!(replay(&mut t), fresh, "{format}");
+            assert!(t.replay_error().is_none());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! explicit thread counts below make the contract hold regardless of the
 //! environment.
 
-use snoop::engine::{Engine, Evaluation, Evaluator, MvaBackend, ResilientMvaBackend, Scenario};
+use snoop::engine::{BackendId, Engine, Evaluation, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
 use snoop::mva::paper::TABLE_N;
@@ -23,11 +23,6 @@ use snoop::workload::timing::TimingModel;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The warm-chained resilient backend the CLI's `sweep` command runs.
-fn warm_resilient() -> ResilientMvaBackend {
-    ResilientMvaBackend { warm_start_chains: true, ..ResilientMvaBackend::default() }
-}
-
 /// Every Figure 4.1 grid cell at every size in `sizes`, in grid order.
 fn figure_scenarios(sizes: &[usize]) -> Vec<Scenario> {
     figure_4_1_grid()
@@ -38,14 +33,11 @@ fn figure_scenarios(sizes: &[usize]) -> Vec<Scenario> {
         .collect()
 }
 
-/// Evaluates `scenarios` on a fresh engine holding only `backend`.
-fn evaluate(
-    backend: impl Evaluator + 'static,
-    exec: ExecOptions,
-    scenarios: &[Scenario],
-) -> Vec<Evaluation> {
+/// Evaluates `scenarios` on a fresh engine holding only the `backend`
+/// registry evaluator.
+fn evaluate(backend: BackendId, exec: ExecOptions, scenarios: &[Scenario]) -> Vec<Evaluation> {
     let evaluations =
-        Engine::new().with_backend(backend).with_exec(exec).evaluate_batch_ok(scenarios);
+        Engine::new().with_exec(exec).with_backends(&[backend]).evaluate_batch_ok(scenarios);
     assert_eq!(evaluations.len(), scenarios.len(), "a grid point failed");
     evaluations
 }
@@ -53,9 +45,9 @@ fn evaluate(
 #[test]
 fn figure_4_1_grid_identical_across_thread_counts() {
     let scenarios = figure_scenarios(&[1, 4, 10, 20]);
-    let serial = evaluate(MvaBackend, ExecOptions::SERIAL, &scenarios);
+    let serial = evaluate(BackendId::Mva, ExecOptions::SERIAL, &scenarios);
     for threads in THREAD_COUNTS {
-        let parallel = evaluate(MvaBackend, ExecOptions::with_threads(threads), &scenarios);
+        let parallel = evaluate(BackendId::Mva, ExecOptions::with_threads(threads), &scenarios);
         for ((s, a), b) in scenarios.iter().zip(&serial).zip(&parallel) {
             assert_eq!(
                 a.speedup.to_bits(),
@@ -71,19 +63,19 @@ fn figure_4_1_grid_identical_across_thread_counts() {
 
 #[test]
 fn resilient_sweeps_identical_on_all_table_4_1_configs() {
-    // Each cell's warm chain, evaluated alone and serially, must be
+    // Each cell's sweep, evaluated alone and serially, must be
     // reproduced cell for cell — iteration counts and winning strategy
     // included — when the whole grid runs as one batch on any number of
     // threads.
     let family = figure_scenarios(&TABLE_N);
     let batches: Vec<Vec<Evaluation>> = THREAD_COUNTS
         .iter()
-        .map(|&threads| evaluate(warm_resilient(), ExecOptions::with_threads(threads), &family))
+        .map(|&threads| evaluate(BackendId::ResilientMva, ExecOptions::with_threads(threads), &family))
         .collect();
     for (cell, (mods, sharing)) in figure_4_1_grid().into_iter().enumerate() {
         let cell_scenarios: Vec<Scenario> =
             TABLE_N.iter().map(|&n| Scenario::appendix_a(mods, sharing, n)).collect();
-        let serial = evaluate(warm_resilient(), ExecOptions::SERIAL, &cell_scenarios);
+        let serial = evaluate(BackendId::ResilientMva, ExecOptions::SERIAL, &cell_scenarios);
         let range = cell * TABLE_N.len()..(cell + 1) * TABLE_N.len();
         for (threads, batch) in THREAD_COUNTS.iter().zip(&batches) {
             assert_eq!(
@@ -157,8 +149,8 @@ fn metrics_collection_does_not_change_any_output_bit() {
     // count: all outputs must stay bit-identical, because the probe layer
     // is strictly observational.
     let scenarios = figure_scenarios(&[1, 4, 10]);
-    let figure_ref = evaluate(MvaBackend, ExecOptions::SERIAL, &scenarios);
-    let resilient_ref = evaluate(warm_resilient(), ExecOptions::SERIAL, &scenarios);
+    let figure_ref = evaluate(BackendId::Mva, ExecOptions::SERIAL, &scenarios);
+    let resilient_ref = evaluate(BackendId::ResilientMva, ExecOptions::SERIAL, &scenarios);
 
     let inputs = ModelInputs::derive_adjusted(
         &WorkloadParams::appendix_a(SharingLevel::Five),
@@ -183,7 +175,7 @@ fn metrics_collection_does_not_change_any_output_bit() {
     let _session = snoop::numeric::probe::session();
     for threads in THREAD_COUNTS {
         let exec = ExecOptions::with_threads(threads);
-        let figure = evaluate(MvaBackend, exec, &scenarios);
+        let figure = evaluate(BackendId::Mva, exec, &scenarios);
         for (a, b) in figure_ref.iter().zip(&figure) {
             assert_eq!(
                 a.speedup.to_bits(),
@@ -191,7 +183,7 @@ fn metrics_collection_does_not_change_any_output_bit() {
                 "{threads} threads with metrics: figure diverged"
             );
         }
-        let resilient = evaluate(warm_resilient(), exec, &scenarios);
+        let resilient = evaluate(BackendId::ResilientMva, exec, &scenarios);
         assert_eq!(resilient_ref, resilient, "{threads} threads with metrics: resilient diverged");
         let gtpn = net
             .solve(&ReachabilityOptions { threads, ..ReachabilityOptions::default() })
@@ -228,7 +220,7 @@ fn tracing_does_not_change_any_engine_output_bit() {
     // trace session active, the engine must produce bit-identical
     // evaluations at every thread count — on a fresh cache each time, so
     // every backend genuinely re-solves under the recorder.
-    use snoop::engine::{GtpnBackend, SimBackend};
+    use snoop::engine::{GtpnBackend, MvaBackend, SimBackend};
     use snoop::numeric::probe::trace;
 
     let quick = |protocol: &str, sharing: SharingLevel, n: usize| {
@@ -247,7 +239,7 @@ fn tracing_does_not_change_any_engine_output_bit() {
     let fresh_engine = |threads: usize| {
         Engine::new()
             .with_backend(MvaBackend)
-            .with_backend(ResilientMvaBackend::default())
+            .with_backends(&[BackendId::ResilientMva])
             .with_backend(SimBackend::default())
             .with_backend(GtpnBackend::default())
             .with_exec(ExecOptions::with_threads(threads))

@@ -2,9 +2,7 @@
 //! `snoop` facade: content-hash stability, cache accounting, mixed-backend
 //! batches, and the batched-vs-one-at-a-time determinism guarantee.
 
-use snoop::engine::{
-    Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario, SimBackend, SCHEMA,
-};
+use snoop::engine::{BackendId, Engine, GtpnBackend, MvaBackend, Scenario, SimBackend, SCHEMA};
 use snoop::numeric::exec::ExecOptions;
 use snoop::protocol::ModSet;
 use snoop::workload::params::SharingLevel;
@@ -99,7 +97,7 @@ fn cache_accounting_distinguishes_hits_misses_and_entries() {
 fn mixed_backend_batch_yields_one_result_per_scenario_backend_pair() {
     let engine = Engine::new()
         .with_backend(MvaBackend)
-        .with_backend(ResilientMvaBackend::default())
+        .with_backends(&[BackendId::ResilientMva])
         .with_backend(SimBackend::default())
         .with_backend(GtpnBackend::default());
     let scenarios = [quick_sim("WO", 2), quick_sim("WO+1", 2)];

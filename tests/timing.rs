@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use snoop::engine::{Engine, ResilientMvaBackend, Scenario};
+use snoop::engine::{BackendId, Engine, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
 use snoop::mva::sweep::figure_4_1_grid;
@@ -71,8 +71,8 @@ fn four_threads_at_least_double_sweep_and_gtpn_throughput() {
         return;
     }
 
-    // The Figure 4.1 grid through the warm-chained resilient backend, on
-    // a fresh engine each run so nothing is served from the cache.
+    // The Figure 4.1 grid through the resilient MVA backend, on a fresh
+    // engine each run so nothing is served from the cache.
     let sizes: Vec<usize> = (1..=20).chain([30, 50, 100]).collect();
     let scenarios: Vec<Scenario> = figure_4_1_grid()
         .into_iter()
@@ -80,11 +80,11 @@ fn four_threads_at_least_double_sweep_and_gtpn_throughput() {
             sizes.iter().map(move |&n| Scenario::appendix_a(mods, sharing, n))
         })
         .collect();
-    let backend = ResilientMvaBackend { warm_start_chains: true, ..Default::default() };
     let sweep = |threads: usize| {
         best_of_three(|| {
-            let engine =
-                Engine::new().with_backend(backend).with_exec(ExecOptions::with_threads(threads));
+            let engine = Engine::new()
+                .with_exec(ExecOptions::with_threads(threads))
+                .with_backends(&[BackendId::ResilientMva]);
             assert_eq!(engine.evaluate_batch_ok(&scenarios).len(), scenarios.len());
         })
     };
