@@ -57,9 +57,9 @@ rwb, synapse, write-through.  sharing: 1 | 5 | 20 (percent).
 workload overrides: --params-file FILE (name = value lines, paper names).
 sweep takes --keep-going (report unsolvable points as
 FAILED rows instead of aborting the sweep).
-parallelism: --threads K on figure, validate, gtpn and sensitivity
-(0 = auto: SNOOP_THREADS or available cores; results are identical for
-every thread count).
+parallelism: --threads K on figure, eval, validate, gtpn, sensitivity
+and calibrate --trace (0 = auto: SNOOP_THREADS or available cores;
+results are identical for every thread count).
 observability: --metrics-out FILE on figure, validate, gtpn, eval and
 sensitivity writes solver metrics JSON (span timers, counters,
 latency histograms with p50/p90/p99/p999, convergence summaries; schema

@@ -6,7 +6,7 @@
 //! values". Sensitivities tell the measurement effort where to go: a
 //! parameter with elasticity near zero does not need a precise estimate.
 //!
-//! [`sensitivities`] computes, by central finite differences, the
+//! [`sensitivities_exec`] computes, by central finite differences, the
 //! *elasticity* of speedup with respect to each basic workload parameter:
 //! `(∂S/S) / (∂θ/θ)` — the percent change in speedup per percent change in
 //! the parameter.
@@ -56,31 +56,17 @@ fn speedup(params: &WorkloadParams, mods: ModSet, n: usize) -> Result<f64, MvaEr
 }
 
 /// Computes speedup elasticities for every basic parameter at the given
-/// operating point, using a relative step of `step` (e.g. `0.01` = ±1%).
+/// operating point, using a relative step of `step` (e.g. `0.01` = ±1%),
+/// with the per-parameter perturbations evaluated on `exec`. Each
+/// parameter's ± pair of solves is one independent work item, so the
+/// result — including row order after the magnitude sort, which is
+/// stable — is bit-identical to the serial path for any thread count.
 ///
 /// # Errors
 ///
 /// Propagates model errors at the base point; individual perturbations
 /// that leave the valid domain yield `elasticity: None` instead of
 /// failing the whole analysis.
-pub fn sensitivities(
-    base: &WorkloadParams,
-    mods: ModSet,
-    n: usize,
-    step: f64,
-) -> Result<Vec<Sensitivity>, MvaError> {
-    sensitivities_exec(base, mods, n, step, &ExecOptions::SERIAL)
-}
-
-/// [`sensitivities`] with the per-parameter perturbations evaluated in
-/// parallel. Each parameter's ± pair of solves is one independent work
-/// item, so the result — including row order after the magnitude sort,
-/// which is stable — is bit-identical to the serial path for any thread
-/// count.
-///
-/// # Errors
-///
-/// See [`sensitivities`].
 pub fn sensitivities_exec(
     base: &WorkloadParams,
     mods: ModSet,
@@ -138,11 +124,12 @@ mod tests {
     use snoop_workload::params::SharingLevel;
 
     fn run(n: usize) -> Vec<Sensitivity> {
-        sensitivities(
+        sensitivities_exec(
             &WorkloadParams::appendix_a(SharingLevel::Five),
             ModSet::new(),
             n,
             0.01,
+            &ExecOptions::SERIAL,
         )
         .unwrap()
     }
@@ -181,11 +168,12 @@ mod tests {
     fn tau_elasticity_small_at_single_processor() {
         // At N = 1 speedup = (τ+1)/R with R ≈ τ + overheads: raising τ
         // *helps* the ratio slightly (overhead amortized).
-        let rows = sensitivities(
+        let rows = sensitivities_exec(
             &WorkloadParams::appendix_a(SharingLevel::Five),
             ModSet::new(),
             1,
             0.01,
+            &ExecOptions::SERIAL,
         )
         .unwrap();
         let tau = rows.iter().find(|r| r.parameter == "tau").unwrap();
@@ -196,7 +184,7 @@ mod tests {
     fn boundary_parameters_yield_none_or_value() {
         // h_private at 1.0: +1% perturbation is invalid, elasticity None.
         let params = WorkloadParams::builder().h_private(1.0).build().unwrap();
-        let rows = sensitivities(&params, ModSet::new(), 4, 0.01).unwrap();
+        let rows = sensitivities_exec(&params, ModSet::new(), 4, 0.01, &ExecOptions::SERIAL).unwrap();
         let h = rows.iter().find(|r| r.parameter == "h_private").unwrap();
         assert!(h.elasticity.is_none());
     }

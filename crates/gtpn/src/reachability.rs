@@ -218,9 +218,9 @@ type SettleItem = (Vec<u32>, Vec<ActiveFiring>, f64, usize);
 
 /// Per-thread scratch for [`Explorer::step`]: the classification lists
 /// and the geometric-branch partitions are reused across every state a
-/// worker steps (pool threads are persistent, so these warm up once per
-/// process), replacing the per-successor `Vec` clones the recursion used
-/// to make.
+/// thread steps (the caller's across the whole exploration, a helper's
+/// across its share of one wave), replacing the per-successor `Vec`
+/// clones the recursion used to make.
 #[derive(Default)]
 struct StepScratch {
     advanced: Vec<ActiveFiring>,

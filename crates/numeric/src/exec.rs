@@ -14,19 +14,15 @@
 //!    each result is written to the slot of its input index and `f` itself
 //!    must be a pure function of its item. Thread count and chunking
 //!    change wall-clock time, never results.
-//! 2. **No new crates** — the repo is offline-first, so the executor is
-//!    built on a [persistent worker pool](pool) of std threads instead of
-//!    rayon. Lifetime erasure inside the pool lets `f` borrow the caller's
-//!    state without `'static` gymnastics, and the completion protocol
-//!    guarantees no worker touches that state after `par_map` returns.
-//! 3. **Amortized dispatch** — workers are spawned once per process
-//!    (lazily) and parked between calls, so a `par_map` call costs a queue
-//!    push plus condvar wakeups, not a `thread::scope` spawn/join cycle.
-//!    Work is claimed in *chunks* from a shared atomic cursor
-//!    (self-balancing: a thread that draws slow items simply claims fewer
-//!    chunks), four chunks per worker (`max(1, items / (threads * 4))`) so
-//!    micro-item callers (sensitivity rows, small GTPN waves) amortize
-//!    cursor traffic and per-item dispatch overhead automatically.
+//! 2. **No new crates, no `unsafe`** — the repo is offline-first, so the
+//!    executor runs on [`std::thread::scope`] instead of rayon: `f` borrows
+//!    the caller's state, and every helper thread is joined before
+//!    `par_map` returns.
+//! 3. **Chunked claiming** — work is claimed in *chunks* from a shared
+//!    atomic cursor (self-balancing: a thread that draws slow items simply
+//!    claims fewer chunks), four chunks per participant
+//!    (`max(1, items / (threads * 4))`) so micro-item callers (sensitivity
+//!    rows, small GTPN waves) amortize cursor traffic automatically.
 //!
 //! # Thread-count resolution
 //!
@@ -38,13 +34,15 @@
 //! to pin the whole suite to 1 or 4 threads without plumbing a flag through
 //! every binary.
 //!
-//! # Nesting
+//! # Nesting and the helper ceiling
 //!
 //! `par_map` may be called from inside a `par_map` closure (the engine
-//! batch layer does this when a backend parallelizes internally). Nested
-//! calls are deadlock-free by construction: the submitting thread is
-//! always a full participant in its own job, so a job completes even when
-//! every pool worker is busy.
+//! batch layer does this when a backend parallelizes internally). Each
+//! call spawns its own helpers and the caller always runs the claim loop
+//! itself, so nested calls cannot deadlock. Helpers are counted
+//! process-wide and at most 256 are live at once: a call that finds no
+//! headroom does its work on the calling thread alone, so deep nesting or
+//! many concurrent callers cannot start threads without bound.
 //!
 //! # Example
 //!
@@ -55,20 +53,18 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-mod pool;
-
 use std::any::Any;
-use std::mem::MaybeUninit;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Configuration for the parallel executor. The default is the auto
 /// thread count (see [module docs](self) for the resolution rules).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
-    /// Worker-thread count. `0` means auto: `SNOOP_THREADS` when set,
-    /// otherwise the machine's available parallelism. `1` runs inline on
-    /// the calling thread (no pool dispatch at all).
+    /// Participant count (the caller plus helper threads). `0` means
+    /// auto: `SNOOP_THREADS` when set, otherwise the machine's available
+    /// parallelism. `1` runs inline on the calling thread (no helpers).
     pub threads: usize,
 }
 
@@ -99,22 +95,11 @@ fn resolved_grain(items: usize, threads: usize) -> usize {
     (items / (threads.max(1) * 4)).max(1)
 }
 
-/// Test-only override for [`default_threads`]; `0` means "no override".
-static DEFAULT_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Cached once-per-process resolution of the auto thread count.
-static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
-
 /// Resolves the *auto* thread count: `SNOOP_THREADS` if it parses to a
 /// positive integer, else [`std::thread::available_parallelism`], else 1.
-///
-/// The environment and the OS are consulted **once per process**; later
-/// calls return the cached value. (Tests that need a different value in
-/// the same process use [`set_default_threads_override`].)
-pub fn default_threads() -> usize {
-    let forced = DEFAULT_THREADS_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
+/// The environment and the OS are consulted once per process.
+fn default_threads() -> usize {
+    static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
     *DEFAULT_THREADS.get_or_init(|| {
         if let Ok(value) = std::env::var("SNOOP_THREADS") {
             if let Ok(n) = value.trim().parse::<usize>() {
@@ -123,17 +108,8 @@ pub fn default_threads() -> usize {
                 }
             }
         }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        hardware_parallelism()
     })
-}
-
-/// Forces [`default_threads`] to return `n` (`0` clears the override and
-/// restores the cached per-process resolution). Test-only hook: the cache
-/// makes the environment read once-per-process, so tests exercising the
-/// resolution rule need a way to vary it after the first call.
-#[doc(hidden)]
-pub fn set_default_threads_override(n: usize) {
-    DEFAULT_THREADS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// The machine's available parallelism, ignoring `SNOOP_THREADS`. Bench
@@ -141,6 +117,79 @@ pub fn set_default_threads_override(n: usize) {
 /// apart from "this host cannot run 4 threads at once".
 pub fn hardware_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Process-wide ceiling on live helper threads, summed over every
+/// concurrent and nested `par_map` call.
+const MAX_HELPERS: usize = 256;
+
+/// Helper threads currently reserved by running `par_map` calls.
+static LIVE_HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// A reservation of helper threads against [`MAX_HELPERS`], released on
+/// drop.
+struct Helpers(usize);
+
+impl Helpers {
+    /// Reserves up to `wanted` helpers: fewer, possibly none, when the
+    /// ceiling is near.
+    fn reserve(wanted: usize) -> Helpers {
+        let grant = |live: usize| wanted.min(MAX_HELPERS.saturating_sub(live));
+        let previous = LIVE_HELPERS
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| Some(live + grant(live)))
+            .unwrap_or_else(|live| live);
+        Helpers(grant(previous))
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        LIVE_HELPERS.fetch_sub(self.0, Ordering::AcqRel);
+    }
+}
+
+/// The state every participant of one `par_map` call shares.
+struct Job<'a, T, F> {
+    items: &'a [T],
+    f: &'a F,
+    chunk: usize,
+    cursor: AtomicUsize,
+    poisoned: AtomicBool,
+    /// The first panic payload raised by `f`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<T, F> Job<'_, T, F> {
+    /// The claim loop every participant (caller and helpers) runs: grab
+    /// `chunk` indices from the cursor and map them. Returns the mapped
+    /// chunks as `(first index, results)`. Never unwinds — a panic in `f`
+    /// is recorded and poisons the cursor so peers stop claiming.
+    fn claim<U>(&self) -> Vec<(usize, Vec<U>)>
+    where
+        F: Fn(&T) -> U,
+    {
+        let mut done = Vec::new();
+        let len = self.items.len();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            while !self.poisoned.load(Ordering::Relaxed) {
+                let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+                if start >= len {
+                    break;
+                }
+                let end = (start + self.chunk).min(len);
+                done.push((start, self.items[start..end].iter().map(self.f).collect()));
+            }
+        }));
+        if let Err(payload) = outcome {
+            self.record_panic(payload);
+        }
+        done
+    }
+
+    fn record_panic(&self, payload: Box<dyn Any + Send>) {
+        self.poisoned.store(true, Ordering::Relaxed);
+        self.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+    }
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -151,139 +200,76 @@ pub fn hardware_parallelism() -> usize {
 ///
 /// # Panics
 ///
-/// Re-raises a panic from `f` on the calling thread. Results already
-/// produced by other workers when the panic struck are leaked, not
-/// dropped (their slots are indistinguishable from uninitialized ones).
+/// Re-raises the first panic from `f` on the calling thread, after every
+/// helper has stopped.
 pub fn par_map<T, U, F>(items: &[T], options: &ExecOptions, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(items, options, |item, _| f(item))
-}
-
-/// The caller-stack payload a pool job points at. Workers restore the
-/// type parameters through the monomorphized [`run_claim_loop`] shim.
-struct JobData<'a, T, U, F> {
-    items: &'a [T],
-    f: &'a F,
-    /// Preallocated output region; slot `i` is written by whichever
-    /// worker claims index `i` (exactly one does).
-    out: *mut MaybeUninit<U>,
-    cursor: &'a AtomicUsize,
-    chunk: usize,
-    poisoned: &'a AtomicBool,
-    panic: &'a Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-/// The claim loop every participant (submitter and attached workers)
-/// runs: grab `chunk` indices from the cursor, map them, write results
-/// straight into the output slots. Never unwinds — a panic in `f` is
-/// captured into the job's panic slot and poisons the cursor so peers
-/// stop claiming.
-unsafe fn run_claim_loop<T, U, F>(data: *const ())
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, usize) -> U + Sync,
-{
-    let job = unsafe { &*(data as *const JobData<'_, T, U, F>) };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let len = job.items.len();
-        loop {
-            if job.poisoned.load(Ordering::Relaxed) {
-                break;
-            }
-            let start = job.cursor.fetch_add(job.chunk, Ordering::Relaxed);
-            if start >= len {
-                break;
-            }
-            let end = (start + job.chunk).min(len);
-            for i in start..end {
-                let value = (job.f)(&job.items[i], i);
-                // SAFETY: index `i` is claimed by exactly one participant,
-                // and `out` has `len` slots.
-                unsafe { (*job.out.add(i)).write(value) };
-            }
-        }
-    }));
-    if let Err(payload) = outcome {
-        job.poisoned.store(true, Ordering::Relaxed);
-        let mut slot = job.panic.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-}
-
-/// Like [`par_map`], but `f` also receives the item's index.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn par_map_indexed<T, U, F>(items: &[T], options: &ExecOptions, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, usize) -> U + Sync,
-{
     let len = items.len();
     let threads = options.resolved_threads().min(len);
     if threads <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(item, i)).collect();
+        return items.iter().map(f).collect();
     }
     let chunk = resolved_grain(len, threads);
-    // One participant per chunk at most; the submitter takes one share.
-    let attachers = threads.min(len.div_ceil(chunk)).saturating_sub(1);
-    if attachers == 0 {
-        return items.iter().enumerate().map(|(i, item)| f(item, i)).collect();
+    // One participant per chunk at most; the caller is always one of them.
+    let helpers = Helpers::reserve(threads.min(len.div_ceil(chunk)) - 1);
+    if helpers.0 == 0 {
+        return items.iter().map(f).collect();
     }
 
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(len);
-    // SAFETY: `MaybeUninit` slots require no initialization.
-    unsafe { out.set_len(len) };
-
-    let cursor = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let job_data = JobData {
+    let job = Job {
         items,
         f: &f,
-        out: out.as_mut_ptr(),
-        cursor: &cursor,
         chunk,
-        poisoned: &poisoned,
-        panic: &panic_slot,
+        cursor: AtomicUsize::new(0),
+        poisoned: AtomicBool::new(false),
+        panic: Mutex::new(None),
     };
+    let mut chunks = std::thread::scope(|scope| {
+        // A failed spawn is absorbed: the participants that did start
+        // claim its share.
+        let spawned: Vec<_> = (0..helpers.0)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("snoop-exec".into())
+                    .spawn_scoped(scope, || job.claim())
+                    .ok()
+            })
+            .collect();
+        let mut chunks = job.claim();
+        // Explicit joins wait until each helper has exited, thread-local
+        // destructors included, so a helper is gone before its
+        // reservation is released.
+        for handle in spawned {
+            match handle.join() {
+                Ok(theirs) => chunks.extend(theirs),
+                Err(payload) => job.record_panic(payload),
+            }
+        }
+        chunks
+    });
+    drop(helpers);
 
-    let job = Arc::new(pool::JobCore::new(
-        (&raw const job_data).cast::<()>(),
-        run_claim_loop::<T, U, F>,
-    ));
-    pool::global().submit(Arc::clone(&job), attachers);
-    // The submitter is a full participant — it runs the same claim loop,
-    // which is what makes nested calls deadlock-free.
-    // SAFETY: `job_data` outlives this call; `detach` below is the
-    // borrow-safety boundary for the pool workers.
-    unsafe { run_claim_loop::<T, U, F>((&raw const job_data).cast::<()>()) };
-    pool::global().detach(&job);
-
-    if let Some(payload) = panic_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        // Which slots were initialized is unknowable after a poisoned
-        // run; leak them rather than risk dropping uninitialized memory.
-        std::mem::forget(out);
-        std::panic::resume_unwind(payload);
+    if let Some(payload) = job.panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
     }
-
-    // SAFETY: every index in 0..len was claimed exactly once and written
-    // (no panic occurred), so all slots are initialized.
-    unsafe {
-        let ptr = out.as_mut_ptr().cast::<U>();
-        let cap = out.capacity();
-        std::mem::forget(out);
-        Vec::from_raw_parts(ptr, len, cap)
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(len);
+    for (_, results) in chunks {
+        out.extend(results);
     }
+    out
+}
+
+/// Serializes the unit tests in this crate that start helper threads,
+/// so the tests that read [`LIVE_HELPERS`] see only their own helpers.
+#[cfg(test)]
+pub(crate) fn helper_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -292,20 +278,12 @@ mod tests {
 
     #[test]
     fn preserves_order() {
+        let _lock = helper_test_lock();
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 8] {
             let out = par_map(&items, &ExecOptions::with_threads(threads), |&x| x * 2);
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>(), "{threads}");
         }
-    }
-
-    #[test]
-    fn indexed_variant_sees_input_indices() {
-        let items = ["a", "b", "c"];
-        let out = par_map_indexed(&items, &ExecOptions::with_threads(3), |s, i| {
-            format!("{i}:{s}")
-        });
-        assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
     }
 
     #[test]
@@ -316,6 +294,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_items_is_fine() {
+        let _lock = helper_test_lock();
         let out = par_map(&[1, 2], &ExecOptions::with_threads(64), |&x: &i32| x + 1);
         assert_eq!(out, vec![2, 3]);
     }
@@ -330,6 +309,7 @@ mod tests {
 
     #[test]
     fn serial_option_matches_parallel_bitwise() {
+        let _lock = helper_test_lock();
         // Floating-point results must be bit-identical across thread
         // counts: each slot runs the same operations on the same item.
         let items: Vec<f64> = (1..50).map(|i| f64::from(i) * 0.37).collect();
@@ -347,6 +327,7 @@ mod tests {
 
     #[test]
     fn explicit_grain_matches_serial_bitwise() {
+        let _lock = helper_test_lock();
         // Item counts × thread counts that resolve to grain 1 and to
         // grains above 1 that divide the input unevenly.
         let f = |x: &f64| (x.cos() + x.ln()).tan();
@@ -378,6 +359,7 @@ mod tests {
 
     #[test]
     fn borrows_caller_state() {
+        let _lock = helper_test_lock();
         let offset = 10;
         let out = par_map(&[1, 2, 3], &ExecOptions::with_threads(2), |&x: &i32| x + offset);
         assert_eq!(out, vec![11, 12, 13]);
@@ -390,20 +372,17 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_is_cached_and_overridable() {
+    fn default_threads_is_cached() {
         let baseline = default_threads();
         assert!(baseline >= 1);
         // Same process, same answer: the resolution is cached.
         assert_eq!(default_threads(), baseline);
-        set_default_threads_override(13);
-        assert_eq!(default_threads(), 13);
-        assert_eq!(ExecOptions::default().resolved_threads(), 13);
-        set_default_threads_override(0);
-        assert_eq!(default_threads(), baseline);
+        assert_eq!(ExecOptions::default().resolved_threads(), baseline);
     }
 
     #[test]
     fn nested_par_map_completes() {
+        let _lock = helper_test_lock();
         let outer: Vec<usize> = (0..8).collect();
         let expected: Vec<usize> = outer.iter().map(|&x| x * 10 + 45).collect();
         let opts = ExecOptions::with_threads(4);
@@ -417,6 +396,7 @@ mod tests {
 
     #[test]
     fn non_copy_results_are_moved_intact() {
+        let _lock = helper_test_lock();
         let items: Vec<usize> = (0..64).collect();
         let out = par_map(&items, &ExecOptions::with_threads(4), |&x| vec![x; x % 5]);
         for (i, v) in out.iter().enumerate() {
@@ -428,6 +408,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
+        let _lock = helper_test_lock();
         let items: Vec<usize> = (0..16).collect();
         par_map(&items, &ExecOptions::with_threads(4), |&x| {
             assert!(x != 7, "boom");
@@ -438,6 +419,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunked boom")]
     fn panic_inside_a_chunk_propagates() {
+        let _lock = helper_test_lock();
         // 100 items on 4 threads resolve to chunks of 6.
         let items: Vec<usize> = (0..100).collect();
         assert_eq!(resolved_grain(items.len(), 4), 6);
@@ -448,7 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_a_panicked_job() {
+    fn executor_serves_calls_after_a_panicked_call() {
+        let _lock = helper_test_lock();
         let items: Vec<usize> = (0..32).collect();
         let opts = ExecOptions::with_threads(4);
         let boom = std::panic::catch_unwind(|| {
@@ -458,8 +441,78 @@ mod tests {
             })
         });
         assert!(boom.is_err());
-        // The pool must keep serving jobs after a poisoned one.
+        // A poisoned call leaves nothing behind that breaks the next one.
         let out = par_map(&items, &opts, |&x| x + 1);
         assert_eq!(out, (1..=32).collect::<Vec<_>>());
+    }
+
+    /// Runs an outer 4-thread `par_map` over 8 items whose closure runs an
+    /// inner 4-thread `par_map` over 8 items, calling `observe` from every
+    /// inner item.
+    fn nested_4x4(observe: &(dyn Fn() + Sync)) -> Vec<usize> {
+        let opts = ExecOptions::with_threads(4);
+        let items: Vec<usize> = (0..8).collect();
+        par_map(&items, &opts, |&x| {
+            let inner = par_map(&items, &opts, |&y| {
+                observe();
+                y
+            });
+            x * 100 + inner.iter().sum::<usize>()
+        })
+    }
+
+    #[test]
+    fn live_helper_count_returns_to_zero() {
+        let _lock = helper_test_lock();
+        let live = || LIVE_HELPERS.load(Ordering::SeqCst);
+        assert_eq!(live(), 0);
+
+        let items: Vec<usize> = (0..64).collect();
+        let opts = ExecOptions::with_threads(4);
+        assert_eq!(par_map(&items, &opts, |&x| x + 1), (1..=64).collect::<Vec<_>>());
+        assert_eq!(live(), 0, "after a normal call");
+
+        let boom = catch_unwind(|| {
+            par_map(&items, &opts, |&x| {
+                assert!(x != 40, "transient");
+                x
+            })
+        });
+        assert!(boom.is_err());
+        assert_eq!(live(), 0, "after a panicking call");
+
+        let peak = AtomicUsize::new(0);
+        let out = nested_4x4(&|| {
+            peak.fetch_max(live(), Ordering::SeqCst);
+        });
+        assert_eq!(out, (0..8).map(|x| x * 100 + 28).collect::<Vec<_>>());
+        assert!(peak.load(Ordering::SeqCst) <= 3 + 4 * 3, "4x4 nesting reserves at most 15");
+        assert_eq!(live(), 0, "after a nested call");
+    }
+
+    #[test]
+    fn nested_calls_stay_under_the_helper_ceiling() {
+        let _lock = helper_test_lock();
+        // Take all but two helpers of the ceiling without starting any
+        // thread, so the nested call meets the ceiling at small counts.
+        let held = Helpers::reserve(MAX_HELPERS - 2);
+        assert_eq!(held.0, MAX_HELPERS - 2);
+        assert_eq!(Helpers::reserve(MAX_HELPERS).0, 2, "only the remainder is granted");
+
+        let running = AtomicUsize::new(0);
+        let (peak_running, peak_live) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let out = nested_4x4(&|| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak_running.fetch_max(now, Ordering::SeqCst);
+            peak_live.fetch_max(LIVE_HELPERS.load(Ordering::SeqCst), Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            running.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(out, (0..8).map(|x| x * 100 + 28).collect::<Vec<_>>());
+        // The caller plus the two helpers left under the ceiling.
+        assert!(peak_running.load(Ordering::SeqCst) <= 3, "{peak_running:?}");
+        assert!(peak_live.load(Ordering::SeqCst) <= MAX_HELPERS, "{peak_live:?}");
+        drop(held);
+        assert_eq!(LIVE_HELPERS.load(Ordering::SeqCst), 0);
     }
 }

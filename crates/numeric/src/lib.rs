@@ -11,9 +11,9 @@
 //!   for proving that solvers built on [`fixed_point`] fail cleanly under
 //!   NaN, spike and stall corruption.
 //! * [`exec`] — a dependency-free chunked parallel executor on scoped
-//!   threads ([`exec::par_map`]), with deterministic result ordering, used
-//!   by the sweep, sensitivity, simulation-replication and GTPN
-//!   reachability layers.
+//!   threads ([`exec::par_map`]), with deterministic result ordering and a
+//!   process-wide ceiling on helper threads, used by the engine batch,
+//!   sensitivity, simulation-replication and GTPN reachability layers.
 //! * [`matrix`] / [`lu`] — dense matrices and LU decomposition with partial
 //!   pivoting: the dense reference that tests check the sparse
 //!   steady-state solver against.
@@ -41,19 +41,12 @@
 //! assert!((solution.values[0] - 0.739_085).abs() < 1e-5);
 //! ```
 
-// `deny`, not `forbid`: the one audited exception is `exec` (see below).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The dense/sparse kernels use index-based loops on purpose: they mirror
 // the textbook formulations and keep row/column roles explicit.
 #![allow(clippy::needless_range_loop)]
 
-// The executor's persistent worker pool erases closure lifetimes so
-// borrowed `par_map` jobs can run on long-lived threads (the same trick
-// rayon uses); the safety protocol is documented in `exec::pool`. Every
-// other module in this crate — and every other crate in the workspace —
-// remains `unsafe`-free.
-#[allow(unsafe_code)]
 pub mod exec;
 pub mod fault;
 pub mod fixed_point;

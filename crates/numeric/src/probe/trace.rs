@@ -23,8 +23,7 @@
 //!
 //! Every thread's buffer is registered in a global registry the moment
 //! the thread first records, so [`drain`] collects from *all* threads —
-//! including persistent [`crate::exec`] pool workers that park between
-//! jobs and never exit, and threads whose TLS destructors have not run
+//! live ones, exited ones, and threads whose TLS destructors have not run
 //! yet. Drain only after parallel work has joined; a thread still
 //! *inside* a span at drain time would contribute an unmatched begin.
 //!
@@ -92,7 +91,7 @@ struct LocalBuf {
     /// This thread's events. Shared with [`REGISTRY`] so [`drain`] can
     /// collect without waiting for TLS destructors: `thread::scope` can
     /// return (and a drain run) before a finished thread's TLS has been
-    /// torn down, and persistent pool workers never exit at all.
+    /// torn down, unless the thread was joined explicitly.
     events: Arc<Mutex<Vec<RawEvent>>>,
     /// Spans currently open on this thread (each has a pending `E`).
     open: usize,
@@ -285,10 +284,9 @@ pub struct Trace {
     pub dropped: u64,
 }
 
-/// Collects every thread's buffered events — live threads (including
-/// parked pool workers) and exited ones alike — and returns the merged,
-/// time-sorted timeline. Call after parallel work has joined; all
-/// buffers are left empty.
+/// Collects every thread's buffered events — live threads and exited
+/// ones alike — and returns the merged, time-sorted timeline. Call after
+/// parallel work has joined; all buffers are left empty.
 #[must_use]
 pub fn drain() -> Trace {
     LOCAL.with(|l| l.borrow_mut().open = 0);
@@ -463,6 +461,39 @@ mod tests {
                 .collect(),
             dropped: 0,
         });
+    }
+
+    #[test]
+    fn exec_helpers_leave_matched_spans_and_no_buffers() {
+        let _helpers = crate::exec::helper_test_lock();
+        let _session = session();
+        let caller = LOCAL.with(|l| l.borrow().tid);
+        let items: Vec<usize> = (0..64).collect();
+        let recorders = crate::exec::par_map(
+            &items,
+            &crate::exec::ExecOptions::with_threads(4),
+            |_| {
+                let _s = span("trace_test_exec");
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                LOCAL.with(|l| {
+                    let local = l.borrow();
+                    (local.tid, Arc::downgrade(&local.events))
+                })
+            },
+        );
+        let trace = drain();
+        let ours = Trace {
+            events: trace.events.iter().filter(|e| e.name == "trace_test_exec").cloned().collect(),
+            dropped: 0,
+        };
+        assert_eq!(ours.events.len(), 2 * items.len(), "one B/E pair per item");
+        check_invariants(&ours);
+        assert!(recorders.iter().any(|(tid, _)| *tid != caller), "no helper recorded");
+        // `par_map` joins its helpers, so each has exited and its buffer
+        // is unreachable once the drain has pruned the registry.
+        for (tid, buffer) in recorders.iter().filter(|(tid, _)| *tid != caller) {
+            assert!(buffer.upgrade().is_none(), "registry kept the buffer of exited tid {tid}");
+        }
     }
 
     #[test]

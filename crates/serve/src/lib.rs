@@ -57,8 +57,7 @@ pub mod metrics;
 pub mod server;
 // Installing a SIGTERM/SIGINT handler requires one `signal(2)` FFI call;
 // the handler body is a single atomic store (async-signal-safe). This is
-// the workspace's second documented unsafe island, after
-// `snoop-numeric::exec`.
+// the workspace's only unsafe code outside tests.
 #[allow(unsafe_code)]
 mod signal;
 

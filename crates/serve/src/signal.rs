@@ -8,8 +8,8 @@
 //! comes from the libc `std` already links; no new dependency). The
 //! handler body is a single relaxed atomic store — async-signal-safe by
 //! construction: no allocation, no locks, no formatting. Nothing else
-//! in this crate is `unsafe`; `lib.rs` scopes the allow to this module
-//! the same way `snoop-numeric` scopes its executor island.
+//! in this crate is `unsafe`, and `lib.rs` scopes the allow to this
+//! module.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

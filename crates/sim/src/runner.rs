@@ -30,21 +30,7 @@ impl ReplicatedMeasures {
 
 /// Runs `replications` independent simulations (seeds derived from the
 /// base configuration's seed) and aggregates them with Student-t intervals
-/// at the given confidence level.
-///
-/// # Errors
-///
-/// Propagates simulation errors; requires at least two replications and
-/// a confidence level inside `(0, 1)` for the intervals.
-pub fn replicate(
-    config: &SimConfig,
-    replications: usize,
-    level: f64,
-) -> Result<ReplicatedMeasures, SimError> {
-    replicate_exec(config, replications, level, &ExecOptions::SERIAL)
-}
-
-/// [`replicate`] with the independent replications run in parallel.
+/// at the given confidence level, running the replications on `exec`.
 ///
 /// Each replication's seed is derived from the root seed and its index, so
 /// a replication computes the same sample path no matter which worker runs
@@ -53,7 +39,8 @@ pub fn replicate(
 ///
 /// # Errors
 ///
-/// See [`replicate`].
+/// Propagates simulation errors; requires at least two replications and
+/// a confidence level inside `(0, 1)` for the intervals.
 pub fn replicate_exec(
     config: &SimConfig,
     replications: usize,
@@ -159,7 +146,7 @@ mod tests {
 
     #[test]
     fn replications_produce_tight_interval() {
-        let r = replicate(&quick_config(4), 5, 0.95).unwrap();
+        let r = replicate_exec(&quick_config(4), 5, 0.95, &ExecOptions::SERIAL).unwrap();
         assert_eq!(r.replications.len(), 5);
         // Speedup around the MVA's 3.12 with a small relative half-width.
         assert!(r.speedup.contains(r.mean_speedup()));
@@ -173,23 +160,23 @@ mod tests {
 
     #[test]
     fn needs_two_replications() {
-        assert!(replicate(&quick_config(2), 1, 0.95).is_err());
+        assert!(replicate_exec(&quick_config(2), 1, 0.95, &ExecOptions::SERIAL).is_err());
     }
 
     #[test]
     fn invalid_level_is_an_error_not_a_panic() {
         // This used to reach the `.expect("... valid level")` inside the
         // aggregation step and abort the process.
-        let err = replicate(&quick_config(2), 4, 1.5).unwrap_err();
+        let err = replicate_exec(&quick_config(2), 4, 1.5, &ExecOptions::SERIAL).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-        let err = replicate(&quick_config(2), 4, 0.0).unwrap_err();
+        let err = replicate_exec(&quick_config(2), 4, 0.0, &ExecOptions::SERIAL).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 
     #[test]
     fn batch_means_brackets_the_replicated_estimate() {
         let config = quick_config(4);
-        let replicated = replicate(&config, 4, 0.95).unwrap();
+        let replicated = replicate_exec(&config, 4, 0.95, &ExecOptions::SERIAL).unwrap();
         let bm = batch_means_speedup(&config, 5, 0.95).unwrap();
         // The two estimators target the same quantity.
         assert!(
@@ -228,7 +215,7 @@ mod tests {
 
     #[test]
     fn replications_use_distinct_seeds() {
-        let r = replicate(&quick_config(2), 3, 0.95).unwrap();
+        let r = replicate_exec(&quick_config(2), 3, 0.95, &ExecOptions::SERIAL).unwrap();
         let speedups: Vec<f64> = r.replications.iter().map(|m| m.speedup).collect();
         assert!(speedups.windows(2).any(|w| w[0] != w[1]), "{speedups:?}");
     }

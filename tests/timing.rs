@@ -35,8 +35,8 @@ fn best_of_three(mut f: impl FnMut()) -> f64 {
 #[test]
 #[ignore = "timing; run with --ignored"]
 fn exec_dispatch_costs_under_20_us_per_job() {
-    // Trivial jobs, so the measured cost is scheduling (chunk claiming,
-    // wakeup, result scatter), not work. Host-independent: even a 1-core
+    // Trivial jobs, so the measured cost is scheduling (helper spawn and
+    // join, chunk claiming, result gathering), not work. Host-independent: even a 1-core
     // machine must schedule a trivial job in well under 20 µs.
     let items: Vec<u64> = (0..4096).collect();
     let repetitions = 400;
@@ -49,7 +49,7 @@ fn exec_dispatch_costs_under_20_us_per_job() {
             checksum ^= mapped.iter().fold(0u64, |a, &b| a.wrapping_add(b));
         }
     };
-    // Warm-up: the first parallel call spawns the pool's workers.
+    // Warm-up: fault in the code paths and the allocator before timing.
     run(&exec);
     let serial = best_of_three(|| run(&ExecOptions::SERIAL));
     let parallel = best_of_three(|| run(&exec));
