@@ -75,8 +75,8 @@ evaluation engine; --backends is a comma list of mva, mva-resilient,
 sim, gtpn (a repeated run with the same --store DIR computes nothing).
 durable store: eval --store DIR keeps every computed result in a
 crash-safe sharded on-disk store (write-temp-then-rename, per-entry
-checksums, corrupt entries quarantined and recomputed, advisory claims
-so concurrent workers divide a sweep). A killed sweep rerun with
+checksums, corrupt entries quarantined and recomputed, concurrent
+runs may share one store). A killed sweep rerun with
 --resume executes only the scenarios not yet in the store (and prints
 the resume plan); --store-verify scans every entry before the run;
 --store-max-entries K evicts the oldest entries beyond K.
@@ -609,7 +609,7 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
     // batch is already on disk (the engine then computes only the rest).
     let store_flags = store_flags(args)?;
     if let Some((dir, max_entries)) = &store_flags {
-        let config = StoreConfig { max_entries: *max_entries, ..StoreConfig::default() };
+        let config = StoreConfig { max_entries: *max_entries };
         let store = Arc::new(DiskStore::open_config(dir, config).map_err(|e| e.to_string())?);
         if args.switch("store-verify")? {
             let report = store.recover();

@@ -17,10 +17,9 @@ use snoop_sim::runner::replicate_exec;
 
 use super::evaluation::{BackendId, EvalError, Evaluation, Provenance};
 use super::scenario::Scenario;
-use crate::solver::MvaModel;
 
 /// Opens the standard per-solve timeline span: named after the backend,
-/// tagged with the scenario's content hash, family hash and system size.
+/// tagged with the scenario's content hash and system size.
 fn solve_trace(backend: BackendId, scenario: &Scenario) -> trace::TraceSpan {
     let name = match backend {
         BackendId::Mva => "solve.mva",
@@ -31,7 +30,6 @@ fn solve_trace(backend: BackendId, scenario: &Scenario) -> trace::TraceSpan {
     trace::span_with(name, || {
         vec![
             ("scenario", format!("{:016x}", scenario.content_hash())),
-            ("family", format!("{:016x}", scenario.family_hash())),
             ("backend", backend.to_string()),
             ("n", scenario.n.to_string()),
         ]
@@ -56,26 +54,10 @@ pub trait Evaluator: Send + Sync {
     /// [`EvalError::Unsupported`] when the backend declines the scenario,
     /// [`EvalError::Failed`] when the underlying solver fails.
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError>;
-
-    /// Scenarios with equal keys may be evaluated together by
-    /// [`Evaluator::evaluate_group`] (e.g. one model build shared across
-    /// a sweep over `N`). `None` (the default) means "no grouping".
-    fn group_key(&self, _scenario: &Scenario) -> Option<u64> {
-        None
-    }
-
-    /// Evaluates a group of scenarios that share a
-    /// [`Evaluator::group_key`], returning one result per scenario in
-    /// order. The default simply maps [`Evaluator::evaluate`]; overrides
-    /// must stay result-identical to that (shared work is allowed, shared
-    /// *state that changes answers* is not).
-    fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        scenarios.iter().map(|s| self.evaluate(s)).collect()
-    }
 }
 
 /// The paper's customized MVA fixed point, solved through the escalation
-/// ladder ([`MvaModel::solve_resilient`]) with the scenario's
+/// ladder ([`crate::solver::MvaModel::solve_resilient`]) with the scenario's
 /// [`crate::SolverOptions`].
 ///
 /// Provenance reports the iterations summed over every ladder attempt,
@@ -92,14 +74,6 @@ impl Evaluator for MvaBackend {
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
         Mva(BackendId::Mva).evaluate(scenario)
     }
-
-    fn group_key(&self, scenario: &Scenario) -> Option<u64> {
-        Mva(BackendId::Mva).group_key(scenario)
-    }
-
-    fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        Mva(BackendId::Mva).evaluate_group(scenarios)
-    }
 }
 
 /// The one MVA evaluator behind both registry ids: `mva` ([`MvaBackend`])
@@ -107,12 +81,20 @@ impl Evaluator for MvaBackend {
 #[derive(Debug, Clone, Copy)]
 struct Mva(BackendId);
 
-impl Mva {
-    /// Solves one system size on an already-built `model`.
-    fn solve(&self, model: &MvaModel, scenario: &Scenario) -> Result<Evaluation, EvalError> {
+impl Evaluator for Mva {
+    fn id(&self) -> BackendId {
+        self.0
+    }
+
+    fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
         let started = Instant::now();
+        let _span = snoop_numeric::probe::span(match self.0 {
+            BackendId::ResilientMva => "engine.mva_resilient",
+            _ => "engine.mva",
+        });
         let _trace = solve_trace(self.0, scenario);
-        let resilient = model
+        let resilient = scenario
+            .to_mva_model()?
             .solve_resilient(scenario.n, &scenario.solver_options())
             .map_err(|e| EvalError::Failed { backend: self.0, reason: e.to_string() })?;
         let (s, diagnostics) = (&resilient.solution, &resilient.diagnostics);
@@ -139,37 +121,6 @@ impl Mva {
                 ..Provenance::new(0, 0, 0)
             },
         })
-    }
-}
-
-impl Evaluator for Mva {
-    fn id(&self) -> BackendId {
-        self.0
-    }
-
-    fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
-        let _span = snoop_numeric::probe::span(match self.0 {
-            BackendId::ResilientMva => "engine.mva_resilient",
-            _ => "engine.mva",
-        });
-        self.solve(&scenario.to_mva_model()?, scenario)
-    }
-
-    fn group_key(&self, scenario: &Scenario) -> Option<u64> {
-        // Scenarios differing only in N share one model build.
-        Some(scenario.family_hash())
-    }
-
-    fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        let Some(first) = scenarios.first() else {
-            return Vec::new();
-        };
-        // One model build for the whole family; the solve is pure, so each
-        // result is bit-identical to a standalone `evaluate`.
-        match first.to_mva_model() {
-            Ok(model) => scenarios.iter().map(|s| self.solve(&model, s)).collect(),
-            Err(e) => scenarios.iter().map(|_| Err(e.clone())).collect(),
-        }
     }
 }
 
@@ -316,17 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn mva_group_is_identical_to_one_at_a_time() {
-        let scenarios = [scenario(4), scenario(8), scenario(16)];
-        let refs: Vec<&Scenario> = scenarios.iter().collect();
-        let grouped = MvaBackend.evaluate_group(&refs);
-        for (scenario, grouped) in scenarios.iter().zip(&grouped) {
-            let single = MvaBackend.evaluate(scenario).unwrap();
-            assert_eq!(grouped.as_ref().unwrap(), &single);
-        }
-    }
-
-    #[test]
     fn resilient_backend_reports_strategy_and_iterations() {
         let eval = Mva(BackendId::ResilientMva).evaluate(&scenario(10)).unwrap();
         assert_eq!(eval.backend, BackendId::ResilientMva);
@@ -341,7 +281,7 @@ mod tests {
     #[test]
     fn failed_points_degrade_gracefully() {
         // An unreachable tolerance defeats every strategy at every size:
-        // the group must still return one (failed) result per size rather
+        // the batch must still return one (failed) result per size rather
         // than aborting, and each failure must carry a reason.
         let engine = super::super::Engine::new().with_backends(&[BackendId::ResilientMva]);
         let scenarios: Vec<Scenario> = [1, 2, 4]

@@ -1,25 +1,24 @@
 //! The [`Engine`]: batches scenarios over backends, dedups against the
-//! content-addressed cache, groups sweep-adjacent work and fans the rest
-//! through the deterministic parallel executor.
+//! content-addressed cache and fans the rest through the deterministic
+//! parallel executor, one job per task.
 //!
-//! A batch run proceeds in four phases:
+//! A batch run proceeds in three phases:
 //!
 //! 1. **enumerate** — every (scenario, backend) pair becomes a job with a
 //!    content key ([`CacheKey`]: backend id plus scenario hash);
 //! 2. **dedup** — each job is looked up in the [`ResultCache`] (every
-//!    lookup counts toward hit/miss stats); only the first job per unique
-//!    missing key is computed;
-//! 3. **group** — missing work is grouped by the backend's
-//!    [`Evaluator::group_key`] and ordered by system size, so an MVA
-//!    family shares one model build;
-//! 4. **execute** — groups run through [`snoop_numeric::exec::par_map`];
-//!    within a group, members run sequentially in size order. Results are
-//!    scattered back to all duplicate jobs and returned in input order.
+//!    lookup counts toward hit/miss stats) and then the durable store;
+//!    only the first job per unique missing key is computed;
+//! 3. **execute** — each unique miss is one [`snoop_numeric::exec::par_map`]
+//!    item: it runs [`Evaluator::evaluate`] and publishes its result to
+//!    the cache and the store inside its own task. Results are scattered
+//!    back to all duplicate jobs and returned in input order.
 //!
 //! Because `par_map` preserves ordering and every backend is
 //! deterministic, a batched run is result-identical to evaluating each
 //! job one at a time — at 1, 2 or 8 threads.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,16 +44,6 @@ pub struct EngineResult {
     pub key: CacheKey,
     /// The evaluation, or why it could not be produced.
     pub result: Result<Evaluation, EvalError>,
-}
-
-/// One unit of work for the executor: a run of same-group jobs on one
-/// backend, in evaluation order.
-#[derive(Debug)]
-struct WorkItem {
-    backend: usize,
-    /// `(job index of the first-seen job with this key, scenario index)`
-    /// per member, already in evaluation (size) order.
-    members: Vec<(usize, usize)>,
 }
 
 /// One batch's own cache and store traffic. Concurrent batches share the
@@ -122,7 +111,7 @@ pub struct Engine {
     cache: ResultCache,
     /// Optional second cache tier: the durable on-disk store. Misses in
     /// the in-memory cache read through to it; computed results write
-    /// through as each group completes, so a killed sweep keeps them.
+    /// through as each job completes, so a killed sweep keeps them.
     store: Option<Arc<DiskStore>>,
     exec: ExecOptions,
 }
@@ -184,12 +173,11 @@ impl Engine {
     }
 
     /// Attaches a durable store as a second cache tier. In-memory misses
-    /// read through to it; each computed group writes through as soon as
+    /// read through to it; each computed job writes through as soon as
     /// it completes, so a killed sweep keeps everything finished so far.
-    /// Several engine processes may share one store: each takes advisory
-    /// claims on the groups it computes, and groups claimed by a live
-    /// peer are deferred — served from the store if the peer published
-    /// them in time, recomputed locally otherwise (never waited on).
+    /// Several engine processes may share one store: entries publish by
+    /// atomic rename and every backend is deterministic, so concurrent
+    /// writers can only duplicate work, never tear or change an entry.
     pub fn with_store(mut self, store: Arc<DiskStore>) -> Self {
         self.store = Some(store);
         self
@@ -245,17 +233,16 @@ impl Engine {
         // Phase 2: consult the cache; keep the first job per missing key.
         // Every job gets a timeline span tagged with its identity and
         // cache outcome (the compute time of misses shows up later under
-        // the `engine.group` / backend spans).
+        // the backend spans).
         let mut outcomes: Vec<Option<Result<Evaluation, EvalError>>> = Vec::new();
         let mut first_seen: HashMap<CacheKey, usize> = HashMap::new();
-        for (ji, (si, bi, key)) in jobs.iter().enumerate() {
-            let scenario = &scenarios[*si];
+        let mut missing: Vec<usize> = Vec::new();
+        for (ji, (si, _, key)) in jobs.iter().enumerate() {
             let mut job_trace = trace::span_with("engine.job", || {
                 vec![
-                    ("scenario", format!("{:016x}", scenario.content_hash())),
-                    ("family", format!("{:016x}", scenario.family_hash())),
-                    ("backend", self.backends[*bi].id().to_string()),
-                    ("n", scenario.n.to_string()),
+                    ("scenario", format!("{:016x}", key.hash)),
+                    ("backend", key.backend.to_string()),
+                    ("n", scenarios[*si].n.to_string()),
                 ]
             });
             // The consult is timed only while collection is on, so the
@@ -283,7 +270,10 @@ impl Engine {
                     }
                     None => {
                         job_trace.arg("cache", "miss".to_string());
-                        first_seen.entry(*key).or_insert(ji);
+                        if let Entry::Vacant(slot) = first_seen.entry(*key) {
+                            slot.insert(ji);
+                            missing.push(ji);
+                        }
                         outcomes.push(None);
                         None
                     }
@@ -298,142 +288,44 @@ impl Engine {
         }
         snoop_numeric::probe::counter_add("engine.jobs", jobs.len() as u64);
 
-        // Phase 3: group the unique missing jobs per backend.
-        let mut items: Vec<WorkItem> = Vec::new();
-        let mut group_index: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut missing: Vec<usize> = first_seen.values().copied().collect();
-        missing.sort_unstable(); // deterministic first-seen order
-        for ji in missing {
-            let (si, bi, _) = jobs[ji];
-            match self.backends[bi].group_key(&scenarios[si]) {
-                Some(g) => {
-                    let slot = *group_index.entry((bi, g)).or_insert_with(|| {
-                        items.push(WorkItem { backend: bi, members: Vec::new() });
-                        items.len() - 1
-                    });
-                    items[slot].members.push((ji, si));
-                }
-                None => items.push(WorkItem { backend: bi, members: vec![(ji, si)] }),
-            }
-        }
-        // Order group members by system size; ties keep first-seen order.
-        for item in &mut items {
-            item.members.sort_by_key(|&(ji, si)| (scenarios[si].n, ji));
-        }
-
-        // When a store is shared, take an advisory claim per work item
-        // (token: the first member's job key — unique per item and
-        // identical across processes running the same batch). Items a
-        // live peer already claimed are deferred, not duplicated.
-        let (run_now, deferred, claims) = match &self.store {
-            Some(store) => {
-                let mut now = Vec::new();
-                let mut later = Vec::new();
-                let mut claims = Vec::new();
-                for item in items {
-                    match store.try_claim(&jobs[item.members[0].0].2.to_string()) {
-                        Some(claim) => {
-                            claims.push(claim);
-                            now.push(item);
-                        }
-                        None => later.push(item),
-                    }
-                }
-                (now, later, claims)
-            }
-            None => (items, Vec::new(), Vec::new()),
-        };
-
-        // Phase 4: execute. One work item is one executor task; members
-        // run sequentially inside it. Persistence happens *inside* the
-        // task, per group, so a process killed mid-batch keeps every
-        // group completed before the kill (the durability boundary the
-        // --resume mode builds on).
-        let mut executed_members = 0u64;
-        let execute = |item: &WorkItem| {
-            let members: Vec<&Scenario> =
-                item.members.iter().map(|&(_, si)| &scenarios[si]).collect();
-            let _trace = trace::span_with("engine.group", || {
-                vec![
-                    ("backend", self.backends[item.backend].id().to_string()),
-                    ("members", members.len().to_string()),
-                    ("family", format!("{:016x}", members[0].family_hash())),
-                ]
-            });
-            let results = self.backends[item.backend].evaluate_group(&members);
-            if snoop_numeric::probe::enabled() {
-                // Per-backend wall-time distribution. The registry's
-                // histogram merge is order-independent, so concurrent
-                // executor tasks still snapshot bit-identically.
-                let series = format!("engine.job_ms.{}", self.backends[item.backend].id());
-                for eval in results.iter().flatten() {
+        // Phase 3: execute. One unique miss is one executor task, and it
+        // persists its own result, so a process killed mid-batch keeps
+        // every job completed before the kill (the durability boundary
+        // the --resume mode builds on).
+        let execute = |&ji: &usize| {
+            let (si, bi, key) = jobs[ji];
+            let result = self.backends[bi].evaluate(&scenarios[si]);
+            if let Ok(eval) = &result {
+                if snoop_numeric::probe::enabled() {
+                    // Per-backend wall-time distribution. The registry's
+                    // histogram merge is order-independent, so concurrent
+                    // executor tasks still snapshot bit-identically.
+                    let series = format!("engine.job_ms.{}", key.backend);
                     snoop_numeric::probe::hist_record(&series, eval.provenance.wall_ms);
                 }
-            }
-            for (&(ji, _), result) in item.members.iter().zip(&results) {
-                if let Ok(eval) = result {
-                    let key = jobs[ji].2;
-                    let evicted = self.cache.insert(key, eval.clone());
-                    Tally::add(&tally.cache_evictions, evicted);
-                    if let Some(store) = &self.store {
-                        // Publish failures (ENOSPC, torn write) are
-                        // absorbed: the result still returns in-memory,
-                        // it just won't survive this process.
-                        if store.put(&key.to_string(), eval.to_json().as_bytes()).is_ok() {
-                            Tally::add(&tally.store_writes, 1);
-                        }
+                Tally::add(&tally.cache_evictions, self.cache.insert(key, eval.clone()));
+                if let Some(store) = &self.store {
+                    // Publish failures (ENOSPC, torn write) are absorbed:
+                    // the result still returns in-memory, it just won't
+                    // survive this process.
+                    if store.put(&key.to_string(), eval.to_json().as_bytes()).is_ok() {
+                        Tally::add(&tally.store_writes, 1);
                     }
                 }
             }
-            results
+            result
         };
-        let computed: Vec<Vec<Result<Evaluation, EvalError>>> =
-            par_map(&run_now, &self.exec, execute);
-        drop(claims);
-
-        // Scatter the computed groups back to their first-seen jobs.
-        let mut scatter = |items: &[WorkItem],
-                           computed: Vec<Vec<Result<Evaluation, EvalError>>>,
-                           outcomes: &mut Vec<Option<Result<Evaluation, EvalError>>>| {
-            for (item, results) in items.iter().zip(computed) {
-                debug_assert_eq!(item.members.len(), results.len());
-                executed_members += item.members.len() as u64;
-                for (&(ji, _), result) in item.members.iter().zip(results) {
-                    outcomes[ji] = Some(result);
-                }
-            }
-        };
-        scatter(&run_now, computed, &mut outcomes);
-
-        // Deferred items: a peer claimed them, so first poll the store —
-        // anything the peer already published is served; anything still
-        // missing is computed here (claims are advisory, a dead peer
-        // must never stall the batch).
-        if !deferred.is_empty() {
-            let mut still_missing: Vec<WorkItem> = Vec::new();
-            for mut item in deferred {
-                item.members.retain(|&(ji, _)| match self.store_get(jobs[ji].2, &tally) {
-                    Some(eval) => {
-                        outcomes[ji] = Some(Ok(eval));
-                        false
-                    }
-                    None => true,
-                });
-                if !item.members.is_empty() {
-                    still_missing.push(item);
-                }
-            }
-            let recomputed = par_map(&still_missing, &self.exec, execute);
-            scatter(&still_missing, recomputed, &mut outcomes);
+        let computed = par_map(&missing, &self.exec, execute);
+        snoop_numeric::probe::counter_add("engine.computed", computed.len() as u64);
+        for (&ji, result) in missing.iter().zip(computed) {
+            outcomes[ji] = Some(result);
         }
-
         for ji in 0..jobs.len() {
             if outcomes[ji].is_none() {
                 let first = first_seen[&jobs[ji].2];
                 outcomes[ji] = outcomes[first].clone();
             }
         }
-        snoop_numeric::probe::counter_add("engine.computed", executed_members);
 
         // Fold this batch's own cache and store traffic into the metrics
         // snapshot (the store counts its quarantines itself).
@@ -510,6 +402,7 @@ impl Engine {
 mod tests {
     use super::super::backends::{GtpnBackend, MvaBackend, SimBackend};
     use super::*;
+    use snoop_store::RecoveryReport;
     use snoop_protocol::ModSet;
     use snoop_workload::params::SharingLevel;
 
@@ -773,19 +666,71 @@ mod tests {
     }
 
     #[test]
-    fn groups_claimed_by_a_dead_peer_are_still_computed() {
-        let dir = fresh_store_dir("claims");
+    fn store_with_a_leftover_claims_directory_serves_every_entry() {
+        // Stores written before claims were retired carry a `claims/`
+        // directory, possibly with a claim file a killed run left behind.
+        // Neither may stop a later engine from serving every entry.
+        let dir = fresh_store_dir("legacy-claims");
+        let scenarios = [scenario(2), scenario(4), scenario(8)];
+        let first = Engine::new()
+            .with_backend(MvaBackend)
+            .with_store(Arc::new(DiskStore::open(&dir).unwrap()));
+        let computed = first.evaluate_batch(&scenarios);
+        std::fs::create_dir_all(dir.join("claims")).unwrap();
+        let token = Engine::job_key(BackendId::Mva, &scenarios[0]).replace(':', "_");
+        std::fs::write(dir.join("claims").join(format!("{token}.claim")), b"pid 1\n").unwrap();
+
         let store = Arc::new(DiskStore::open(&dir).unwrap());
-        let s = scenario(4);
-        // A "peer" claims the group and never publishes (died mid-work,
-        // within the staleness window).
-        let _held = store.try_claim(&Engine::job_key(BackendId::Mva, &s)).unwrap();
         let engine = Engine::new().with_backend(MvaBackend).with_store(Arc::clone(&store));
-        let results = engine.evaluate_batch(&[s]);
-        let eval = results[0].result.as_ref().unwrap();
-        assert!(!eval.provenance.cached, "deferred group was computed locally");
-        assert_eq!(store.stats().claims_refused, 1);
-        assert_eq!(store.stats().writes, 1, "and persisted");
+        let served = engine.evaluate_batch(&scenarios);
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.writes), (3, 0, 0));
+        for (a, b) in computed.iter().zip(&served) {
+            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert!(b.provenance.cached);
+            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn concurrent_engines_on_one_store_agree_and_leave_it_intact() {
+        // Two engines with their own store handles (as two processes
+        // would have) run the same batch at once. They may both compute
+        // a job, but both publish the same bytes by atomic rename, so
+        // each returns the same results and every entry stays intact.
+        let dir = fresh_store_dir("concurrent-engines");
+        let mut scenarios = Vec::new();
+        for protocol in ["WO", "WO+1", "dragon", "illinois"] {
+            for sharing in [SharingLevel::Five, SharingLevel::Twenty] {
+                for n in 1..=25 {
+                    scenarios.push(Scenario::appendix_a(protocol.parse().unwrap(), sharing, n));
+                }
+            }
+        }
+        assert_eq!(scenarios.len(), 200);
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            [0, 1].map(|_| {
+                scope.spawn(|| {
+                    let store = Arc::new(DiskStore::open(&dir).unwrap());
+                    let engine = Engine::new().with_backend(MvaBackend).with_store(store);
+                    start.wait();
+                    engine.evaluate_batch(&scenarios)
+                })
+            })
+            .map(|worker| worker.join().unwrap())
+        });
+        assert_eq!(a.len(), 200);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.key, y.key);
+            let (x, y) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
+            assert_eq!(x.speedup.to_bits(), y.speedup.to_bits());
+            assert_eq!(x.r.to_bits(), y.r.to_bits());
+            assert_eq!(x, y);
+        }
+        let report = DiskStore::open(&dir).unwrap().recover();
+        assert_eq!(report, RecoveryReport { scanned: 200, intact: 200, quarantined: 0 });
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   the same MVA evaluator reporting under its own id);
 //! * [`Engine`] — a batch planner that dedups jobs against a bounded
 //!   content-addressed [`ResultCache`] (optionally backed by the durable
-//!   [`DiskStore`]), groups sweep-adjacent MVA work so a family shares
-//!   one model build, and fans residual work
+//!   [`DiskStore`]) and fans each remaining job, as its own task,
 //!   through the deterministic parallel executor — batched results are
 //!   bit-identical to one-at-a-time evaluation at any thread count.
 //!   [`Engine::with_backends`] registers backends by [`BackendId`]: the

@@ -204,16 +204,6 @@ impl Scenario {
         fnv1a(self.canonical_json().as_bytes())
     }
 
-    /// Like [`Scenario::content_hash`] with the system size masked out:
-    /// scenarios with equal family hashes describe the same model at
-    /// different `N`, so a batch planner can evaluate them as one
-    /// sweep-adjacent group (shared model construction).
-    pub fn family_hash(&self) -> u64 {
-        let mut family = *self;
-        family.n = 0;
-        family.content_hash()
-    }
-
     /// The [`SolverOptions`] equivalent of the carried solver settings.
     pub fn solver_options(&self) -> SolverOptions {
         SolverOptions {
@@ -585,14 +575,13 @@ mod tests {
         let tail = r#""h_private":0.95,"h_sro":0.95,"h_sw":0.5,"r_private":0.7,"r_sw":0.5,"amod_private":0.7,"amod_sw":0.3,"csupply_sro":0.95,"csupply_sw":0.5,"wb_csupply":0.3,"rep_p":0.2,"rep_sw":0.5},"solver":{"max_iterations":10000,"tolerance":"#;
         let sim = r#","damping":1.0},"sim":{"seed":1592642302,"warmup":2000,"measured":30000,"replications":"#;
         let gtpn = r#","confidence":0.95},"gtpn":{"max_states":200000}}"#;
-        for (scenario, json, content, family) in [
+        for (scenario, json, content) in [
             (
                 wo5(10),
                 format!(
                     r#"{{"schema":"snoop-scenario-v1","protocol":"WO","sharing":"5","n":10,"params":{{"tau":2.5,"p_private":0.95,"p_sro":0.03,"p_sw":0.02,{tail}1e-12{sim}3{gtpn}"#
                 ),
                 0x41bf_37e1_435e_9106,
-                0x72b3_ead3_ff58_177f,
             ),
             (
                 custom,
@@ -600,7 +589,6 @@ mod tests {
                     r#"{{"schema":"snoop-scenario-v1","protocol":"WO+1+2+3+4","sharing":"20","n":8,"params":{{"tau":0.30000000000000004,"p_private":0.8,"p_sro":0.15,"p_sw":0.05,{tail}1e-9{sim}5{gtpn}"#
                 ),
                 0xe210_f6fa_a6ee_c4d4,
-                0x55e1_7472_3ab4_b8cc,
             ),
             (
                 bespoke,
@@ -608,12 +596,10 @@ mod tests {
                     r#"{{"schema":"snoop-scenario-v1","protocol":"WO+2+3","sharing":null,"n":6,"params":{{"tau":2.5,"p_private":0.99,"p_sro":0.005,"p_sw":0.005,{tail}1e-12{sim}3{gtpn}"#
                 ),
                 0x6acf_6107_9e43_32ab,
-                0x70e3_edd8_e012_53c9,
             ),
         ] {
             assert_eq!(scenario.canonical_json(), json);
             assert_eq!(scenario.content_hash(), content, "{json}");
-            assert_eq!(scenario.family_hash(), family, "{json}");
         }
     }
 
@@ -624,13 +610,6 @@ mod tests {
         let text = r#"{"schema":"snoop-scenario-v1","comment":"sweep \ud83d\ude80","scenarios":[
             {"protocol":"WO","sharing":"5","n":4,"comment":"\ud83e\udd14 caf\u00e9"}]}"#;
         assert_eq!(Scenario::parse_batch(text).unwrap(), vec![wo5(4)]);
-    }
-
-    #[test]
-    fn family_hash_masks_system_size_only() {
-        assert_eq!(wo5(2).family_hash(), wo5(100).family_hash());
-        let other_sharing = Scenario::appendix_a(ModSet::new(), SharingLevel::Twenty, 2);
-        assert_ne!(wo5(2).family_hash(), other_sharing.family_hash());
     }
 
     #[test]

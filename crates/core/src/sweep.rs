@@ -2,9 +2,8 @@
 //! speedup series and one-parameter sensitivity sweeps.
 //!
 //! Fixed-input speedup curves (Figure 4.1, Table 4.1, `snoop sweep`) run
-//! through [`crate::engine`], which builds one model per family and
-//! solves each system size on it; what stays here are the sweeps whose
-//! inputs change from point to point.
+//! through [`crate::engine`], one job per system size; what stays here
+//! are the sweeps whose inputs change from point to point.
 
 use snoop_protocol::ModSet;
 use snoop_workload::params::{SharingLevel, WorkloadParams};

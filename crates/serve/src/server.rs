@@ -511,7 +511,7 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        // The store tier is write-through (every computed group is
+        // The store tier is write-through (every computed job is
         // already published), so "flush" is only accounting.
         let cache = self.engine.cache_stats();
         Ok(ServeSummary {
@@ -531,10 +531,7 @@ fn build_engine(config: &ServeConfig) -> Result<Engine, ServeError> {
         .with_exec(ExecOptions::with_threads(config.engine_threads))
         .with_backends(&config.backends);
     if let Some(dir) = &config.store_dir {
-        let store_config = StoreConfig {
-            max_entries: config.store_max_entries,
-            ..StoreConfig::default()
-        };
+        let store_config = StoreConfig { max_entries: config.store_max_entries };
         let store = DiskStore::open_config(dir, store_config).map_err(ServeError::Store)?;
         engine = engine.with_store(Arc::new(store));
     }

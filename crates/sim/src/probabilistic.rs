@@ -73,6 +73,13 @@ impl BusJob {
     }
 }
 
+/// The per-reference samples behind a [`WaitProfile`].
+#[derive(Default)]
+struct Samples {
+    bus_waits: Vec<f64>,
+    response_times: Vec<f64>,
+}
+
 struct Machine {
     config: SimConfig,
     calendar: Calendar<Event>,
@@ -94,12 +101,17 @@ struct Machine {
     /// Bus busy time accumulated after `meas_start`.
     bus_busy_time: f64,
     module_busy_time: f64,
-    /// Bus waiting times (grant − enqueue) within measurement.
-    bus_waits: Vec<f64>,
+    /// Bus transactions granted within measurement, the sum of their
+    /// waiting times (grant − enqueue) and how many of them waited.
+    bus_grants: u64,
+    bus_wait_sum: f64,
+    bus_queue_waits: u64,
     /// Issue timestamp of each processor's in-flight reference.
     issued_at: Vec<f64>,
-    /// Response times (completion − issue) within measurement.
-    response_times: Vec<f64>,
+    /// Per-reference samples, kept only for [`simulate_with_profile`]:
+    /// bus waiting times and response times (completion − issue) within
+    /// measurement.
+    profile: Option<Samples>,
     mod1: bool,
     mod2: bool,
     mod3: bool,
@@ -128,9 +140,11 @@ impl Machine {
             meas_start: None,
             bus_busy_time: 0.0,
             module_busy_time: 0.0,
-            bus_waits: Vec::new(),
+            bus_grants: 0,
+            bus_wait_sum: 0.0,
+            bus_queue_waits: 0,
             issued_at: vec![0.0; n],
-            response_times: Vec::new(),
+            profile: None,
             mod1: mods.contains(Modification::ExclusiveLoad),
             mod2: mods.contains(Modification::CacheSupply),
             mod3: mods.contains(Modification::InvalidateOnWrite),
@@ -155,18 +169,11 @@ impl Machine {
                 break;
             }
         }
-        // Observational only; scanning the wait list to compute metrics
-        // is gated on `enabled()` so disabled runs pay a single atomic
-        // load.
+        // Observational only.
         if snoop_numeric::probe::enabled() {
             snoop_numeric::probe::counter_add("sim.events", events);
-            snoop_numeric::probe::counter_add(
-                "sim.bus_transactions",
-                self.bus_waits.len() as u64,
-            );
-            let queued =
-                self.bus_waits.iter().filter(|&&w| w >= 1e-9).count() as u64;
-            snoop_numeric::probe::counter_add("sim.bus_queue_waits", queued);
+            snoop_numeric::probe::counter_add("sim.bus_transactions", self.bus_grants);
+            snoop_numeric::probe::counter_add("sim.bus_queue_waits", self.bus_queue_waits);
             let completed: usize = self.completed.iter().sum();
             snoop_numeric::probe::counter_add("sim.references", completed as u64);
         }
@@ -243,7 +250,16 @@ impl Machine {
         };
         self.bus_busy = true;
         if self.meas_start.is_some() {
-            self.bus_waits.push(now - job.enqueued());
+            let wait = now - job.enqueued();
+            self.bus_grants += 1;
+            self.bus_wait_sum += wait;
+            if wait >= 1e-9 {
+                // Shorter waits count as none (`zero_wait_fraction`).
+                self.bus_queue_waits += 1;
+            }
+            if let Some(samples) = &mut self.profile {
+                samples.bus_waits.push(wait);
+            }
         }
         let timing = self.config.timing;
 
@@ -297,10 +313,9 @@ impl Machine {
             self.bus_busy_time += release - now;
         }
         self.calendar.schedule(release, Event::BusRelease);
-        // Stash the completing processor by re-reading the job at release
-        // time: encode by scheduling the completion directly.
-        let done = release + timing.t_supply;
-        self.complete_later(done, job.proc());
+        // The completion time is already final, so the reference completes
+        // now (its next issue goes on the calendar).
+        self.complete(release + timing.t_supply, job.proc());
     }
 
     /// Background memory-module occupancy starting at `from`.
@@ -371,17 +386,10 @@ impl Machine {
         }
     }
 
-    /// Schedules the completion bookkeeping for processor `p` at `done`.
-    fn complete_later(&mut self, done: f64, p: usize) {
-        // Completions re-enter the calendar as the next Issue; bookkeeping
-        // happens inline here because `done` is already final.
-        self.complete(done, p);
-    }
-
     /// Records a completed reference and schedules the next think/issue.
     fn complete(&mut self, done: f64, p: usize) {
-        if self.meas_start.is_some() {
-            self.response_times.push(done - self.issued_at[p]);
+        if let (Some(_), Some(samples)) = (self.meas_start, &mut self.profile) {
+            samples.response_times.push(done - self.issued_at[p]);
         }
         self.completed[p] += 1;
         if self.completed[p] == self.config.warmup_references {
@@ -426,10 +434,10 @@ impl Machine {
         let t0 = self.meas_start.unwrap_or(0.0);
         let t1 = ends.iter().copied().fold(0.0_f64, f64::max);
         let window = (t1 - t0).max(1e-9);
-        let mean_w_bus = if self.bus_waits.is_empty() {
+        let mean_w_bus = if self.bus_grants == 0 {
             0.0
         } else {
-            self.bus_waits.iter().sum::<f64>() / self.bus_waits.len() as f64
+            self.bus_wait_sum / self.bus_grants as f64
         };
 
         Ok(SimMeasures {
@@ -509,7 +517,9 @@ pub fn simulate_with_profile(config: &SimConfig) -> Result<(SimMeasures, WaitPro
     config.validate()?;
     let _probe_span = snoop_numeric::probe::span("sim_run");
     let mut machine = Machine::new(*config);
+    machine.profile = Some(Samples::default());
     let measures = machine.run()?;
+    let Samples { bus_waits: waits, response_times } = machine.profile.unwrap_or_default();
     let build = |samples: &[f64]| {
         let max = samples.iter().copied().fold(0.0_f64, f64::max);
         let mut histogram =
@@ -518,12 +528,11 @@ pub fn simulate_with_profile(config: &SimConfig) -> Result<(SimMeasures, WaitPro
         histogram.extend(samples.iter().copied());
         histogram
     };
-    let histogram = build(&machine.bus_waits);
-    let response_times = build(&machine.response_times);
+    let histogram = build(&waits);
+    let response_times = build(&response_times);
     let quantile = |q: f64| histogram.quantile(q).unwrap_or(0.0);
-    let waits = &machine.bus_waits;
     let max = waits.iter().copied().fold(0.0_f64, f64::max);
-    let zero = waits.iter().filter(|&&w| w < 1e-9).count();
+    let zero = machine.bus_grants - machine.bus_queue_waits;
     let profile = WaitProfile {
         p50: quantile(0.5),
         p95: quantile(0.95),

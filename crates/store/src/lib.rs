@@ -19,11 +19,10 @@
 //!   are detected on read and the damaged file is **quarantined** (moved
 //!   to `quarantine/`), never served and never fatal: a corrupt entry
 //!   costs recomputation of that entry, not the store;
-//! * **Advisory claims** — cooperating worker processes take per-group
-//!   claim files (`claims/`) before computing, so N processes sharing
-//!   one store divide a sweep instead of duplicating it. Claims are
-//!   advisory and self-healing: a claim older than the configured
-//!   staleness window is presumed dead and stolen;
+//! * **Lock-free sharing** — any number of processes may read and write
+//!   one store at once. Entries publish by atomic rename and the keys
+//!   are content hashes of deterministic results, so two writers of one
+//!   key can only duplicate work: neither can tear or change the entry;
 //! * **Size-bounded eviction** — an optional `max_entries` bound evicts
 //!   the oldest entries (by modification time) after inserts;
 //! * **Fault injection** — all filesystem access goes through the
@@ -63,6 +62,6 @@ mod store;
 pub use entry::{decode_entry, encode_entry, fnv1a64, DecodeError, ENTRY_MAGIC};
 pub use fs::{FaultyFs, RealFs, StoreFs};
 pub use store::{
-    Claim, DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats, KILL_AFTER_PUTS_ENV,
+    DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats, KILL_AFTER_PUTS_ENV,
     STORE_MARKER, STORE_VERSION,
 };

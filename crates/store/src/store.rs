@@ -8,7 +8,6 @@
 //!   shards/<hh>/<name>.entry # hh = top byte of fnv1a64(key), hex
 //!   tmp/                     # write-temp-then-rename staging
 //!   quarantine/              # corrupt entries, moved aside on detection
-//!   claims/                  # advisory per-group claim files
 //! ```
 //!
 //! # Crash-safety invariants
@@ -26,7 +25,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::entry::{decode_entry, encode_entry, fnv1a64};
 use crate::fs::{RealFs, StoreFs};
@@ -83,19 +81,11 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Store configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreConfig {
     /// Evict oldest entries beyond this bound after writes (`None`:
     /// unbounded).
     pub max_entries: Option<usize>,
-    /// Claims older than this are presumed dead and may be stolen.
-    pub stale_claim: Duration,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig { max_entries: None, stale_claim: Duration::from_secs(300) }
-    }
 }
 
 /// Monotonic operation accounting (since open).
@@ -118,12 +108,6 @@ pub struct StoreStats {
     pub evictions: u64,
     /// `tmp/` debris files swept at open.
     pub recovered_tmp: u64,
-    /// Advisory claims granted.
-    pub claims_taken: u64,
-    /// Advisory claims refused (held by a live peer).
-    pub claims_refused: u64,
-    /// Stale claims stolen from presumed-dead peers.
-    pub claims_stolen: u64,
 }
 
 /// Result of a full [`DiskStore::recover`] scan.
@@ -135,27 +119,6 @@ pub struct RecoveryReport {
     pub intact: usize,
     /// Damaged files moved to `quarantine/`.
     pub quarantined: usize,
-}
-
-/// An advisory claim on a unit of work. Dropping releases it. Claims are
-/// cooperative only: holding one grants no exclusion guarantee, it just
-/// lets N worker processes divide a sweep instead of duplicating it.
-pub struct Claim {
-    fs: Arc<dyn StoreFs>,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for Claim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Claim").field("path", &self.path).finish()
-    }
-}
-
-impl Drop for Claim {
-    fn drop(&mut self) {
-        // Best-effort: a leaked claim file is reclaimed via staleness.
-        let _ = self.fs.remove_file(&self.path);
-    }
 }
 
 /// The durable sharded result store. Thread-safe: worker threads persist
@@ -228,7 +191,7 @@ impl DiskStore {
             let path = path.to_path_buf();
             move |e: std::io::Error| StoreError::Io { op, path, error: e.to_string() }
         };
-        for sub in ["shards", "tmp", "quarantine", "claims"] {
+        for sub in ["shards", "tmp", "quarantine"] {
             let dir = root.join(sub);
             fs.create_dir_all(&dir).map_err(io("create", &dir))?;
         }
@@ -428,52 +391,6 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Tries to claim an advisory work token. `None` means a live peer
-    /// holds it. Claims whose file is older than
-    /// [`StoreConfig::stale_claim`] are presumed dead and stolen.
-    pub fn try_claim(&self, token: &str) -> Option<Claim> {
-        let hash = fnv1a64(token.as_bytes());
-        let path = self
-            .root
-            .join("claims")
-            .join(format!("{}-{hash:016x}.claim", sanitize(token)));
-        let body = format!("pid {}\n", std::process::id());
-        for attempt in 0..2 {
-            match self.fs.create_new(&path, body.as_bytes()) {
-                Ok(()) => {
-                    self.stat(|s| {
-                        s.claims_taken += 1;
-                        if attempt > 0 {
-                            s.claims_stolen += 1;
-                        }
-                    });
-                    return Some(Claim { fs: Arc::clone(&self.fs), path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && attempt == 0 => {
-                    let stale = self
-                        .fs
-                        .modified(&path)
-                        .ok()
-                        .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age >= self.config.stale_claim);
-                    if !stale {
-                        self.stat(|s| s.claims_refused += 1);
-                        return None;
-                    }
-                    // Presumed dead: remove and retry once. Losing the
-                    // race to another thief just refuses the claim.
-                    let _ = self.fs.remove_file(&path);
-                }
-                Err(_) => {
-                    self.stat(|s| s.claims_refused += 1);
-                    return None;
-                }
-            }
-        }
-        self.stat(|s| s.claims_refused += 1);
-        None
-    }
-
     /// Full integrity scan: decodes every entry, quarantining damage.
     /// Also resynchronizes the entry counter (another process may have
     /// written since open).
@@ -588,7 +505,7 @@ mod tests {
     use super::*;
     use crate::fs::FaultyFs;
     use snoop_numeric::fault::{StorageFault, StoragePlan};
-    use std::time::SystemTime;
+    use std::time::{Duration, SystemTime};
 
     fn fresh(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("snoop-store-tests").join(name);
@@ -767,33 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn claims_exclude_concurrent_workers_and_release_on_drop() {
-        let dir = fresh("claims");
-        let a = DiskStore::open(&dir).unwrap();
-        let b = DiskStore::open(&dir).unwrap(); // a "second process"
-        let claim = a.try_claim("family:1234").unwrap();
-        assert!(b.try_claim("family:1234").is_none(), "held claims are refused");
-        assert!(b.try_claim("family:5678").is_some(), "other tokens are free");
-        drop(claim);
-        assert!(b.try_claim("family:1234").is_some(), "dropped claims are free");
-        assert_eq!(b.stats().claims_refused, 1);
-    }
-
-    #[test]
-    fn stale_claims_are_stolen() {
-        let dir = fresh("stale-claims");
-        let dead = DiskStore::open(&dir).unwrap();
-        let leaked = dead.try_claim("family:9").unwrap();
-        std::mem::forget(leaked); // the worker "died" without releasing
-        let config =
-            StoreConfig { stale_claim: Duration::from_secs(0), ..StoreConfig::default() };
-        let successor = DiskStore::open_with(&dir, config, Arc::new(RealFs)).unwrap();
-        let stolen = successor.try_claim("family:9");
-        assert!(stolen.is_some(), "zero-staleness claims steal immediately");
-        assert_eq!(successor.stats().claims_stolen, 1);
-    }
-
-    #[test]
     fn open_counts_only_entry_files() {
         let dir = fresh("count");
         let store = DiskStore::open(&dir).unwrap();
@@ -826,7 +716,7 @@ mod tests {
     #[test]
     fn eviction_enforces_the_entry_bound() {
         let dir = fresh("eviction");
-        let config = StoreConfig { max_entries: Some(3), ..StoreConfig::default() };
+        let config = StoreConfig { max_entries: Some(3) };
         let store = DiskStore::open_with(&dir, config, Arc::new(RealFs)).unwrap();
         for i in 0..8 {
             store.put(&format!("k{i}"), b"v").unwrap();
@@ -918,7 +808,7 @@ mod tests {
             ("reverse", keys.iter().rev().cloned().collect::<Vec<_>>()),
         ] {
             let dir = fresh(&format!("eviction-tie-{label}"));
-            let config = StoreConfig { max_entries: Some(3), ..StoreConfig::default() };
+            let config = StoreConfig { max_entries: Some(3) };
             let store =
                 DiskStore::open_with(&dir, config, Arc::new(ConstantMtimeFs)).unwrap();
             for key in &order {

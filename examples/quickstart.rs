@@ -22,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // A sweep: where does adding processors stop helping? One batch — the
-    // engine builds the MVA model once for the whole scenario family, and
-    // the N = 10 point is already in the cache from the solve above.
+    // N = 10 point is already in the cache from the solve above.
     let sizes = [1usize, 2, 4, 8, 10, 16, 32, 64];
     let sweep: Vec<Scenario> =
         sizes.iter().map(|&n| Scenario::appendix_a(ModSet::new(), SharingLevel::Five, n)).collect();
