@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use snoop_mva::asymptote::asymptotic;
 use snoop_mva::engine::{
-    self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries, Scenario,
-    StoreConfig,
+    self, BackendId, DiskStore, Engine, EngineResult, EvalError, Evaluation, EvaluationSeries,
+    Scenario, StoreConfig,
 };
 use snoop_mva::paper::{table_4_1, TABLE_N};
 use snoop_mva::report::comparison_table;
@@ -16,7 +16,10 @@ use snoop_numeric::exec::ExecOptions;
 use snoop_protocol::{ModSet, Protocol};
 use snoop_sim::simulate;
 use snoop_sim::trace_mode::{simulate_trace_source, TraceSimConfig};
+use snoop_workload::derived::ModelInputs;
 use snoop_workload::params::{SharingLevel, WorkloadParams};
+use snoop_workload::sharing::SizeDependentSharing;
+use snoop_workload::timing::TimingModel;
 
 use crate::args::ParsedArgs;
 
@@ -254,7 +257,7 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, String> {
     // direct resilient path — built from the blessed conversion.
     let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
     let resilient = model
-        .solve_resilient(scenario.n, &scenario.solver_options())
+        .solve_resilient(scenario.n, &scenario.solver)
         .map_err(|e| e.to_string())?;
     let mut out = format!("{}\n{}\n", scenario.protocol, resilient.solution);
     // Only surface the ladder when it actually had to escalate.
@@ -271,39 +274,25 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     if max_n == 0 {
         return Err(snoop_mva::MvaError::InvalidSystemSize(0).to_string());
     }
-    let sizes: Vec<usize> = (1..=max_n).collect();
     let refined = args.switch("refined")?;
+    let keep_going = args.switch("keep-going")?;
     let mut out = format!(
         "speedup sweep: {mods} at {sharing} sharing{}\n",
         if refined { " (size-dependent sharing)" } else { "" }
     );
     let _ = writeln!(out, "{:>5} {:>9} {:>8} {:>8}", "N", "speedup", "U_bus", "w_bus");
-    if refined {
-        // Size-dependent sharing ([GrMi87] refinement), anchored at N = 10.
-        // The derived inputs change with N, so each size is its own model.
-        let series = snoop_mva::sweep::refined_speedup_series(
-            mods,
-            sharing,
-            &sizes,
-            &SolverOptions::default(),
-            10,
-        )
-        .map_err(|e| e.to_string())?;
-        for p in &series.points {
-            let _ = writeln!(
-                out,
-                "{:>5} {:>9.3} {:>8.3} {:>8.3}",
-                p.n, p.speedup, p.bus_utilization, p.w_bus
-            );
-        }
-        return Ok(out);
-    }
-
-    // --keep-going applies only to the fixed-inputs sweep.
-    let keep_going = args.switch("keep-going")?;
+    let scenarios: Vec<Scenario> = if refined {
+        // Size-dependent sharing ([GrMi87] refinement), anchored at N = 10:
+        // the derived inputs change with N, so each size has its own workload.
+        let base = WorkloadParams::appendix_a(sharing);
+        let refinement = SizeDependentSharing::anchored(&base, 10).map_err(|e| e.to_string())?;
+        (1..=max_n)
+            .map(|n| Scenario::with_params(mods, refinement.at_size(&base, n), n))
+            .collect()
+    } else {
+        (1..=max_n).map(|n| Scenario::appendix_a(mods, sharing, n)).collect()
+    };
     let engine = Engine::new().with_backends(&[BackendId::Mva]);
-    let scenarios: Vec<Scenario> =
-        sizes.iter().map(|&n| Scenario::appendix_a(mods, sharing, n)).collect();
     let results = engine.evaluate_batch(&scenarios);
     // `Failed` carries the solver error verbatim; other variants render
     // with their backend prefix.
@@ -351,15 +340,20 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Evaluates one scenario on the engine's `mva` backend.
+fn mva_evaluation(scenario: &Scenario) -> Result<Evaluation, String> {
+    let engine = Engine::new().with_backends(&[BackendId::Mva]);
+    let mut results = engine.evaluate(scenario).into_iter();
+    next_result(&mut results, BackendId::Mva, scenario)?.result.map_err(|e| e.to_string())
+}
+
 fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
     let which = args.flag_str("panel", "a");
     if which == "util" {
-        let engine = Engine::new().with_backends(&[BackendId::Mva]);
         // Section 4.2's side-by-side: bus utilization at N = 6, 5% sharing
         // ("the GTPN and MVA estimates of bus utilization are approximately
         // 81% and 77%").
-        let scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 6);
-        let s = engine.evaluate(&scenario).remove(0).result.map_err(|e| e.to_string())?;
+        let s = mva_evaluation(&Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 6))?;
         return Ok(comparison_table(
             "Section 4.2: bus utilization, Write-Once, N = 6, 5% sharing",
             &[("U_bus (paper MVA 0.77)".into(), 0.77, s.bus_utilization)],
@@ -421,7 +415,7 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
 
 fn cmd_figure(args: &ParsedArgs) -> Result<String, String> {
     let sizes: Vec<usize> = (1..=20).chain([30, 50, 100]).collect();
-    let grid = snoop_mva::sweep::figure_4_1_grid();
+    let grid = engine::figure_4_1_grid();
     let scenarios: Vec<Scenario> = grid
         .iter()
         .flat_map(|&(mods, sharing)| {
@@ -753,10 +747,7 @@ fn cmd_stress(args: &ParsedArgs) -> Result<String, String> {
     let mods = protocol_flag(args)?;
     let n: usize = args.flag_num("n", 10)?;
     let scenario = Scenario::with_params(mods, WorkloadParams::stress(), n);
-    let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
-    let mva = model
-        .solve(scenario.n, &scenario.solver_options())
-        .map_err(|e| e.to_string())?;
+    let mva = mva_evaluation(&scenario)?;
     let sim = simulate(&scenario.to_sim_config()).map_err(|e| e.to_string())?;
     let err = (mva.speedup - sim.speedup) / sim.speedup * 100.0;
     Ok(format!(
@@ -1056,8 +1047,6 @@ fn cmd_calibrate_grid() -> Result<String, String> {
 }
 
 fn cmd_traffic(args: &ParsedArgs) -> Result<String, String> {
-    use snoop_workload::derived::ModelInputs;
-    use snoop_workload::timing::TimingModel;
     let mods = protocol_flag(args)?;
     let params = workload_flag(args)?;
     let inputs = ModelInputs::derive_adjusted(&params, mods, &TimingModel::default())
@@ -1073,17 +1062,13 @@ fn cmd_waits(args: &ParsedArgs) -> Result<String, String> {
     let params = scenario.params;
     let (measures, profile) = snoop_sim::simulate_with_profile(&scenario.to_sim_config())
         .map_err(|e| e.to_string())?;
-    let mva = scenario
-        .to_mva_model()
-        .map_err(|e| e.to_string())?
-        .solve(n, &scenario.solver_options())
-        .map_err(|e| e.to_string())?;
+    let mva = mva_evaluation(&scenario)?;
     let mut out = format!("bus-wait distribution, {mods}, N = {n} (DES)\n");
     let _ = writeln!(
         out,
         "mean {:.3} (MVA Eq.5: {:.3})   p50 {:.3}   p95 {:.3}   max {:.3}   zero-wait {:.1}%",
         measures.w_bus,
-        mva.w_bus,
+        mva.w_bus.unwrap_or(f64::NAN),
         profile.p50,
         profile.p95,
         profile.max,
@@ -1127,10 +1112,13 @@ fn cmd_asymptote(_args: &ParsedArgs) -> Result<String, String> {
         let set: ModSet = mods.parse().map_err(|e: snoop_protocol::ProtocolError| e.to_string())?;
         let _ = write!(out, "{mods:<12}");
         for sharing in SharingLevel::ALL {
-            let model = Scenario::appendix_a(set, sharing, 1)
-                .to_mva_model()
-                .map_err(|e| e.to_string())?;
-            let a = asymptotic(model.inputs());
+            let inputs = ModelInputs::derive_adjusted(
+                &WorkloadParams::appendix_a(sharing),
+                set,
+                &TimingModel::default(),
+            )
+            .map_err(|e| e.to_string())?;
+            let a = asymptotic(&inputs);
             let _ = write!(out, " {:>8.3}", a.speedup);
         }
         let _ = writeln!(out);
@@ -1248,12 +1236,47 @@ mod tests {
         assert_ne!(fixed, refined);
     }
 
+    /// The `(N, speedup column)` rows of a `sweep` output.
+    fn sweep_rows(out: &str) -> Vec<(usize, String)> {
+        out.lines()
+            .skip(2)
+            .map(|line| {
+                let mut cols = line.split_whitespace();
+                let n = cols.next().unwrap().parse().unwrap();
+                (n, cols.next().unwrap().to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refined_sweep_anchors_at_ten_and_helps_write_once_at_scale() {
+        let fixed = sweep_rows(&run_tokens(&["sweep", "--n", "100", "--sharing", "20"]).unwrap());
+        let refined = sweep_rows(
+            &run_tokens(&["sweep", "--n", "100", "--sharing", "20", "--refined"]).unwrap(),
+        );
+        assert_eq!(fixed.len(), 100);
+        assert_eq!(refined.len(), 100);
+        let row = |rows: &[(usize, String)], n: usize| rows[n - 1].clone();
+        // At the anchor the two workloads coincide; away from it csupply moved.
+        assert_eq!(row(&refined, 10), row(&fixed, 10));
+        assert_ne!(row(&refined, 2), row(&fixed, 2));
+        assert_ne!(row(&refined, 100), row(&fixed, 100));
+        // More caches holding copies means more cache-supplied misses at
+        // large N: for Write-Once at 20% sharing the net effect is positive.
+        let speedup = |rows: &[(usize, String)]| row(rows, 100).1.parse::<f64>().unwrap();
+        assert!(speedup(&refined) > speedup(&fixed), "{refined:?}");
+    }
+
     #[test]
     fn sweep_keep_going_matches_default_when_all_points_solve() {
-        let plain = run_tokens(&["sweep", "--n", "5"]).unwrap();
-        let kept = run_tokens(&["sweep", "--n", "5", "--keep-going"]).unwrap();
-        assert_eq!(plain, kept);
-        assert!(!kept.contains("FAILED"));
+        // Both the fixed and the refined sweep take --keep-going.
+        for mode in [&[][..], &["--refined"]] {
+            let plain = run_tokens(&[&["sweep", "--n", "5"][..], mode].concat()).unwrap();
+            let kept =
+                run_tokens(&[&["sweep", "--n", "5", "--keep-going"][..], mode].concat()).unwrap();
+            assert_eq!(plain, kept);
+            assert!(!kept.contains("FAILED"));
+        }
     }
 
     #[test]
@@ -1504,9 +1527,9 @@ mod tests {
         // serve checks before binding: it would otherwise run until stopped.
         let err = run_tokens(&["serve", "--listen", "127.0.0.1:0", "--queue-bund", "4"]);
         assert_eq!(err.unwrap_err(), "serve: unknown or unused flag --queue-bund");
-        // --refined does not take --keep-going.
-        let err = run_tokens(&["sweep", "--n", "3", "--refined", "--keep-going"]).unwrap_err();
-        assert!(err.contains("--keep-going"), "{err}");
+        // --useless-limit only applies to trace --adaptive.
+        let err = run_tokens(&["trace", "--n", "2", "--useless-limit", "3"]).unwrap_err();
+        assert_eq!(err, "trace: unknown or unused flag --useless-limit");
         // --backends only applies to calibrate --trace ... --validate.
         let path = corpus("mesi_small_p0.trace");
         let err =

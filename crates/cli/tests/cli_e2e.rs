@@ -153,6 +153,21 @@ fn probe_ring_env_shrinks_rings_and_reports_capacity_drops() {
 }
 
 #[test]
+fn sensitivity_is_one_engine_batch_of_27_jobs() {
+    let dir = std::env::temp_dir().join("snoop_sensitivity_jobs_e2e");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    let _ = std::fs::remove_file(&metrics);
+    let out = snoop(&["sensitivity", "--n", "4", "--metrics-out", metrics.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The base point and the 13 parameters' ± perturbations: 1 + 26 jobs,
+    // all distinct, so every one is computed.
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains("\"engine.jobs\": 27,"), "{json}");
+    assert!(json.contains("\"engine.computed\": 27,"), "{json}");
+}
+
+#[test]
 fn eval_without_scenarios_fails_cleanly() {
     let out = snoop(&["eval"]);
     assert!(!out.status.success());

@@ -30,8 +30,8 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Six Appendix-A scenarios across two sharing families, so the batch
-/// spans several model-sharing groups the way a real sweep does.
+/// Six Appendix-A scenarios across two sharing levels and three system
+/// sizes, so the batch mixes workloads the way a real sweep does.
 fn write_batch(path: &Path) {
     let mut scenarios = Vec::new();
     for sharing in [SharingLevel::Five, SharingLevel::Twenty] {
@@ -72,8 +72,7 @@ fn entries_on_disk(store: &Path) -> usize {
 }
 
 /// Reads the `engine.computed` counter out of a `snoop-metrics-v2`
-/// snapshot (absent counter = nothing computed: the counter is only
-/// registered when at least one group executes).
+/// snapshot; an absent counter reads as 0.
 fn computed_jobs(metrics: &Path) -> u64 {
     let text = std::fs::read_to_string(metrics).unwrap();
     text.lines()

@@ -95,7 +95,7 @@ impl Evaluator for Mva {
         let _trace = solve_trace(self.0, scenario);
         let resilient = scenario
             .to_mva_model()?
-            .solve_resilient(scenario.n, &scenario.solver_options())
+            .solve_resilient(scenario.n, &scenario.solver)
             .map_err(|e| EvalError::Failed { backend: self.0, reason: e.to_string() })?;
         let (s, diagnostics) = (&resilient.solution, &resilient.diagnostics);
         let strategy = if diagnostics.retries() > 0 {
@@ -257,7 +257,7 @@ mod tests {
     fn mva_backend_matches_direct_solve() {
         let s = scenario(10);
         let eval = MvaBackend.evaluate(&s).unwrap();
-        let direct = s.to_mva_model().unwrap().solve(10, &s.solver_options()).unwrap();
+        let direct = s.to_mva_model().unwrap().solve(10, &s.solver).unwrap();
         assert_eq!(eval.speedup.to_bits(), direct.speedup.to_bits());
         assert_eq!(eval.r.to_bits(), direct.r.to_bits());
         assert_eq!(eval.provenance.iterations, direct.iterations);

@@ -25,6 +25,14 @@
 //!   [`Engine::with_backends`] registers backends by [`BackendId`]: the
 //!   one place an id maps to its evaluator.
 //!
+//! [`Engine::evaluate_batch`] is the only way the CLI turns a scenario
+//! into an MVA result, apart from `solve` and `convergence`, which print
+//! fields [`Evaluation`] does not carry. Sweeps (fixed and size-dependent),
+//! sensitivity perturbations and the MVA halves of `stress` and `waits`
+//! are all batches here, so they share its dedup, caching and
+//! instrumentation. [`series`] holds the Figure 4.1 grid and the series
+//! renderers.
+//!
 //! # Example
 //!
 //! ```
@@ -59,5 +67,5 @@ pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CAPACITY};
 // a direct snoop-store dependency).
 pub use snoop_store::{DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats};
 pub use evaluation::{BackendId, EvalError, Evaluation, Provenance};
-pub use scenario::{GtpnSettings, Scenario, SimSettings, SolverSettings, SCHEMA};
-pub use series::EvaluationSeries;
+pub use scenario::{GtpnSettings, Scenario, SimSettings, SCHEMA};
+pub use series::{figure_4_1_grid, EvaluationSeries};

@@ -24,29 +24,6 @@ use crate::solver::{MvaModel, SolverOptions};
 /// canonical serialization the content hash is computed over.
 pub const SCHEMA: &str = "snoop-scenario-v1";
 
-/// Solver knobs carried by a scenario (they parameterize the MVA
-/// fixed-point iteration and are part of the content hash).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverSettings {
-    /// Maximum fixed-point iterations.
-    pub max_iterations: usize,
-    /// Relative convergence tolerance on `[w_bus, w_mem, R]`.
-    pub tolerance: f64,
-    /// Damping factor in `(0, 1]`.
-    pub damping: f64,
-}
-
-impl Default for SolverSettings {
-    fn default() -> Self {
-        let o = SolverOptions::default();
-        SolverSettings {
-            max_iterations: o.max_iterations,
-            tolerance: o.tolerance,
-            damping: o.damping,
-        }
-    }
-}
-
 /// Simulation knobs carried by a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSettings {
@@ -123,8 +100,9 @@ pub struct Scenario {
     pub params: WorkloadParams,
     /// Number of processors.
     pub n: usize,
-    /// MVA solver knobs.
-    pub solver: SolverSettings,
+    /// MVA solver knobs (they parameterize the fixed-point iteration and
+    /// are part of the content hash).
+    pub solver: SolverOptions,
     /// Simulation knobs.
     pub sim: SimSettings,
     /// GTPN knobs.
@@ -139,7 +117,7 @@ impl Scenario {
             sharing: Some(sharing),
             params: WorkloadParams::appendix_a(sharing),
             n,
-            solver: SolverSettings::default(),
+            solver: SolverOptions::default(),
             sim: SimSettings::default(),
             gtpn: GtpnSettings::default(),
         }
@@ -152,7 +130,7 @@ impl Scenario {
             sharing: None,
             params,
             n,
-            solver: SolverSettings::default(),
+            solver: SolverOptions::default(),
             sim: SimSettings::default(),
             gtpn: GtpnSettings::default(),
         }
@@ -202,15 +180,6 @@ impl Scenario {
     /// dedup key (combined with a backend id by the engine).
     pub fn content_hash(&self) -> u64 {
         fnv1a(self.canonical_json().as_bytes())
-    }
-
-    /// The [`SolverOptions`] equivalent of the carried solver settings.
-    pub fn solver_options(&self) -> SolverOptions {
-        SolverOptions {
-            max_iterations: self.solver.max_iterations,
-            tolerance: self.solver.tolerance,
-            damping: self.solver.damping,
-        }
     }
 
     /// Blessed conversion to an MVA model (applies the paper's Appendix-A

@@ -1,9 +1,9 @@
-//! Series of engine [`Evaluation`]s and the table/CSV/gnuplot renderers
-//! the CLI's `figure` command prints.
+//! Series of engine [`Evaluation`]s, the Figure 4.1 grid, and the
+//! table/CSV/gnuplot renderers the CLI's `figure` command prints.
 
 use std::fmt::Write as _;
 
-use snoop_protocol::ModSet;
+use snoop_protocol::{ModSet, Modification};
 use snoop_workload::params::SharingLevel;
 
 use super::evaluation::Evaluation;
@@ -17,6 +17,24 @@ pub struct EvaluationSeries {
     pub sharing: SharingLevel,
     /// One evaluation per system size, in sweep order.
     pub points: Vec<Evaluation>,
+}
+
+/// The (protocol, sharing) grid of Figure 4.1: the three protocols the
+/// paper plots (Write-Once, modification 1, modifications 1+4), each at
+/// the three sharing levels, in plot order.
+pub fn figure_4_1_grid() -> Vec<(ModSet, SharingLevel)> {
+    let protocols = [
+        ModSet::new(),
+        ModSet::new().with(Modification::ExclusiveLoad),
+        ModSet::new().with(Modification::ExclusiveLoad).with(Modification::DistributedWrite),
+    ];
+    let mut grid = Vec::with_capacity(protocols.len() * SharingLevel::ALL.len());
+    for mods in protocols {
+        for sharing in SharingLevel::ALL {
+            grid.push((mods, sharing));
+        }
+    }
+    grid
 }
 
 /// Renders series as a Table-4.1-style fixed-width table: one row per
@@ -116,6 +134,17 @@ mod tests {
         let points = engine.evaluate_batch_ok(&scenarios);
         assert_eq!(points.len(), sizes.len());
         vec![EvaluationSeries { mods: ModSet::new(), sharing: SharingLevel::Five, points }]
+    }
+
+    #[test]
+    fn grid_has_nine_distinct_cells() {
+        let grid = figure_4_1_grid();
+        assert_eq!(grid.len(), 9);
+        let mut keys: Vec<String> =
+            grid.iter().map(|(m, s)| format!("{m}/{s}")).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), 9);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod report;
 pub mod resilient;
 pub mod sensitivity;
 pub mod solver;
-pub mod sweep;
 pub mod traffic;
 
 mod error;

@@ -11,12 +11,11 @@
 //! `(∂S/S) / (∂θ/θ)` — the percent change in speedup per percent change in
 //! the parameter.
 
-use snoop_numeric::exec::{par_map, ExecOptions};
+use snoop_numeric::exec::ExecOptions;
 use snoop_protocol::ModSet;
 use snoop_workload::params::WorkloadParams;
 
-use crate::solver::{MvaModel, SolverOptions};
-use crate::MvaError;
+use crate::engine::{BackendId, Engine, EvalError, Scenario};
 
 /// Elasticity of speedup with respect to one parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,20 +50,16 @@ fn fields() -> Vec<Field> {
     ]
 }
 
-fn speedup(params: &WorkloadParams, mods: ModSet, n: usize) -> Result<f64, MvaError> {
-    Ok(MvaModel::for_protocol(params, mods)?.solve(n, &SolverOptions::default())?.speedup)
-}
-
 /// Computes speedup elasticities for every basic parameter at the given
-/// operating point, using a relative step of `step` (e.g. `0.01` = ±1%),
-/// with the per-parameter perturbations evaluated on `exec`. Each
-/// parameter's ± pair of solves is one independent work item, so the
-/// result — including row order after the magnitude sort, which is
-/// stable — is bit-identical to the serial path for any thread count.
+/// operating point, using a relative step of `step` (e.g. `0.01` = ±1%).
+/// The base point and every parameter's ± perturbation are one engine
+/// batch on `exec`, so the result — including row order after the
+/// magnitude sort, which is stable — is bit-identical for any thread
+/// count.
 ///
 /// # Errors
 ///
-/// Propagates model errors at the base point; individual perturbations
+/// Returns the base point's evaluation error; individual perturbations
 /// that leave the valid domain yield `elasticity: None` instead of
 /// failing the whole analysis.
 pub fn sensitivities_exec(
@@ -73,24 +68,40 @@ pub fn sensitivities_exec(
     n: usize,
     step: f64,
     exec: &ExecOptions,
-) -> Result<Vec<Sensitivity>, MvaError> {
-    let s0 = speedup(base, mods, n)?;
-    let mut out = par_map(&fields(), exec, |&(name, get, set)| {
+) -> Result<Vec<Sensitivity>, EvalError> {
+    let fields = fields();
+    // Scenario 0 is the base point; parameter i is perturbed up in
+    // scenario 2i + 1 and down in 2i + 2.
+    let mut scenarios = vec![Scenario::with_params(mods, *base, n)];
+    for &(_, get, set) in &fields {
         let v = get(base);
-        if v == 0.0 || s0 == 0.0 {
-            return Sensitivity { parameter: name, value: v, elasticity: None };
+        for delta in [v * step, -v * step] {
+            let mut params = *base;
+            set(&mut params, v + delta);
+            scenarios.push(Scenario::with_params(mods, params, n));
         }
-        let dv = v * step;
-        let mut up = *base;
-        set(&mut up, v + dv);
-        let mut down = *base;
-        set(&mut down, v - dv);
-        let elasticity = match (speedup(&up, mods, n), speedup(&down, mods, n)) {
-            (Ok(su), Ok(sd)) => Some(((su - sd) / (2.0 * dv)) * (v / s0)),
-            _ => None, // perturbation left the valid domain
-        };
-        Sensitivity { parameter: name, value: v, elasticity }
-    });
+    }
+    let engine = Engine::new().with_exec(*exec).with_backends(&[BackendId::Mva]);
+    let results = engine.evaluate_batch(&scenarios);
+    let speedup = |i: usize| results[i].result.as_ref().map(|e| e.speedup);
+    let s0 = speedup(0).map_err(Clone::clone)?;
+    let mut out: Vec<Sensitivity> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, get, _))| {
+            let v = get(base);
+            let elasticity = if v == 0.0 || s0 == 0.0 {
+                None
+            } else {
+                let dv = v * step;
+                match (speedup(2 * i + 1), speedup(2 * i + 2)) {
+                    (Ok(su), Ok(sd)) => Some(((su - sd) / (2.0 * dv)) * (v / s0)),
+                    _ => None, // perturbation left the valid domain
+                }
+            };
+            Sensitivity { parameter: name, value: v, elasticity }
+        })
+        .collect();
     // Most influential first.
     out.sort_by(|a, b| {
         let ka = a.elasticity.map_or(-1.0, f64::abs);

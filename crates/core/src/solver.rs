@@ -31,7 +31,7 @@ use crate::outputs::MvaSolution;
 use crate::MvaError;
 
 /// Options controlling the fixed-point iteration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Maximum iterations (the paper needs ≤ 15 at engineering tolerance;
     /// the default budget is generous for tight tolerances and stress

@@ -21,8 +21,8 @@
 //! 3. **Chunked claiming** — work is claimed in *chunks* from a shared
 //!    atomic cursor (self-balancing: a thread that draws slow items simply
 //!    claims fewer chunks), four chunks per participant
-//!    (`max(1, items / (threads * 4))`) so micro-item callers (sensitivity
-//!    rows, small GTPN waves) amortize cursor traffic automatically.
+//!    (`max(1, items / (threads * 4))`) so micro-item callers (small engine
+//!    batches, small GTPN waves) amortize cursor traffic automatically.
 //!
 //! # Thread-count resolution
 //!

@@ -13,7 +13,7 @@
 //! * [`exec`] — a dependency-free chunked parallel executor on scoped
 //!   threads ([`exec::par_map`]), with deterministic result ordering and a
 //!   process-wide ceiling on helper threads, used by the engine batch,
-//!   sensitivity, simulation-replication and GTPN reachability layers.
+//!   simulation-replication and GTPN reachability layers.
 //! * [`matrix`] / [`lu`] — dense matrices and LU decomposition with partial
 //!   pivoting: the dense reference that tests check the sparse
 //!   steady-state solver against.
@@ -21,8 +21,8 @@
 //!   Markov chains produced by the GTPN engine.
 //! * [`markov`] — the sparse iterative steady-state solver for the GTPN's
 //!   embedded Markov chains, and its dense-LU reference.
-//! * [`stats`] — streaming sample statistics, Student-t confidence intervals
-//!   and batch-means analysis for the discrete-event simulator.
+//! * [`stats`] — streaming sample statistics and Student-t confidence
+//!   intervals for the discrete-event simulator.
 //! * [`probe`] — a zero-dependency observability layer (span timers,
 //!   counters, bounded event recorders) behind a global registry that the
 //!   solver crates instrument their hot paths with; disabled by default

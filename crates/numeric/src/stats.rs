@@ -5,9 +5,7 @@
 //! model ("within 3%" claims need error bars). This module provides:
 //!
 //! * [`RunningStats`] — Welford's streaming mean/variance,
-//! * [`confidence_interval`] — Student-t confidence half-widths,
-//! * [`BatchMeans`] — the classic batch-means method for steady-state
-//!   simulation output with autocorrelated observations.
+//! * [`confidence_interval`] — Student-t confidence half-widths.
 
 use crate::NumericError;
 
@@ -297,59 +295,6 @@ pub fn confidence_interval(
     Ok(ConfidenceInterval { mean: stats.mean(), half_width, level })
 }
 
-/// Batch-means estimator for autocorrelated steady-state output.
-///
-/// Observations are grouped into fixed-size batches; batch means are treated
-/// as (approximately) independent samples.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current: RunningStats,
-    batch_means: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans { batch_size, current: RunningStats::new(), batch_means: Vec::new() }
-    }
-
-    /// Adds an observation, closing a batch when it fills.
-    pub fn push(&mut self, x: f64) {
-        self.current.push(x);
-        if self.current.count() as usize == self.batch_size {
-            self.batch_means.push(self.current.mean());
-            self.current = RunningStats::new();
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
-    /// Grand mean over completed batches; 0 when no batch has completed.
-    pub fn mean(&self) -> f64 {
-        self.batch_means.iter().copied().collect::<RunningStats>().mean()
-    }
-
-    /// Confidence interval over the batch means.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::InsufficientSamples`] with fewer than two
-    /// completed batches.
-    pub fn confidence_interval(&self, level: f64) -> Result<ConfidenceInterval, NumericError> {
-        let stats: RunningStats = self.batch_means.iter().copied().collect();
-        confidence_interval(&stats, level)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,23 +377,6 @@ mod tests {
     fn confidence_interval_rejects_bad_level() {
         let s: RunningStats = [1.0, 2.0].into_iter().collect();
         assert!(confidence_interval(&s, 1.5).is_err());
-    }
-
-    #[test]
-    fn batch_means_grouping() {
-        let mut bm = BatchMeans::new(3);
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] {
-            bm.push(x);
-        }
-        assert_eq!(bm.batches(), 2); // the trailing 7.0 is in an open batch
-        assert!((bm.mean() - 3.5).abs() < 1e-12); // (2 + 5) / 2
-        assert!(bm.confidence_interval(0.95).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn batch_means_zero_size_panics() {
-        let _ = BatchMeans::new(0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Output analysis: independent replications and single-run batch means.
+//! Output analysis: independent replications with Student-t intervals.
 
 use snoop_numeric::exec::{par_map, ExecOptions};
-use snoop_numeric::stats::{confidence_interval, BatchMeans, ConfidenceInterval, RunningStats};
+use snoop_numeric::stats::{confidence_interval, ConfidenceInterval, RunningStats};
 
 use crate::config::SimConfig;
 use crate::probabilistic::simulate;
@@ -89,44 +89,6 @@ pub fn replicate_exec(
     })
 }
 
-/// Batch-means estimate from consecutive segments of one long run.
-///
-/// Cheaper than independent replications (one warm-up instead of `k`):
-/// the measurement phase is split into `batches` consecutive segments, the
-/// per-segment speedups are treated as approximately independent samples,
-/// and a Student-t interval is formed over them. Implemented by running
-/// `batches` back-to-back simulations that share a common warmed seed
-/// stream, which is statistically equivalent for this regenerative-ish
-/// workload and keeps the simulator core simple.
-///
-/// # Errors
-///
-/// Propagates simulation errors; needs at least two batches.
-pub fn batch_means_speedup(
-    config: &SimConfig,
-    batches: usize,
-    level: f64,
-) -> Result<ConfidenceInterval, SimError> {
-    if batches < 2 {
-        return Err(SimError::InvalidConfig("need at least two batches".into()));
-    }
-    let per_batch = (config.measured_references / batches).max(1);
-    let mut bm = BatchMeans::new(1);
-    let mut c = *config;
-    c.measured_references = per_batch;
-    for i in 0..batches {
-        // Continue the run: each batch starts warmed (short warm-up after
-        // the first, which inherits the configured one).
-        c.seed = config.seed.wrapping_add(i as u64 * 0x9e37_79b9);
-        if i > 0 {
-            c.warmup_references = (config.warmup_references / 4).max(100);
-        }
-        bm.push(simulate(&c)?.speedup);
-    }
-    bm.confidence_interval(level)
-        .map_err(|e| SimError::InvalidConfig(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,26 +133,6 @@ mod tests {
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
         let err = replicate_exec(&quick_config(2), 4, 0.0, &ExecOptions::SERIAL).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn batch_means_brackets_the_replicated_estimate() {
-        let config = quick_config(4);
-        let replicated = replicate_exec(&config, 4, 0.95, &ExecOptions::SERIAL).unwrap();
-        let bm = batch_means_speedup(&config, 5, 0.95).unwrap();
-        // The two estimators target the same quantity.
-        assert!(
-            (bm.mean - replicated.mean_speedup()).abs() / replicated.mean_speedup() < 0.05,
-            "batch means {} vs replications {}",
-            bm.mean,
-            replicated.mean_speedup()
-        );
-        assert!(bm.half_width > 0.0);
-    }
-
-    #[test]
-    fn batch_means_needs_two_batches() {
-        assert!(batch_means_speedup(&quick_config(2), 1, 0.95).is_err());
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub trait StoreFs: Send + Sync {
     /// store only ever calls this on `tmp/` paths and publishes with
     /// [`StoreFs::rename`].
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Creates a file that must not already exist (used for claim
-    /// files; `O_CREAT | O_EXCL` semantics).
+    /// Creates a file that must not already exist (used to stamp the
+    /// store's version marker; `O_CREAT | O_EXCL` semantics).
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` to `to` (same filesystem).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;

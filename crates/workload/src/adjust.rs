@@ -17,58 +17,39 @@ use snoop_protocol::{ModSet, Modification};
 
 use crate::params::WorkloadParams;
 
-/// The adjustment magnitudes, exposed so sensitivity studies can vary them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adjustments {
-    /// `rep_p` under modification 1 (paper: 0.3, up from 0.2).
-    pub rep_p_mod1: f64,
-    /// `rep_sw` under modification 2 *or* 3 (paper: 0.6, up from 0.5).
-    pub rep_sw_mod2_or_3: f64,
-    /// `rep_sw` under modifications 2 *and* 3 (paper: 0.7).
-    pub rep_sw_mod2_and_3: f64,
-    /// `h_sw` under modifications 1 *and* 4 (paper: 0.95, up from 0.5).
-    pub h_sw_mod1_and_4: f64,
-}
+/// `rep_p` under modification 1 (paper: 0.3, up from 0.2).
+const REP_P_MOD1: f64 = 0.3;
+/// `rep_sw` under modification 2 *or* 3 (paper: 0.6, up from 0.5).
+const REP_SW_MOD2_OR_3: f64 = 0.6;
+/// `rep_sw` under modifications 2 *and* 3 (paper: 0.7).
+const REP_SW_MOD2_AND_3: f64 = 0.7;
+/// `h_sw` under modifications 1 *and* 4 (paper: 0.95, up from 0.5).
+const H_SW_MOD1_AND_4: f64 = 0.95;
 
-impl Default for Adjustments {
-    fn default() -> Self {
-        Adjustments {
-            rep_p_mod1: 0.3,
-            rep_sw_mod2_or_3: 0.6,
-            rep_sw_mod2_and_3: 0.7,
-            h_sw_mod1_and_4: 0.95,
-        }
-    }
-}
-
-/// Applies the Appendix-A adjustments for `mods` to a copy of `base`.
+/// Applies the paper's Appendix-A adjustments for `mods` to a copy of
+/// `base`.
 ///
-/// Adjustments only ever *raise* the affected parameters, and only when the
-/// base value is the one being compensated (i.e. the base is below the
-/// adjusted value) — so a caller who has already set, say, `h_sw = 0.99`
-/// keeps their value.
-pub fn adjusted_params(base: &WorkloadParams, mods: ModSet, adj: &Adjustments) -> WorkloadParams {
+/// The adjustments only ever *raise* the affected parameters, and only
+/// when the base value is the one being compensated (i.e. the base is
+/// below the adjusted value) — so a caller who has already set, say,
+/// `h_sw = 0.99` keeps their value.
+pub fn paper_adjusted(base: &WorkloadParams, mods: ModSet) -> WorkloadParams {
     let mut p = *base;
     if mods.contains(Modification::ExclusiveLoad) {
-        p.rep_p = p.rep_p.max(adj.rep_p_mod1);
+        p.rep_p = p.rep_p.max(REP_P_MOD1);
     }
     let m2 = mods.contains(Modification::CacheSupply);
     let m3 = mods.contains(Modification::InvalidateOnWrite);
     if m2 && m3 {
-        p.rep_sw = p.rep_sw.max(adj.rep_sw_mod2_and_3);
+        p.rep_sw = p.rep_sw.max(REP_SW_MOD2_AND_3);
     } else if m2 || m3 {
-        p.rep_sw = p.rep_sw.max(adj.rep_sw_mod2_or_3);
+        p.rep_sw = p.rep_sw.max(REP_SW_MOD2_OR_3);
     }
     if mods.contains(Modification::ExclusiveLoad) && mods.contains(Modification::DistributedWrite)
     {
-        p.h_sw = p.h_sw.max(adj.h_sw_mod1_and_4);
+        p.h_sw = p.h_sw.max(H_SW_MOD1_AND_4);
     }
     p
-}
-
-/// Convenience wrapper using the paper's adjustment values.
-pub fn paper_adjusted(base: &WorkloadParams, mods: ModSet) -> WorkloadParams {
-    adjusted_params(base, mods, &Adjustments::default())
 }
 
 #[cfg(test)]

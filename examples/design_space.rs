@@ -10,7 +10,7 @@
 //! cargo run --example design_space
 //! ```
 
-use snoop::mva::sweep::parameter_sweep;
+use snoop::engine::{BackendId, Engine, Scenario};
 use snoop::mva::{MvaModel, SolverOptions};
 use snoop::protocol::ModSet;
 use snoop::workload::params::{SharingLevel, WorkloadParams};
@@ -23,19 +23,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("speedup at N = 16 vs private hit rate (Write-Once vs Illinois-like):");
     println!("{:>8} {:>10} {:>10}", "h_priv", "WO", "WO+1+2+3");
     let hit_rates = [0.80, 0.85, 0.90, 0.95, 0.98, 0.995];
-    let wo = parameter_sweep(&base, ModSet::new(), 16, &hit_rates, &SolverOptions::default(), |p, v| {
-        p.h_private = v;
-    })?;
-    let illinois = parameter_sweep(
-        &base,
-        ModSet::from_numbers(&[1, 2, 3])?,
-        16,
-        &hit_rates,
-        &SolverOptions::default(),
-        |p, v| p.h_private = v,
-    )?;
-    for ((h, a), (_, b)) in wo.iter().zip(&illinois) {
-        println!("{h:>8.3} {:>10.3} {:>10.3}", a.speedup, b.speedup);
+    let protocols = [ModSet::new(), ModSet::from_numbers(&[1, 2, 3])?];
+    // One engine batch: every (hit rate, protocol) pair at N = 16.
+    let scenarios: Vec<Scenario> = hit_rates
+        .iter()
+        .flat_map(|&h_private| {
+            let params = WorkloadParams { h_private, ..base };
+            protocols.map(|mods| Scenario::with_params(mods, params, 16))
+        })
+        .collect();
+    let speedups = Engine::new()
+        .with_backends(&[BackendId::Mva])
+        .evaluate_batch(&scenarios)
+        .into_iter()
+        .map(|r| r.result.map(|e| e.speedup))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (h, pair) in hit_rates.iter().zip(speedups.chunks(2)) {
+        println!("{h:>8.3} {:>10.3} {:>10.3}", pair[0], pair[1]);
     }
     println!("(higher hit rates widen modification 1's advantage: the remaining bus");
     println!(" traffic is write-through, exactly what it removes)");

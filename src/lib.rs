@@ -10,7 +10,7 @@
 //!   descriptions, the [`engine::Evaluator`] backends over MVA /
 //!   simulation / GTPN, and the batching, caching [`engine::Engine`];
 //! * [`mva`] — the paper's customized mean-value model (equations,
-//!   solver, asymptotics, sweeps, the published Table 4.1 data);
+//!   solver, asymptotics, sensitivity, the published Table 4.1 data);
 //! * [`protocol`] — Write-Once and its four modifications as executable
 //!   state machines, coherence invariants, scenario DSL;
 //! * [`workload`] — the three-substream workload model: parameters,

@@ -8,11 +8,10 @@
 //! explicit thread counts below make the contract hold regardless of the
 //! environment.
 
-use snoop::engine::{BackendId, Engine, Evaluation, Scenario};
+use snoop::engine::{figure_4_1_grid, BackendId, Engine, Evaluation, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
 use snoop::mva::paper::TABLE_N;
-use snoop::mva::sweep::figure_4_1_grid;
 use snoop::numeric::exec::ExecOptions;
 use snoop::protocol::ModSet;
 use snoop::sim::runner::replicate_exec;

@@ -11,10 +11,9 @@
 
 use std::time::Instant;
 
-use snoop::engine::{BackendId, Engine, Scenario};
+use snoop::engine::{figure_4_1_grid, BackendId, Engine, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
-use snoop::mva::sweep::figure_4_1_grid;
 use snoop::numeric::exec::{hardware_parallelism, par_map, ExecOptions};
 use snoop::protocol::ModSet;
 use snoop::workload::derived::ModelInputs;
