@@ -254,17 +254,10 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, String> {
     let scenario = scenario_flag(args, 10)?;
     // The full MvaSolution (response-time components, interference terms)
     // is richer than the engine's common currency, so `solve` keeps the
-    // direct resilient path — built from the blessed conversion.
+    // direct solve — built from the blessed conversion.
     let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
-    let resilient = model
-        .solve_resilient(scenario.n, &scenario.solver)
-        .map_err(|e| e.to_string())?;
-    let mut out = format!("{}\n{}\n", scenario.protocol, resilient.solution);
-    // Only surface the ladder when it actually had to escalate.
-    if resilient.diagnostics.retries() > 0 {
-        let _ = writeln!(out, "solver: {}", resilient.diagnostics);
-    }
-    Ok(out)
+    let solution = model.solve(scenario.n, &scenario.solver).map_err(|e| e.to_string())?;
+    Ok(format!("{}\n{}\n", scenario.protocol, solution))
 }
 
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
@@ -560,7 +553,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, String> {
         workers: args.flag_num::<usize>("threads", 2)?.max(1),
         queue_bound: args.flag_num::<usize>("queue-bound", 64)?.max(1),
         backends: backends_flag(args)?,
-        engine_threads: 0,
+        engine_threads: 1,
         store_max_entries: store.as_ref().and_then(|(_, max)| *max),
         store_dir: store.map(|(dir, _)| std::path::PathBuf::from(dir)),
         access_log: (!access_log.is_empty()).then(|| std::path::PathBuf::from(&access_log)),
@@ -1358,7 +1351,6 @@ mod tests {
         // instrumented stage.
         for span in [
             "mva_solve",
-            "fixed_point_solve",
             "gtpn_reachability",
             "gtpn_steady_state",
             "sim_replications",

@@ -163,8 +163,10 @@ fn sensitivity_is_one_engine_batch_of_27_jobs() {
     // The base point and the 13 parameters' ± perturbations: 1 + 26 jobs,
     // all distinct, so every one is computed.
     let json = std::fs::read_to_string(&metrics).unwrap();
-    assert!(json.contains("\"engine.jobs\": 27,"), "{json}");
-    assert!(json.contains("\"engine.computed\": 27,"), "{json}");
+    let doc = snoop_numeric::json::JsonValue::parse(&json).expect("metrics file is valid JSON");
+    let counter = |name| doc.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64());
+    assert_eq!(counter("engine.jobs"), Some(27), "{json}");
+    assert_eq!(counter("engine.computed"), Some(27), "{json}");
 }
 
 #[test]

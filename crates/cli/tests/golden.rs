@@ -13,7 +13,7 @@ const CASES: &[(&str, &[&str])] = &[
     ("solve", &["solve"]),
     ("sweep", &["sweep", "--n", "30"]),
     ("sweep_refined", &["sweep", "--refined", "--n", "30"]),
-    // Write-Once at 1% sharing escalates past Newton at N = 222.
+    // Write-Once at 1% sharing deep into saturation, N = 222 included.
     ("sweep_saturated", &["sweep", "--protocol", "WO", "--sharing", "1", "--n", "230"]),
     ("table_a", &["table", "--panel", "a"]),
     ("table_b", &["table", "--panel", "b"]),

@@ -56,13 +56,9 @@ pub trait Evaluator: Send + Sync {
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError>;
 }
 
-/// The paper's customized MVA fixed point, solved through the escalation
-/// ladder ([`crate::solver::MvaModel::solve_resilient`]) with the scenario's
-/// [`crate::SolverOptions`].
-///
-/// Provenance reports the iterations summed over every ladder attempt,
-/// and names the winning rung (`strategy`) only when the ladder had to
-/// escalate past its first, Newton, attempt.
+/// The paper's customized MVA fixed point, solved by
+/// [`crate::solver::MvaModel::solve`] with the scenario's
+/// [`crate::SolverOptions`]. Provenance reports the solve's iterations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MvaBackend;
 
@@ -93,16 +89,10 @@ impl Evaluator for Mva {
             _ => "engine.mva",
         });
         let _trace = solve_trace(self.0, scenario);
-        let resilient = scenario
+        let s = scenario
             .to_mva_model()?
-            .solve_resilient(scenario.n, &scenario.solver)
+            .solve(scenario.n, &scenario.solver)
             .map_err(|e| EvalError::Failed { backend: self.0, reason: e.to_string() })?;
-        let (s, diagnostics) = (&resilient.solution, &resilient.diagnostics);
-        let strategy = if diagnostics.retries() > 0 {
-            diagnostics.winning_strategy().map(|s| s.to_string())
-        } else {
-            None
-        };
         Ok(Evaluation {
             backend: self.0,
             n: s.n,
@@ -115,10 +105,8 @@ impl Evaluator for Mva {
             w_mem: Some(s.w_mem),
             q_bus: Some(s.q_bus),
             provenance: Provenance {
-                iterations: diagnostics.total_iterations(),
-                strategy,
                 wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                ..Provenance::new(0, 0, 0)
+                ..Provenance::new(s.iterations, 0, 0)
             },
         })
     }
@@ -267,11 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn resilient_backend_reports_strategy_and_iterations() {
+    fn resilient_backend_reports_its_id_and_iterations() {
         let eval = Mva(BackendId::ResilientMva).evaluate(&scenario(10)).unwrap();
         assert_eq!(eval.backend, BackendId::ResilientMva);
-        // Newton won at once, so no escalation strategy is reported.
-        assert_eq!(eval.provenance.strategy, None);
         assert!(eval.provenance.iterations > 0);
         // The same evaluator as `mva`: the same answer, bit for bit.
         let direct = MvaBackend.evaluate(&scenario(10)).unwrap();
@@ -280,27 +266,29 @@ mod tests {
 
     #[test]
     fn failed_points_degrade_gracefully() {
-        // An unreachable tolerance defeats every strategy at every size:
-        // the batch must still return one (failed) result per size rather
-        // than aborting, and each failure must carry a reason.
+        // A budget of one evaluation cannot bracket the root at N = 2 and
+        // 4, where F(R₀) < 0 and nothing above R₀ is tried: the batch must
+        // still return one (failed) result per size rather than aborting,
+        // and each failure must carry a reason. At N = 1 nothing waits, so
+        // the first evaluation, at the zero-wait R₀, is the exact root.
         let engine = super::super::Engine::new().with_backends(&[BackendId::ResilientMva]);
         let scenarios: Vec<Scenario> = [1, 2, 4]
             .iter()
             .map(|&n| {
                 let mut s = scenario(n);
-                s.solver.max_iterations = 8;
-                s.solver.tolerance = 0.0;
-                s.solver.damping = 1.0;
+                s.solver.max_iterations = 1;
                 s
             })
             .collect();
         let results = engine.evaluate_batch(&scenarios);
         assert_eq!(results.len(), 3);
-        for r in &results {
+        let single = results[0].result.as_ref().unwrap();
+        assert_eq!((single.n, single.provenance.iterations, single.w_bus), (1, 1, Some(0.0)));
+        for r in &results[1..] {
             match &r.result {
                 Err(EvalError::Failed { backend, reason }) => {
                     assert_eq!(*backend, BackendId::ResilientMva);
-                    assert!(reason.contains("every solve strategy failed"), "{reason}");
+                    assert!(reason.contains("no convergence after 1 iterations"), "{reason}");
                 }
                 other => panic!("expected a failed point, got {other:?}"),
             }

@@ -162,7 +162,7 @@ impl Engine {
     }
 
     /// Adds the standard evaluator for each id, in order, from the one
-    /// backend registry: plain and resilient MVA with default knobs, the
+    /// backend registry: the MVA (under either of its ids), the
     /// simulator's replications on the engine's executor and the GTPN
     /// expansion on its thread count. Call after [`Engine::with_exec`]:
     /// the evaluators capture the executor set at registration.

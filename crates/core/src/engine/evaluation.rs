@@ -11,7 +11,8 @@ use snoop_numeric::json::{format_f64, JsonValue};
 pub enum BackendId {
     /// The customized MVA fixed point (the paper's primary model).
     Mva,
-    /// The MVA behind the resilient escalation ladder.
+    /// The same MVA solve as [`BackendId::Mva`], reported under its own
+    /// id; kept so that older scenario files and callers still resolve.
     ResilientMva,
     /// The discrete-event simulator with independent replications.
     Sim,
@@ -109,17 +110,14 @@ impl std::error::Error for EvalError {}
 /// tests assert.
 #[derive(Debug, Clone)]
 pub struct Provenance {
-    /// Fixed-point iterations (MVA: total across resilient attempts;
-    /// 0 for backends without an iteration count). A safeguarded Newton
-    /// iteration costs up to five map calls, a plain one a single call
-    /// (see [`crate::MvaSolution::iterations`]).
+    /// Solver iterations (MVA: evaluations of the scalar map, see
+    /// [`crate::MvaSolution::iterations`]; 0 for backends without an
+    /// iteration count).
     pub iterations: usize,
     /// Independent simulation replications (0 for analytic backends).
     pub replications: usize,
     /// GTPN reachable states (0 for other backends).
     pub states: usize,
-    /// Winning resilient strategy, when the escalation ladder ran.
-    pub strategy: Option<String>,
     /// Wall-clock milliseconds the evaluation took (excluded from `==`).
     pub wall_ms: f64,
     /// Whether this value was served from the result cache (excluded
@@ -137,7 +135,6 @@ impl PartialEq for Provenance {
         self.iterations == other.iterations
             && self.replications == other.replications
             && self.states == other.states
-            && self.strategy == other.strategy
     }
 }
 
@@ -148,7 +145,6 @@ impl Provenance {
             iterations,
             replications,
             states,
-            strategy: None,
             wall_ms: 0.0,
             cached: false,
             queue_wait_ms: 0.0,
@@ -219,16 +215,12 @@ impl Evaluation {
             Some(v) => format_f64(v),
             None => "null".to_string(),
         };
-        let strategy = match &self.provenance.strategy {
-            Some(s) => format!("{:?}", s),
-            None => "null".to_string(),
-        };
         format!(
             concat!(
                 "{{\"backend\":\"{}\",\"n\":{},\"r\":{},\"speedup\":{},",
                 "\"speedup_half_width\":{},\"bus_utilization\":{},",
                 "\"memory_utilization\":{},\"w_bus\":{},\"w_mem\":{},\"q_bus\":{},",
-                "\"iterations\":{},\"replications\":{},\"states\":{},\"strategy\":{}}}"
+                "\"iterations\":{},\"replications\":{},\"states\":{}}}"
             ),
             self.backend,
             self.n,
@@ -243,11 +235,12 @@ impl Evaluation {
             self.provenance.iterations,
             self.provenance.replications,
             self.provenance.states,
-            strategy,
         )
     }
 
-    /// Parses the output of [`Evaluation::to_json`].
+    /// Parses the output of [`Evaluation::to_json`]. Unknown keys are
+    /// ignored, so entries that still carry the retired `"strategy"` key
+    /// decode too.
     ///
     /// # Errors
     ///
@@ -272,10 +265,6 @@ impl Evaluation {
             .as_str()
             .ok_or("\"backend\" must be a string")?
             .parse()?;
-        let strategy = match field("strategy")? {
-            JsonValue::Null => None,
-            v => Some(v.as_str().ok_or("\"strategy\" must be a string")?.to_string()),
-        };
         Ok(Evaluation {
             backend,
             n: req_usize("n")?,
@@ -291,7 +280,6 @@ impl Evaluation {
                 iterations: req_usize("iterations")?,
                 replications: req_usize("replications")?,
                 states: req_usize("states")?,
-                strategy,
                 wall_ms: 0.0,
                 cached: false,
                 queue_wait_ms: 0.0,
@@ -320,7 +308,6 @@ mod tests {
                 iterations: 42,
                 replications: 0,
                 states: 0,
-                strategy: Some("plain".to_string()),
                 wall_ms: 0.135,
                 cached: false,
                 queue_wait_ms: 0.0,
@@ -367,6 +354,23 @@ mod tests {
             assert_eq!(parsed.speedup.to_bits(), eval.speedup.to_bits());
             assert_eq!(parsed.to_json(), text);
         }
+    }
+
+    #[test]
+    fn entries_with_the_retired_strategy_key_still_decode() {
+        // Stores and streams written before the scalar solve carried a
+        // `"strategy"` key; it is ignored.
+        let text = concat!(
+            r#"{"backend":"mva","n":222,"r":40.5,"speedup":19.25,"speedup_half_width":null,"#,
+            r#""bus_utilization":0.99,"memory_utilization":0.12,"w_bus":20.5,"w_mem":0.03,"#,
+            r#""q_bus":5.5,"iterations":231,"replications":0,"states":0,"#,
+            r#""strategy":"damped(0.5)"}"#
+        );
+        let parsed = Evaluation::from_json(&JsonValue::parse(text).unwrap()).unwrap();
+        assert_eq!(parsed.backend, BackendId::Mva);
+        assert_eq!((parsed.n, parsed.speedup, parsed.w_bus), (222, 19.25, Some(20.5)));
+        assert_eq!(parsed.provenance, Provenance::new(231, 0, 0));
+        assert!(!parsed.to_json().contains("strategy"));
     }
 
     #[test]

@@ -3,24 +3,16 @@ use std::fmt;
 use snoop_numeric::NumericError;
 use snoop_workload::WorkloadError;
 
-use crate::resilient::SolveDiagnostics;
-
 /// Error type of the MVA model crate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MvaError {
     /// The workload parameters or timing model were invalid.
     Workload(WorkloadError),
-    /// The fixed-point iteration failed (non-convergence or a numerical
-    /// breakdown).
+    /// The solve failed (non-convergence or a numerical breakdown).
     Numeric(NumericError),
     /// The requested system size is invalid (at least one processor is
     /// required).
     InvalidSystemSize(usize),
-    /// Every strategy on the resilient escalation ladder failed.
-    ///
-    /// Carries the full per-attempt [`SolveDiagnostics`]: which strategies
-    /// ran, how many iterations each spent, and the typed failure of each.
-    SolveExhausted(Box<SolveDiagnostics>),
 }
 
 impl fmt::Display for MvaError {
@@ -30,9 +22,6 @@ impl fmt::Display for MvaError {
             MvaError::Numeric(e) => write!(f, "numeric error: {e}"),
             MvaError::InvalidSystemSize(n) => {
                 write!(f, "invalid system size {n}, need at least one processor")
-            }
-            MvaError::SolveExhausted(diagnostics) => {
-                write!(f, "every solve strategy failed ({diagnostics})")
             }
         }
     }
@@ -44,7 +33,6 @@ impl std::error::Error for MvaError {
             MvaError::Workload(e) => Some(e),
             MvaError::Numeric(e) => Some(e),
             MvaError::InvalidSystemSize(_) => None,
-            MvaError::SolveExhausted(_) => None,
         }
     }
 }

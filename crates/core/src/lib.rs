@@ -47,7 +47,6 @@ pub mod interference;
 pub mod outputs;
 pub mod paper;
 pub mod report;
-pub mod resilient;
 pub mod sensitivity;
 pub mod solver;
 pub mod traffic;
@@ -56,5 +55,4 @@ mod error;
 
 pub use error::MvaError;
 pub use outputs::MvaSolution;
-pub use resilient::{ResilientSolution, SolveDiagnostics};
 pub use solver::{MvaModel, SolverOptions};

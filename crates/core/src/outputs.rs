@@ -38,12 +38,10 @@ pub struct MvaSolution {
     /// Weighted remote-read response-time contribution `R_RemoteRead`
     /// (Eq. 4).
     pub r_remote_read: f64,
-    /// Fixed-point iterations to convergence. An iteration of
-    /// [`crate::MvaModel::solve`]'s safeguarded Newton attempt applies the
-    /// 3-D mean-value map up to five times (once, three Jacobian columns,
-    /// once at the Newton point); one of plain substitution
-    /// ([`crate::MvaModel::solve_traced`], the ladder's damped rungs)
-    /// applies it once.
+    /// Iterations to convergence: evaluations of the scalar map
+    /// `F(R) = R − R′(R)` for [`crate::MvaModel::solve`], applications of
+    /// the 3-D mean-value map for [`crate::MvaModel::solve_traced`]. Both
+    /// cost about the same.
     pub iterations: usize,
 }
 

@@ -53,9 +53,10 @@ fn fields() -> Vec<Field> {
 /// Computes speedup elasticities for every basic parameter at the given
 /// operating point, using a relative step of `step` (e.g. `0.01` = ±1%).
 /// The base point and every parameter's ± perturbation are one engine
-/// batch on `exec`, so the result — including row order after the
-/// magnitude sort, which is stable — is bit-identical for any thread
-/// count.
+/// batch on `exec`, so the result is bit-identical for any thread count.
+/// Rows are sorted by the magnitude [`render`] prints, `|e|` to four
+/// decimals, and otherwise keep the parameter order, so the order does not
+/// depend on last-bit noise in the solve.
 ///
 /// # Errors
 ///
@@ -102,13 +103,17 @@ pub fn sensitivities_exec(
             Sensitivity { parameter: name, value: v, elasticity }
         })
         .collect();
-    // Most influential first.
-    out.sort_by(|a, b| {
-        let ka = a.elasticity.map_or(-1.0, f64::abs);
-        let kb = b.elasticity.map_or(-1.0, f64::abs);
-        kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    sort_by_printed_magnitude(&mut out);
     Ok(out)
+}
+
+/// Most influential first, by `|e|` as [`render`] prints it; a stable sort,
+/// so rows that print equal keep their order. Undefined elasticities last.
+fn sort_by_printed_magnitude(rows: &mut [Sensitivity]) {
+    let printed = |r: &Sensitivity| {
+        r.elasticity.map_or(-1.0, |e| format!("{:.4}", e.abs()).parse().unwrap_or(f64::NAN))
+    };
+    rows.sort_by(|a, b| printed(b).total_cmp(&printed(a)));
 }
 
 /// Renders a sensitivity report.
@@ -226,12 +231,31 @@ mod tests {
     }
 
     #[test]
+    fn rows_that_print_equal_keep_parameter_order() {
+        // +0.39994 and −0.39986 both print as 0.3999 (in magnitude): the
+        // larger raw magnitude must not jump ahead of the earlier row.
+        let row = |parameter, elasticity| Sensitivity { parameter, value: 0.7, elasticity };
+        let mut rows = vec![
+            row("r_private", Some(-0.399_86)),
+            row("rep_p", None),
+            row("amod_private", Some(0.399_94)),
+            row("tau", Some(0.5)),
+        ];
+        sort_by_printed_magnitude(&mut rows);
+        let order: Vec<_> = rows.iter().map(|r| r.parameter).collect();
+        assert_eq!(order, ["tau", "r_private", "amod_private", "rep_p"]);
+    }
+
+    #[test]
     fn rows_sorted_by_magnitude() {
         let rows = run(10);
-        let mags: Vec<f64> =
-            rows.iter().filter_map(|r| r.elasticity).map(f64::abs).collect();
+        let mags: Vec<f64> = rows
+            .iter()
+            .filter_map(|r| r.elasticity)
+            .map(|e| format!("{:.4}", e.abs()).parse().unwrap())
+            .collect();
         for w in mags.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12, "{mags:?}");
+            assert!(w[0] >= w[1], "{mags:?}");
         }
     }
 }

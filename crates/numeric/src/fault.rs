@@ -1,6 +1,6 @@
 //! Fault injection for fixed-point maps.
 //!
-//! The resilient solve pipeline claims that a solver built on
+//! The fixed-point layer claims that a solver built on
 //! [`crate::fixed_point`] never panics and never returns non-finite values,
 //! no matter how the underlying map misbehaves. This module provides the
 //! adversary for proving that: [`FaultyMap`] wraps any fixed-point map and

@@ -28,21 +28,7 @@
 //!
 //! The failure carries the trailing residual trajectory and the last finite
 //! iterate so callers can retry with damping from where the run left off.
-//!
-//! # Safeguarded Newton steps
-//!
-//! Plain substitution converges linearly, at a rate that approaches 1 near
-//! saturation. With [`Options::newton`] each iteration also forms the
-//! forward-difference Jacobian of `G(x) = f(x) − x` (n extra map calls),
-//! solves for the Newton point `y = x − J⁻¹·G(x)`, and applies the map once
-//! at `y`. When the map moves `y` by less than it moves `x`, the iteration
-//! takes its (possibly damped) plain step from `y` instead of from `x`;
-//! otherwise — a kink such as a clamp active near the root, a singular
-//! Jacobian, a non-finite Newton point — it takes the plain step from `x`.
-//! Every committed iterate is thus a map image, as in plain iteration, and
-//! a non-final iteration costs n + 2 map calls.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -67,9 +53,6 @@ const GROWTH_MIN_RESIDUAL: f64 = 0.25;
 const CYCLE_CONFIRMATIONS: usize = 2;
 /// Number of trailing residuals retained in a [`ConvergenceFailure`].
 const TRAJECTORY_CAP: usize = 512;
-/// Forward-difference step for the Newton Jacobian, relative to the
-/// component's magnitude: `√ε` balances truncation against rounding.
-const JACOBIAN_STEP: f64 = 1.490_116_119_384_765_6e-8;
 
 /// Options controlling a fixed-point iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,11 +67,6 @@ pub struct Options {
     /// Record the full iterate history (for diagnostics / the paper's
     /// "converged within 15 iterations" claim).
     pub record_history: bool,
-    /// Try a safeguarded Newton step every iteration (see the module
-    /// docs): the plain step is taken from the Newton point when the map
-    /// moves that point less than the current iterate. Costs up to `n + 2`
-    /// map calls per iteration for an `n`-component map.
-    pub newton: bool,
 }
 
 impl Default for Options {
@@ -98,7 +76,6 @@ impl Default for Options {
             tolerance: 1e-12,
             damping: 1.0,
             record_history: false,
-            newton: false,
         }
     }
 }
@@ -185,9 +162,7 @@ impl fmt::Display for ConvergenceFailure {
 pub struct Solution {
     /// The converged iterate.
     pub values: Vec<f64>,
-    /// Number of iterations performed. A plain iteration applies the map
-    /// once; with [`Options::newton`] an iteration applies it up to
-    /// `n + 2` times.
+    /// Number of iterations performed; each applies the map once.
     pub iterations: usize,
     /// Maximum relative component change at the final iteration.
     pub residual: f64,
@@ -266,15 +241,6 @@ impl FixedPoint {
         if self.options.record_history {
             history.push(current.clone());
         }
-        let mut newton = self.options.newton.then(|| Newton::new(n));
-        // Counted through `Cell`s so the failure closure below can read
-        // them while the loop updates them.
-        let map_evals = Cell::new(0u64);
-        let newton_rejected = Cell::new(0u64);
-        let mut f = |x: &[f64], out: &mut [f64]| {
-            map_evals.set(map_evals.get() + 1);
-            f(x, out);
-        };
 
         // Every buffer the loop touches is allocated here, so an iteration
         // performs no heap allocation (history recording aside).
@@ -296,8 +262,6 @@ impl FixedPoint {
                 let trajectory = Vec::from(trajectory);
                 crate::probe::counter_add("fixed_point.diverged", 1);
                 crate::probe::counter_add("fixed_point.iterations", iteration as u64);
-                crate::probe::counter_add("fixed_point.map_evals", map_evals.get());
-                crate::probe::counter_add("fixed_point.newton_rejected", newton_rejected.get());
                 crate::probe::record_many("fixed_point.residual_trajectory", &trajectory);
                 Err(NumericError::Diverged(ConvergenceFailure {
                     reason,
@@ -327,11 +291,7 @@ impl FixedPoint {
                     current,
                 );
             }
-            // The undamped residual `G(x) = f(x) − x` is the Newton step's
-            // right-hand side and its safeguard's yardstick.
-            let plain_residual = newton.as_mut().map_or(0.0, |nw| nw.set_residual(&current, &next));
-
-            // `next` becomes the (damped) plain step.
+            // `next` becomes the (damped) step.
             let damping = self.options.damping;
             residual = 0.0;
             let mut step_norm = 0.0f64;
@@ -349,17 +309,6 @@ impl FixedPoint {
                 next[i] = damped;
             }
             let converged = residual < self.options.tolerance;
-            if let Some(nw) = newton.as_mut().filter(|_| !converged) {
-                if nw.try_step(&current, plain_residual, &mut f) {
-                    // Take the plain step from the Newton point instead.
-                    for ((step, y), fy) in next.iter_mut().zip(&nw.trial).zip(&nw.trial_image) {
-                        *step = damping * fy + (1.0 - damping) * y;
-                    }
-                    step_norm = max_abs_distance(&next, &current);
-                } else {
-                    newton_rejected.set(newton_rejected.get() + 1);
-                }
-            }
             std::mem::swap(&mut current, &mut next);
             if self.options.record_history {
                 history.push(current.clone());
@@ -371,8 +320,6 @@ impl FixedPoint {
             if converged {
                 crate::probe::counter_add("fixed_point.solves", 1);
                 crate::probe::counter_add("fixed_point.iterations", iteration as u64);
-                crate::probe::counter_add("fixed_point.map_evals", map_evals.get());
-                crate::probe::counter_add("fixed_point.newton_rejected", newton_rejected.get());
                 crate::probe::record("fixed_point.iterations_per_solve", iteration as f64);
                 crate::probe::hist_record("fixed_point.iterations", iteration as f64);
                 crate::probe::record("fixed_point.final_residual", residual);
@@ -434,130 +381,12 @@ impl FixedPoint {
 
         crate::probe::counter_add("fixed_point.no_convergence", 1);
         crate::probe::counter_add("fixed_point.iterations", self.options.max_iterations as u64);
-        crate::probe::counter_add("fixed_point.map_evals", map_evals.get());
-        crate::probe::counter_add("fixed_point.newton_rejected", newton_rejected.get());
         crate::probe::record_many("fixed_point.residual_trajectory", trajectory.make_contiguous());
         Err(NumericError::NoConvergence {
             iterations: self.options.max_iterations,
             residual,
         })
     }
-}
-
-/// The safeguarded Newton step's buffers, allocated once per solve.
-struct Newton {
-    /// `G(x) = f(x) − x` at the current iterate.
-    g: Vec<f64>,
-    /// Row-major forward-difference Jacobian of `G`, eliminated in place.
-    jacobian: Vec<f64>,
-    /// A perturbed iterate and its image, one Jacobian column at a time.
-    probe: Vec<f64>,
-    probe_image: Vec<f64>,
-    /// The Newton point and its image.
-    trial: Vec<f64>,
-    trial_image: Vec<f64>,
-}
-
-impl Newton {
-    fn new(n: usize) -> Self {
-        Newton {
-            g: vec![0.0; n],
-            jacobian: vec![0.0; n * n],
-            probe: vec![0.0; n],
-            probe_image: vec![0.0; n],
-            trial: vec![0.0; n],
-            trial_image: vec![0.0; n],
-        }
-    }
-
-    /// Stores `G(x) = fx − x` and returns the undamped relative residual.
-    fn set_residual(&mut self, x: &[f64], fx: &[f64]) -> f64 {
-        for (g, (fx, x)) in self.g.iter_mut().zip(fx.iter().zip(x)) {
-            *g = fx - x;
-        }
-        max_relative_distance(fx, x)
-    }
-
-    /// Forms the Newton point from `x` (whose residual [`Newton::set_residual`]
-    /// stored) into `trial` and its image into `trial_image`. Returns
-    /// whether the point passes the safeguard: finite, and moved by the map
-    /// by less than `residual`, the plain residual at `x`.
-    fn try_step<F>(&mut self, x: &[f64], residual: f64, f: &mut F) -> bool
-    where
-        F: FnMut(&[f64], &mut [f64]),
-    {
-        let n = x.len();
-        for j in 0..n {
-            self.probe.copy_from_slice(x);
-            let scale = x[j].abs().max((x[j] + self.g[j]).abs());
-            self.probe[j] = x[j] + JACOBIAN_STEP * if scale > 0.0 { scale } else { 1.0 };
-            // The step actually represented, so the difference quotient
-            // divides by what was added.
-            let h = self.probe[j] - x[j];
-            f(&self.probe, &mut self.probe_image);
-            for i in 0..n {
-                let column = ((self.probe_image[i] - self.probe[i]) - self.g[i]) / h;
-                if !column.is_finite() {
-                    return false;
-                }
-                self.jacobian[i * n + j] = column;
-            }
-        }
-        // J·d = −G, then y = x + d.
-        for (d, g) in self.trial.iter_mut().zip(&self.g) {
-            *d = -g;
-        }
-        if !solve_in_place(&mut self.jacobian, &mut self.trial, n) {
-            return false;
-        }
-        for (y, x) in self.trial.iter_mut().zip(x) {
-            *y += x;
-        }
-        if self.trial.iter().any(|v| !v.is_finite() || v.abs() > OVERFLOW_LIMIT) {
-            return false;
-        }
-        f(&self.trial, &mut self.trial_image);
-        if self.trial_image.iter().any(|v| !v.is_finite() || v.abs() > OVERFLOW_LIMIT) {
-            return false;
-        }
-        max_relative_distance(&self.trial_image, &self.trial) < residual
-    }
-}
-
-/// Solves `a · x = b` for row-major `n × n` `a` by Gaussian elimination
-/// with partial pivoting, overwriting `a` and leaving `x` in `b`. Returns
-/// `false` when a pivot vanishes or the solution is not finite.
-fn solve_in_place(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
-    for k in 0..n {
-        let mut pivot_row = k;
-        for i in k + 1..n {
-            if a[i * n + k].abs() > a[pivot_row * n + k].abs() {
-                pivot_row = i;
-            }
-        }
-        let pivot = a[pivot_row * n + k];
-        if pivot == 0.0 || !pivot.is_finite() {
-            return false;
-        }
-        if pivot_row != k {
-            for j in k..n {
-                a.swap(k * n + j, pivot_row * n + j);
-            }
-            b.swap(k, pivot_row);
-        }
-        for i in k + 1..n {
-            let factor = a[i * n + k] / pivot;
-            for j in k + 1..n {
-                a[i * n + j] -= factor * a[k * n + j];
-            }
-            b[i] -= factor * b[k];
-        }
-    }
-    for k in (0..n).rev() {
-        let tail: f64 = (k + 1..n).map(|j| a[k * n + j] * b[j]).sum();
-        b[k] = (b[k] - tail) / a[k * n + k];
-    }
-    b.iter().all(|v| v.is_finite())
 }
 
 /// The last [`IterateRing::SLOTS`] committed iterates, kept in one
@@ -599,19 +428,12 @@ impl IterateRing {
 }
 
 /// Maximum componentwise relative distance between two equal-length
-/// iterates, the metric of the limit-cycle detector and the Newton
-/// safeguard.
+/// iterates, the metric of the limit-cycle detector.
 fn max_relative_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-300))
         .fold(0.0, f64::max)
-}
-
-/// Maximum componentwise absolute distance between two equal-length
-/// iterates.
-fn max_abs_distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -789,150 +611,6 @@ mod tests {
             }
             other => panic!("expected non-finite divergence, got {other:?}"),
         }
-    }
-
-    fn newton() -> Options {
-        Options { newton: true, ..Options::default() }
-    }
-
-    #[test]
-    fn newton_accelerates_slow_linear_convergence() {
-        // x <- 0.99·x + 0.01 converges to 1 at rate 0.99: plain iteration
-        // needs ~2000 steps for 1e-9; a Newton step lands on the root.
-        let slow = |x: &[f64], out: &mut [f64]| out[0] = 0.99 * x[0] + 0.01;
-        let plain = FixedPoint::new(Options {
-            max_iterations: 100,
-            tolerance: 1e-9,
-            ..Options::default()
-        })
-        .solve(vec![0.0], slow);
-        assert!(plain.is_err(), "plain iteration should be too slow");
-
-        let accel = FixedPoint::new(Options { max_iterations: 100, tolerance: 1e-9, ..newton() })
-            .solve(vec![0.0], slow)
-            .unwrap();
-        assert!((accel.values[0] - 1.0).abs() < 1e-6);
-        assert!(accel.iterations <= 3, "{} iterations", accel.iterations);
-    }
-
-    #[test]
-    fn newton_handles_oscillation() {
-        // Eigenvalue −0.95: heavy oscillation, fixed point 1.0.
-        let map = |x: &[f64], out: &mut [f64]| out[0] = -0.95 * x[0] + 1.95;
-        let accel = FixedPoint::new(Options { max_iterations: 200, tolerance: 1e-10, ..newton() })
-            .solve(vec![0.0], map)
-            .unwrap();
-        assert!((accel.values[0] - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn newton_does_not_break_fast_convergence() {
-        let sol = FixedPoint::new(newton()).solve(vec![0.0], |x, out| out[0] = x[0].cos()).unwrap();
-        assert!((sol.values[0] - 0.739_085_133_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn newton_step_is_rejected_across_a_kink() {
-        // Left of 1 the map's slope is 0.99, so the Newton point from 0.9
-        // extrapolates to the left branch's virtual root 3.5, where the map
-        // moves it by far more than it moves 0.9: the safeguard must take
-        // the plain step. Right of 1 the clamp is active and the root 1.05
-        // lies there.
-        let kinked = |x: &[f64], out: &mut [f64]| {
-            out[0] = 0.5 * x[0] + 0.525 - 0.49 * (1.0 - x[0]).max(0.0);
-        };
-        let sol = FixedPoint::new(Options { record_history: true, ..newton() })
-            .solve(vec![0.9], kinked)
-            .unwrap();
-        assert!((sol.values[0] - 1.05).abs() < 1e-12, "{}", sol.values[0]);
-        assert!(sol.iterations <= 15, "{} iterations", sol.iterations);
-        // The first committed step is the image of 0.9, not of the
-        // rejected Newton point.
-        let mut image = [0.0];
-        kinked(&[0.9], &mut image);
-        assert_eq!(sol.history[1], image);
-    }
-
-    #[test]
-    fn detectors_fire_with_newton() {
-        type Map = fn(&[f64], &mut [f64]);
-        type Expected = fn(DivergenceReason) -> bool;
-        // Maps without a fixed point the Newton step can reach: the
-        // safeguard rejects every Newton point they are offered.
-        let cases: [(&str, &[f64], Map, Expected); 5] = [
-            (
-                "period 2",
-                &[0.0],
-                |x, out| out[0] = if x[0] < 0.5 { 1.0 } else { 0.0 },
-                |r| r == DivergenceReason::LimitCycle { period: 2 },
-            ),
-            (
-                // (1, 0) → (0, 1) → (1, 1) → (1, 0): every point of the
-                // orbit moves by a relative residual of 1.
-                "period 3",
-                &[1.0, 0.0],
-                |x, out| {
-                    let next = match (x[0] > 0.5, x[1] > 0.5) {
-                        (true, false) => [0.0, 1.0],
-                        (false, true) => [1.0, 1.0],
-                        _ => [1.0, 0.0],
-                    };
-                    out.copy_from_slice(&next);
-                },
-                |r| r == DivergenceReason::LimitCycle { period: 3 },
-            ),
-            (
-                "growth",
-                &[1.0],
-                |x, out| out[0] = 2.0 * x[0].abs() + 1.0,
-                |r| r == DivergenceReason::ResidualGrowth,
-            ),
-            (
-                "overflow",
-                &[1.0],
-                |x, out| out[0] = 1e20 * x[0].abs().max(1.0),
-                |r| matches!(r, DivergenceReason::Overflow { component: 0 }),
-            ),
-            (
-                "non-finite",
-                &[1.0],
-                |_, out| out[0] = f64::NAN,
-                |r| matches!(r, DivergenceReason::NonFinite { component: 0 }),
-            ),
-        ];
-        for (name, start, map, expected) in cases {
-            let err = FixedPoint::new(Options { max_iterations: 10_000, ..newton() })
-                .solve(start.to_vec(), map)
-                .unwrap_err();
-            match err {
-                NumericError::Diverged(failure) => {
-                    assert!(expected(failure.reason), "{name}: {}", failure.reason);
-                    assert!(failure.iterations < 100, "{name}: {}", failure.iterations);
-                    assert!(failure.last_finite.iter().all(|v| v.is_finite()), "{name}");
-                }
-                other => panic!("{name}: expected divergence, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn newton_history_and_value_follow_the_plain_contract() {
-        // The returned value is the image of the last iterate and the
-        // history ends on it, exactly as in plain iteration.
-        let map = |x: &[f64], out: &mut [f64]| {
-            out[0] = 0.5 * x[1].cos() + 0.1 * x[0];
-            out[1] = 0.3 * x[0] * x[0] + 0.2;
-        };
-        let sol = FixedPoint::new(Options { record_history: true, ..newton() })
-            .solve(vec![0.0, 0.0], map)
-            .unwrap();
-        assert_eq!(sol.history.len(), sol.iterations + 1);
-        assert_eq!(sol.history.last().unwrap(), &sol.values);
-        let last_iterate = &sol.history[sol.history.len() - 2];
-        let mut image = [0.0; 2];
-        map(last_iterate, &mut image);
-        assert_eq!(sol.values, image);
-        assert!(sol.residual < 1e-12);
     }
 
     #[test]

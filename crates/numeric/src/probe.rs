@@ -6,10 +6,10 @@
 //!
 //! * **Spans** ([`span`]) — scoped wall-clock timers. Nested spans on
 //!   the same thread aggregate under a `/`-joined hierarchical path
-//!   (e.g. `resilient_solve/mva_solve/fixed_point_solve`), keyed by
+//!   (e.g. `engine.batch/engine.gtpn/gtpn_reachability`), keyed by
 //!   call site, with call counts and total duration.
 //! * **Counters** ([`counter_add`]) — monotonic `u64` accumulators
-//!   (iteration totals, event counts, escalation attempts).
+//!   (iteration totals, event counts, solve outcomes).
 //! * **Event recorders** ([`record`] / [`record_many`]) — bounded
 //!   ring buffers (capacity [`ring_capacity`], default
 //!   [`RING_CAPACITY`], override `SNOOP_PROBE_RING`) of `f64` samples

@@ -114,14 +114,8 @@ proptest! {
         b in prop::collection::vec(-5.0f64..5.0, 3),
         initial in prop::collection::vec(-10.0f64..10.0, 3),
         damping in 0.05f64..1.0,
-        newton_sel in 0u8..2,
     ) {
-        let options = Options {
-            max_iterations: 300,
-            damping,
-            newton: newton_sel == 1,
-            ..Options::default()
-        };
+        let options = Options { max_iterations: 300, damping, ..Options::default() };
         let result = FixedPoint::new(options).solve(initial, |x, out| {
             for (out_i, row) in out.iter_mut().zip(&a) {
                 *out_i = row.iter().zip(x).map(|(c, xi)| c * xi).sum::<f64>();
@@ -183,7 +177,6 @@ proptest! {
         call in 1usize..20,
         period in 0usize..8,
         factor in -100.0f64..100.0,
-        newton_sel in 0u8..2,
     ) {
         let base = b.clone();
         let contraction = move |x: &[f64], out: &mut [f64]| {
@@ -195,8 +188,7 @@ proptest! {
             .with_fault(Fault::Nan { component, call })
             .with_fault(Fault::Spike { component, period, factor })
             .with_fault(Fault::Stall { component: (component + 1) % 3, from: call });
-        let options =
-            Options { max_iterations: 200, newton: newton_sel == 1, ..Options::default() };
+        let options = Options { max_iterations: 200, ..Options::default() };
         let result =
             FixedPoint::new(options).solve(vec![0.0; 3], |x, out| faulty.apply(x, out));
         match result {

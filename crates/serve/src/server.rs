@@ -106,7 +106,10 @@ pub struct ServeConfig {
     pub queue_bound: usize,
     /// Backends registered on the shared engine.
     pub backends: Vec<BackendId>,
-    /// Engine executor threads (0 = auto: `SNOOP_THREADS` or cores).
+    /// Engine executor threads per request batch (0 = auto:
+    /// `SNOOP_THREADS` or cores). Defaults to 1: the request workers
+    /// already run batches in parallel, and splitting an 8-scenario MVA
+    /// batch across threads costs more than it saves.
     pub engine_threads: usize,
     /// Durable second cache tier (`None`: in-memory only).
     pub store_dir: Option<PathBuf>,
@@ -129,7 +132,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_bound: 64,
             backends: vec![BackendId::Mva],
-            engine_threads: 0,
+            engine_threads: 1,
             store_dir: None,
             store_max_entries: None,
             access_log: None,

@@ -63,9 +63,8 @@ fn figure_4_1_grid_identical_across_thread_counts() {
 #[test]
 fn resilient_sweeps_identical_on_all_table_4_1_configs() {
     // Each cell's sweep, evaluated alone and serially, must be
-    // reproduced cell for cell — iteration counts and winning strategy
-    // included — when the whole grid runs as one batch on any number of
-    // threads.
+    // reproduced cell for cell — iteration counts included — when the
+    // whole grid runs as one batch on any number of threads.
     let family = figure_scenarios(&TABLE_N);
     let batches: Vec<Vec<Evaluation>> = THREAD_COUNTS
         .iter()

@@ -1,9 +1,11 @@
 //! Property-based tests on the workload derivation and the MVA solver:
-//! for random (valid) workloads, the derived inputs stay consistent and
-//! the solved measures stay physical.
+//! for random (valid) workloads, the derived inputs stay consistent, the
+//! solved measures stay physical, and the fixed point is unique.
 
 use proptest::prelude::*;
 use snoop::mva::asymptote::asymptotic;
+use snoop::mva::equations as eq;
+use snoop::mva::interference::Interference;
 use snoop::mva::{MvaModel, SolverOptions};
 use snoop::protocol::ModSet;
 use snoop::workload::derived::ModelInputs;
@@ -63,6 +65,33 @@ fn params_strategy() -> impl Strategy<Value = WorkloadParams> {
         )
 }
 
+/// `F(R) = R − R′(R)`, rebuilt here from the public equations rather than
+/// taken from the solver: the waits a fixed point with response time `r`
+/// must have (Eqs. 11–12 give `w_mem`; Eq. 5 is affine in `w_bus` through
+/// Eq. 6, so `w_bus = max(0, c)/(1 − β)`), and the response time they
+/// imply (Eqs. 1–4, 13). −∞ where `β ≥ 1`: Eq. 5 has no finite bus wait.
+fn scalar_residual(inputs: &ModelInputs, interference: &Interference, n: usize, r: f64) -> f64 {
+    let w_mem = eq::memory_waiting_time(
+        inputs,
+        eq::p_busy(eq::memory_utilization(inputs, n, r), n),
+    );
+    let p_busy = eq::p_busy(eq::bus_utilization(inputs, n, w_mem, r), n);
+    let t_bus = eq::mean_bus_access(inputs, w_mem);
+    let beta = (n - 1) as f64 * (inputs.p_bc + inputs.p_rr) * t_bus / r;
+    if beta >= 1.0 {
+        return f64::NEG_INFINITY;
+    }
+    let q0 = (n - 1) as f64
+        * (eq::r_broadcast(inputs, 0.0, w_mem) + eq::r_remote_read(inputs, 0.0))
+        / r;
+    let c = (q0 - p_busy) * t_bus + p_busy * eq::bus_residual_life(inputs, w_mem);
+    let w_bus = c.max(0.0) / (1.0 - beta);
+    let (r_bc, r_rr) = (eq::r_broadcast(inputs, w_bus, w_mem), eq::r_remote_read(inputs, w_bus));
+    let n_int = interference.n_interference(eq::bus_queue_length(n, r_bc, r_rr, r));
+    let r_local = eq::r_local(inputs, n_int, interference.t_interference);
+    r - eq::response_time(inputs, r_local, r_bc, r_rr)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -109,6 +138,49 @@ proptest! {
             .expect("solver converges on valid workloads");
         prop_assert!(s.is_physical(params.tau, 1.0), "{s}");
         prop_assert!(s.speedup > 0.0);
+    }
+
+    /// The fixed point is unique: on 401 points from the zero-wait `R₀`
+    /// to twice the solved R, `F(R) = R − R′(R)` is nondecreasing (to
+    /// rounding) and changes sign once, at the solved R. The paper does
+    /// not state this; it is what lets `MvaModel::solve` bracket the root.
+    #[test]
+    fn scalar_residual_is_nondecreasing_with_one_sign_change(
+        params in params_strategy(),
+        bits in 0u8..16,
+        n in 1usize..=2000,
+    ) {
+        let mods = ModSet::power_set()[bits as usize];
+        let model = MvaModel::for_protocol(&params, mods).expect("valid params");
+        let s = model.solve(n, &SolverOptions::default()).expect("converges");
+        let inputs = model.inputs();
+        let interference = Interference::compute(inputs, n);
+        let f = |r: f64| scalar_residual(inputs, &interference, n, r);
+        let r0 = eq::response_time(
+            inputs,
+            0.0,
+            eq::r_broadcast(inputs, 0.0, 0.0),
+            eq::r_remote_read(inputs, 0.0),
+        );
+        let grid: Vec<f64> = (0..=400).map(|i| r0 + (2.0 * s.r - r0) * i as f64 / 400.0).collect();
+        let values: Vec<f64> = grid.iter().map(|&r| f(r)).collect();
+        for (i, w) in values.windows(2).enumerate() {
+            prop_assert!(
+                w[1] >= w[0] - 1e-12 * grid[i + 1],
+                "N={n}: F decreases between R = {} and {}: {} > {}",
+                grid[i],
+                grid[i + 1],
+                w[0],
+                w[1]
+            );
+        }
+        let sign_changes = values.windows(2).filter(|w| (w[0] > 0.0) != (w[1] > 0.0)).count();
+        prop_assert!(values[0] <= 0.0 && values[400] > 0.0, "N={n}: {values:?}");
+        prop_assert_eq!(sign_changes, 1, "N={}", n);
+        // F is steep near saturation, so the root is located by sign, not
+        // by |F(R*)|.
+        let (below, above) = (f(s.r * (1.0 - 1e-9)), f(s.r * (1.0 + 1e-9)));
+        prop_assert!(below <= 0.0 && above > 0.0, "N={n}: F = {below}, {above} around R*");
     }
 
     /// The bus imposes a throughput ceiling: speedup cannot exceed
