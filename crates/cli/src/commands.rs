@@ -950,7 +950,7 @@ fn calibrate_validate(
     use snoop_sim::trace_mode::TraceDriveConfig;
 
     // A second streaming pass over the files — the measurement pass above
-    // consumed the cursors; the prescan's counts are reused.
+    // consumed the replay; the prescan's counts are reused.
     trace.rewind().map_err(|e| e.to_string())?;
     let shortest =
         trace.record_counts().iter().copied().min().unwrap_or(0) as usize;

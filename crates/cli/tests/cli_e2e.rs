@@ -170,6 +170,27 @@ fn sensitivity_is_one_engine_batch_of_27_jobs() {
 }
 
 #[test]
+fn sensitivity_on_two_threads_profiles_every_job_under_its_batch() {
+    let dir = std::env::temp_dir().join("snoop_sensitivity_spans_e2e");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    // Whether the helper thread runs any job varies from run to run.
+    for _ in 0..5 {
+        let _ = std::fs::remove_file(&metrics);
+        let path = metrics.to_str().unwrap();
+        let out = snoop(&["sensitivity", "--n", "4", "--threads", "2", "--metrics-out", path]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        let doc = snoop_numeric::json::JsonValue::parse(&json).expect("metrics file is valid JSON");
+        let calls = |path| {
+            doc.get("spans").and_then(|s| s.get(path)).and_then(|s| s.get("calls")?.as_u64())
+        };
+        assert_eq!(calls("engine.batch/engine.mva"), Some(27), "{json}");
+        assert_eq!(calls("engine.mva"), None, "{json}");
+    }
+}
+
+#[test]
 fn eval_without_scenarios_fails_cleanly() {
     let out = snoop(&["eval"]);
     assert!(!out.status.success());

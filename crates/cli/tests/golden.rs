@@ -36,6 +36,10 @@ const CASES: &[(&str, &[&str])] = &[
         "calibrate_trace",
         &["calibrate", "--trace", "scenarios/traces/mesi_small_p0.trace", "--validate"],
     ),
+    (
+        "calibrate_label",
+        &["calibrate", "--trace", "scenarios/traces/lab_shared.trace", "--validate"],
+    ),
     ("eval_mva", &["eval", "--scenarios", "scenarios/example.json", "--backends", "mva"]),
     ("help", &["help"]),
 ];

@@ -228,6 +228,8 @@ where
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
     };
+    // Helpers open their spans under the caller's span path.
+    let span_path = crate::probe::span_path();
     let mut chunks = std::thread::scope(|scope| {
         // A failed spawn is absorbed: the participants that did start
         // claim its share.
@@ -235,7 +237,10 @@ where
             .filter_map(|_| {
                 std::thread::Builder::new()
                     .name("snoop-exec".into())
-                    .spawn_scoped(scope, || job.claim())
+                    .spawn_scoped(scope, || {
+                        let _path = crate::probe::adopt_span_path(&span_path);
+                        job.claim()
+                    })
                     .ok()
             })
             .collect();

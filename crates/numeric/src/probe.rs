@@ -37,9 +37,9 @@
 //!
 //! Worker threads spawned by [`crate::exec`] share the same global
 //! registry: counters and recorders aggregate across threads under a
-//! single mutex, and spans opened on a worker thread simply start a
-//! fresh (empty) path stack there, so their totals land on top-level
-//! paths.
+//! single mutex. Each helper starts with the span path its caller had
+//! open ([`span_path`], [`adopt_span_path`]), so a span it opens lands
+//! under the same path as on the calling thread.
 //!
 //! Consumers take a [`Snapshot`] and render it as stable JSON
 //! ([`Snapshot::to_json`], schema [`SCHEMA`]) or as a human-readable
@@ -368,6 +368,45 @@ impl Drop for Span {
         let entry = st.spans.entry(path).or_default();
         entry.count += 1;
         entry.total_ns += elapsed.as_nanos();
+    }
+}
+
+/// The names of the spans open on this thread, outermost first. Empty
+/// while collection is disabled.
+///
+/// [`crate::exec`] reads it on the calling thread and hands it to every
+/// helper thread through [`adopt_span_path`].
+#[must_use]
+pub fn span_path() -> Vec<&'static str> {
+    if !enabled() {
+        return Vec::new();
+    }
+    SPAN_STACK.with(|s| s.borrow().clone())
+}
+
+/// Opens `path` (from [`span_path`] on another thread) on this thread,
+/// so the spans opened here aggregate under it. The returned guard
+/// clears this thread's span stack again; hold it for as long as the
+/// thread works on the caller's behalf.
+pub fn adopt_span_path(path: &[&'static str]) -> AdoptedSpanPath {
+    if !path.is_empty() {
+        SPAN_STACK.with(|s| s.borrow_mut().extend_from_slice(path));
+    }
+    AdoptedSpanPath { adopted: !path.is_empty() }
+}
+
+/// Clears the span stack that [`adopt_span_path`] seeded, on drop.
+#[derive(Debug)]
+#[must_use = "the adopted path is cleared when the guard drops; binding it to `_` drops it immediately"]
+pub struct AdoptedSpanPath {
+    adopted: bool,
+}
+
+impl Drop for AdoptedSpanPath {
+    fn drop(&mut self) {
+        if self.adopted {
+            SPAN_STACK.with(|s| s.borrow_mut().clear());
+        }
     }
 }
 
@@ -751,6 +790,37 @@ mod tests {
         assert_eq!(e.dropped + e.recent.len() as u64, e.count);
         assert_eq!(e.min, 0.0);
         assert_eq!(e.max, 15.0);
+    }
+
+    #[test]
+    fn exec_helpers_open_spans_under_the_callers_path() {
+        use crate::exec::{helper_test_lock, par_map, ExecOptions};
+        use std::sync::Condvar;
+
+        let _lock = helper_test_lock();
+        let _session = session();
+        let caller = std::thread::current().id();
+        let arrived = (Mutex::new(0), Condvar::new());
+        let on_helper = {
+            let _outer = span("probe_test_par_outer");
+            // Each of the two items waits for the other, so the caller
+            // and the helper run one each.
+            par_map(&[0, 1], &ExecOptions::with_threads(2), |_| {
+                let _item = span("probe_test_par_item");
+                let (count, all_in) = &arrived;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                all_in.notify_all();
+                let wait = std::time::Duration::from_secs(10);
+                drop(all_in.wait_timeout_while(count, wait, |n| *n < 2).unwrap());
+                std::thread::current().id() != caller
+            })
+        };
+        assert_eq!(on_helper.iter().filter(|&&h| h).count(), 1, "{on_helper:?}");
+        let snap = snapshot();
+        let nested = find_span(&snap, "probe_test_par_outer/probe_test_par_item");
+        assert_eq!(nested.map(|s| s.count), Some(2));
+        assert!(find_span(&snap, "probe_test_par_item").is_none());
     }
 
     #[test]

@@ -18,33 +18,71 @@
 //! comments are ignored everywhere.
 //!
 //! Ingestion is two-pass and streams with bounded memory: a prescan reads
-//! each file line by line to validate it, count records per processor,
-//! accumulate think-cycle totals, and classify each *block* into the
-//! paper's three substreams (referenced by one processor → private; by
-//! several, never written → shared read-only; by several with a write →
-//! shared-writable). Replay then re-reads the files through per-processor
-//! cursors, so memory is proportional to the number of distinct blocks,
-//! never the trace length.
+//! each file once to validate it, count records per processor, accumulate
+//! think-cycle totals, and classify each *block* into the paper's three
+//! substreams (referenced by one processor → private; by several, never
+//! written → shared read-only; by several with a write → shared-writable).
+//! Replay then reads the files again as the consumer pulls records, so
+//! memory is proportional to the number of distinct blocks, never the
+//! trace length.
 //!
-//! Every reader reads lines as bytes into one reused buffer and tokenizes
-//! them in place, so parsing allocates only to report an error. A label
-//! cursor fully parses only the records it owns. Replay stops at the first
-//! line that no longer parses, or at a stream whose length differs from the
-//! prescan count. Either means the file changed after it was opened, and
-//! [`FileTrace::replay_error`] reports it.
+//! Every reader tokenizes a line in place, in its `BufReader`'s own buffer.
+//! Only a line that straddles the end of that buffer, or ends the file
+//! without a newline, is copied into a reused buffer, and parsing allocates
+//! only to report an error. The block-keyed tables hash block numbers with
+//! the splitmix64 finalizer instead of SipHash.
+//!
+//! Assignment replay reads each processor's file through its own cursor.
+//! Label replay reads the one file through one shared reader, which parses
+//! each record once and deals it round-robin into its processor's queue.
+//! A queue holds at most 8192 records. A processor whose
+//! queue would overflow detaches: it drops its queue and reads on through a
+//! cursor of its own, started at its first undelivered record, which skips
+//! the other processors' records without parsing them. So a consumer that
+//! pulls the processors evenly reads a label file once per pass, and memory
+//! stays bounded however unevenly it pulls.
+//!
+//! Replay stops at the first line that no longer parses, or at a stream
+//! whose length differs from the prescan count. Either means the file
+//! changed after it was opened, and [`FileTrace::replay_error`] reports it.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
+use crate::block_hash::BlockMap;
 use crate::synth::Stream;
 use crate::trace::{TraceRecord, TraceSource};
 
-/// Maximum processors a file-backed source supports (sharer sets are
-/// tracked as a 64-bit mask during the prescan).
+/// Maximum processors a file-backed source supports.
 pub const MAX_PROCESSORS: usize = 64;
+
+/// What the prescan saw of one block: the first processor that touched
+/// it, whether another one did too, and whether any wrote it. Three bytes,
+/// so a table entry is as small as a block → [`Stream`] entry.
+#[derive(Debug, Clone, Copy)]
+struct Sharing {
+    /// A processor number, below [`MAX_PROCESSORS`].
+    first: u8,
+    shared: bool,
+    written: bool,
+}
+
+impl Sharing {
+    /// The block's substream: private to one processor, or shared and
+    /// read-only or written.
+    fn stream(self) -> Stream {
+        if !self.shared {
+            Stream::Private
+        } else if self.written {
+            Stream::SharedWritable
+        } else {
+            Stream::SharedReadOnly
+        }
+    }
+}
 
 /// On-disk trace dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +96,7 @@ pub enum TraceFormat {
 impl TraceFormat {
     /// Sniffs the format from the first record line of `path`.
     pub fn detect(path: &Path) -> Result<TraceFormat, IngestError> {
-        let mut lines = Lines::open(path)?;
+        let mut lines = Lines::open(path, READ_CAPACITY)?;
         while let Some((line_no, text)) =
             lines.next_line().map_err(|e| IngestError::io(path, &e))?
         {
@@ -235,35 +273,81 @@ enum ParsedLine {
     Think { cycles: u64 },
 }
 
-/// Reads a trace line by line into one reused byte buffer.
+/// Bytes each trace reader buffers.
+const READ_CAPACITY: usize = 8 * 1024;
+
+/// Records a label processor's queue holds before the processor detaches
+/// from the shared reader: 128 KiB at 16 bytes a record. Replaying the
+/// benchmark's four-processor label trace, the trace-driven simulator
+/// never queues 2048 records for one processor.
+const QUEUE_CAP: usize = 1 << 13;
+
+/// The buffer sizes of one trace's readers. Tests shrink them so that
+/// small traces reach the straddled-line and detach paths.
+#[derive(Debug, Clone, Copy)]
+struct Buffers {
+    /// Bytes each file reader buffers.
+    read: usize,
+    /// Records a label processor's queue holds.
+    queue: usize,
+}
+
+const BUFFERS: Buffers = Buffers { read: READ_CAPACITY, queue: QUEUE_CAP };
+
+/// Reads a trace line by line, in place where it can.
 struct Lines<R> {
     reader: R,
+    /// Holds a line that straddles the end of the reader's buffer.
     buf: Vec<u8>,
-    /// 1-based number of the line in `buf`.
+    /// Bytes of the reader's buffer the last line borrowed; consumed at
+    /// the next read.
+    borrowed: usize,
+    /// 1-based number of the last line read.
     line_no: usize,
 }
 
 impl Lines<BufReader<File>> {
-    fn open(path: &Path) -> Result<Self, IngestError> {
+    fn open(path: &Path, capacity: usize) -> Result<Self, IngestError> {
         let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
-        Ok(Lines::new(BufReader::new(file)))
+        Ok(Lines::new(BufReader::with_capacity(capacity, file)))
     }
 }
 
 impl<R: BufRead> Lines<R> {
     fn new(reader: R) -> Self {
-        Lines { reader, buf: Vec::new(), line_no: 0 }
+        Lines { reader, buf: Vec::new(), borrowed: 0, line_no: 0 }
     }
 
     /// The next raw line, terminator included, with its 1-based number;
     /// `None` at end of file.
+    ///
+    /// The line is a slice of the reader's own buffer. It is copied only
+    /// when it straddles the end of that buffer, or ends the file without
+    /// a newline.
     fn next_raw(&mut self) -> std::io::Result<Option<(usize, &[u8])>> {
-        self.buf.clear();
-        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
-            return Ok(None);
-        }
+        self.reader.consume(std::mem::take(&mut self.borrowed));
+        let newline = loop {
+            match self.reader.fill_buf() {
+                Ok([]) => return Ok(None),
+                Ok(available) => break available.iter().position(|&b| b == b'\n'),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        let line = match newline {
+            Some(end) => {
+                self.borrowed = end + 1;
+                // Unconsumed bytes come back without another read.
+                &self.reader.fill_buf()?[..=end]
+            }
+            None => {
+                self.buf.clear();
+                self.reader.read_until(b'\n', &mut self.buf)?;
+                &self.buf[..]
+            }
+        };
         self.line_no += 1;
-        Ok(Some((self.line_no, &self.buf)))
+        Ok(Some((self.line_no, line)))
     }
 
     /// As [`Lines::next_raw`], as text.
@@ -359,8 +443,9 @@ impl<'a> Iterator for Tokens<'a> {
 }
 
 /// Whether a raw line holds a record rather than only whitespace and a
-/// comment. Label cursors ask this of the lines other processors own; the
-/// prescan has already parsed them.
+/// comment. Label replay asks this of the lines it does not parse: a
+/// cursor of the lines other processors own, the shared reader of a
+/// detached processor's lines. The prescan has already parsed them.
 fn has_record(raw: &[u8]) -> bool {
     let Some(i) = raw.iter().position(|b| !matches!(b, b'\t'..=b'\r' | b' ')) else {
         return false;
@@ -494,7 +579,13 @@ fn parse_line(raw: &str, format: TraceFormat) -> Result<Option<ParsedLine>, (usi
     }
 }
 
-/// A replay cursor over one processor's share of a trace file.
+/// An I/O failure on line `line_no` of `path` during replay.
+fn replay_io_error(path: &Path, line_no: usize, e: &std::io::Error) -> IngestError {
+    IngestError::Io { path: path.display().to_string(), message: format!("line {line_no}: {e}") }
+}
+
+/// A replay cursor that reads one processor's records from a file of its
+/// own, or picks them out of a label file on its own reader.
 struct Cursor {
     path: PathBuf,
     lines: Lines<BufReader<File>>,
@@ -502,8 +593,6 @@ struct Cursor {
     /// Records owned by other processors between two of this cursor's
     /// (label sharding: `processors - 1`; assignment cursors own all).
     stride: u64,
-    /// Records before this cursor's first (label sharding: its processor).
-    phase: u64,
     /// Records still to pass over before the next one this cursor owns.
     skip: u64,
 }
@@ -513,18 +602,11 @@ impl Cursor {
         path: &Path,
         format: TraceFormat,
         stride: u64,
-        phase: u64,
+        skip: u64,
+        buffers: Buffers,
     ) -> Result<Self, IngestError> {
-        let lines = Lines::open(path)?;
-        Ok(Cursor { path: path.to_path_buf(), lines, format, stride, phase, skip: phase })
-    }
-
-    /// An I/O failure on line `line_no` during replay.
-    fn io_error(&self, line_no: usize, e: &std::io::Error) -> IngestError {
-        IngestError::Io {
-            path: self.path.display().to_string(),
-            message: format!("line {line_no}: {e}"),
-        }
+        let lines = Lines::open(path, buffers.read)?;
+        Ok(Cursor { path: path.to_path_buf(), lines, format, stride, skip })
     }
 
     /// Next byte-address record owned by this cursor's processor.
@@ -538,7 +620,7 @@ impl Cursor {
             let (line_no, raw) = match self.lines.next_raw() {
                 Ok(Some(line)) => line,
                 Ok(None) => return Ok(None),
-                Err(e) => return Err(self.io_error(self.lines.line_no + 1, &e)),
+                Err(e) => return Err(replay_io_error(&self.path, self.lines.line_no + 1, &e)),
             };
             if self.skip > 0 {
                 if has_record(raw) {
@@ -546,10 +628,7 @@ impl Cursor {
                 }
                 continue;
             }
-            let text = match utf8(raw) {
-                Ok(text) => text,
-                Err(e) => return Err(self.io_error(line_no, &e)),
-            };
+            let text = utf8(raw).map_err(|e| replay_io_error(&self.path, line_no, &e))?;
             match parse_line(text, self.format) {
                 Ok(Some(ParsedLine::Record { address, is_write })) => {
                     self.skip = self.stride;
@@ -562,17 +641,163 @@ impl Cursor {
     }
 }
 
+/// The replay state of an opened trace.
+enum Replay {
+    /// One cursor per processor file (assignment traces).
+    Files(Vec<Cursor>),
+    /// One shared reader of a label file.
+    Label(Dealer),
+}
+
+impl Replay {
+    /// Positions every processor at its first record.
+    fn open(
+        paths: &[PathBuf],
+        format: TraceFormat,
+        processors: usize,
+        buffers: Buffers,
+    ) -> Result<Replay, IngestError> {
+        Ok(match format {
+            TraceFormat::Assignment => Replay::Files(
+                paths
+                    .iter()
+                    .map(|p| Cursor::open(p, format, 0, 0, buffers))
+                    .collect::<Result<_, _>>()?,
+            ),
+            TraceFormat::Label => Replay::Label(Dealer {
+                lines: Lines::open(&paths[0], buffers.read)?,
+                path: paths[0].clone(),
+                turn: 0,
+                feeds: (0..processors).map(|_| Feed::Dealt(VecDeque::new())).collect(),
+                buffers,
+            }),
+        })
+    }
+
+    /// The next byte-address record of processor `p`, given how many
+    /// records each processor has been delivered.
+    fn next(&mut self, p: usize, delivered: &[u64]) -> Result<Option<(u64, bool)>, IngestError> {
+        match self {
+            Replay::Files(cursors) => cursors[p].next(),
+            Replay::Label(dealer) => dealer.next(p, delivered),
+        }
+    }
+
+    /// The file and the last line read on processor `p`'s behalf.
+    fn position(&self, p: usize) -> (&Path, usize) {
+        let cursor = match self {
+            Replay::Files(cursors) => &cursors[p],
+            Replay::Label(dealer) => match &dealer.feeds[p] {
+                Feed::Own(cursor) => cursor,
+                Feed::Dealt(_) => return (&dealer.path, dealer.lines.line_no),
+            },
+        };
+        (&cursor.path, cursor.lines.line_no)
+    }
+}
+
+/// Where a label processor's records come from during replay.
+enum Feed {
+    /// Records the shared reader has dealt to it, oldest first.
+    Dealt(VecDeque<(u64, bool)>),
+    /// Its own cursor, after it detached from the shared reader.
+    Own(Cursor),
+}
+
+/// The one reader of a label file: it deals the records round-robin into
+/// per-processor queues, so a consumer that pulls evenly reads the file
+/// once.
+struct Dealer {
+    path: PathBuf,
+    lines: Lines<BufReader<File>>,
+    /// The processor the next record belongs to.
+    turn: usize,
+    feeds: Vec<Feed>,
+    buffers: Buffers,
+}
+
+impl Dealer {
+    fn next(&mut self, p: usize, delivered: &[u64]) -> Result<Option<(u64, bool)>, IngestError> {
+        match &mut self.feeds[p] {
+            Feed::Own(cursor) => cursor.next(),
+            Feed::Dealt(queue) => match queue.pop_front() {
+                Some(record) => Ok(Some(record)),
+                None => self.deal(p, delivered),
+            },
+        }
+    }
+
+    /// Reads on to processor `p`'s next record, dealing every record it
+    /// passes to its owner's queue.
+    ///
+    /// An owner whose queue is full detaches: it drops its queue and opens
+    /// its own cursor at its first undelivered record, so no queue ever
+    /// holds more than [`Buffers::queue`] records. From then on the shared
+    /// reader only counts that owner's lines, as a cursor counts the lines
+    /// it does not own.
+    fn deal(&mut self, p: usize, delivered: &[u64]) -> Result<Option<(u64, bool)>, IngestError> {
+        let n = self.feeds.len();
+        loop {
+            let (line_no, raw) = match self.lines.next_raw() {
+                Ok(Some(line)) => line,
+                Ok(None) => return Ok(None),
+                Err(e) => return Err(replay_io_error(&self.path, self.lines.line_no + 1, &e)),
+            };
+            let owner = self.turn;
+            if matches!(self.feeds[owner], Feed::Own(_)) {
+                if has_record(raw) {
+                    self.turn = (owner + 1) % n;
+                }
+                continue;
+            }
+            let text = utf8(raw).map_err(|e| replay_io_error(&self.path, line_no, &e))?;
+            let record = match parse_line(text, TraceFormat::Label) {
+                Ok(Some(ParsedLine::Record { address, is_write })) => (address, is_write),
+                Ok(Some(ParsedLine::Think { .. }) | None) => continue,
+                Err(e) => return Err(located(&self.path, line_no, text, e).into()),
+            };
+            self.turn = (owner + 1) % n;
+            if owner == p {
+                return Ok(Some(record));
+            }
+            match &mut self.feeds[owner] {
+                Feed::Dealt(queue) if queue.len() < self.buffers.queue => queue.push_back(record),
+                feed => {
+                    let skip = owner as u64 + delivered[owner] * n as u64;
+                    let format = TraceFormat::Label;
+                    let cursor = Cursor::open(&self.path, format, n as u64 - 1, skip, self.buffers)?;
+                    *feed = Feed::Own(cursor);
+                }
+            }
+        }
+    }
+
+    /// Records dealt but not yet delivered, over every queue.
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        self.feeds
+            .iter()
+            .map(|feed| match feed {
+                Feed::Dealt(queue) => queue.len(),
+                Feed::Own(_) => 0,
+            })
+            .sum()
+    }
+}
+
 /// A file-backed [`TraceSource`].
 ///
 /// Built by [`FileTrace::open`]; classification and counts come from the
-/// prescan, records from streaming per-processor cursors.
+/// prescan, records from a streaming replay of the files.
 pub struct FileTrace {
+    paths: Vec<PathBuf>,
     format: TraceFormat,
     options: IngestOptions,
     processors: usize,
-    /// Block → substream, from the prescan's sharing analysis.
-    streams: HashMap<u64, Stream>,
-    cursors: Vec<Cursor>,
+    /// Block → sharing, from the prescan.
+    blocks: BlockMap<Sharing>,
+    replay: Replay,
+    buffers: Buffers,
     counts: Vec<u64>,
     delivered: Vec<u64>,
     tau: Option<f64>,
@@ -610,6 +835,16 @@ impl FileTrace {
         format: TraceFormat,
         options: IngestOptions,
     ) -> Result<FileTrace, IngestError> {
+        FileTrace::open_with(paths, format, options, BUFFERS)
+    }
+
+    /// As [`FileTrace::open`], with the given reader and queue sizes.
+    fn open_with(
+        paths: &[PathBuf],
+        format: TraceFormat,
+        options: IngestOptions,
+        buffers: Buffers,
+    ) -> Result<FileTrace, IngestError> {
         if paths.is_empty() {
             return Err(IngestError::Config("no trace files given".into()));
         }
@@ -637,7 +872,7 @@ impl FileTrace {
         }
 
         // Prescan: validate, count, and classify blocks by sharing.
-        let mut sharers: HashMap<u64, (u64, bool)> = HashMap::new();
+        let mut blocks: BlockMap<Sharing> = BlockMap::default();
         let mut counts = vec![0u64; processors];
         let mut think_cycles = 0u64;
         let mut think_applicable = false;
@@ -645,8 +880,8 @@ impl FileTrace {
             byte_address / options.bytes_per_word / options.words_per_block
         };
         for (file_idx, path) in paths.iter().enumerate() {
-            let mut lines = Lines::open(path)?;
-            let mut label_index = 0u64;
+            let mut lines = Lines::open(path, buffers.read)?;
+            let mut turn = 0;
             while let Some((line_no, text)) =
                 lines.next_line().map_err(|e| IngestError::io(path, &e))?
             {
@@ -657,15 +892,20 @@ impl FileTrace {
                         let p = match format {
                             TraceFormat::Assignment => file_idx,
                             TraceFormat::Label => {
-                                let p = (label_index % processors as u64) as usize;
-                                label_index += 1;
+                                let p = turn;
+                                turn = (turn + 1) % processors;
                                 p
                             }
                         };
                         counts[p] += 1;
-                        let entry = sharers.entry(block_of(address)).or_insert((0, false));
-                        entry.0 |= 1u64 << p;
-                        entry.1 |= is_write;
+                        let p = p as u8;
+                        let entry = blocks.entry(block_of(address)).or_insert(Sharing {
+                            first: p,
+                            shared: false,
+                            written: false,
+                        });
+                        entry.shared |= entry.first != p;
+                        entry.written |= is_write;
                     }
                     Some(ParsedLine::Think { cycles }) => {
                         think_applicable = true;
@@ -683,41 +923,18 @@ impl FileTrace {
             )));
         }
 
-        let distinct_blocks = sharers.len() as u64;
-        let streams = sharers
-            .into_iter()
-            .map(|(block, (mask, written))| {
-                let stream = if mask.count_ones() <= 1 {
-                    Stream::Private
-                } else if written {
-                    Stream::SharedWritable
-                } else {
-                    Stream::SharedReadOnly
-                };
-                (block, stream)
-            })
-            .collect();
-
-        let cursors = match format {
-            TraceFormat::Assignment => paths
-                .iter()
-                .map(|p| Cursor::open(p, format, 0, 0))
-                .collect::<Result<Vec<_>, _>>()?,
-            TraceFormat::Label => (0..processors)
-                .map(|p| Cursor::open(&paths[0], format, processors as u64 - 1, p as u64))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-
         Ok(FileTrace {
+            replay: Replay::open(paths, format, processors, buffers)?,
+            buffers,
+            paths: paths.to_vec(),
             format,
             options,
             processors,
-            streams,
-            cursors,
+            distinct_blocks: blocks.len() as u64,
+            blocks,
             counts,
             delivered: vec![0; processors],
             tau: think_applicable.then(|| think_cycles as f64 / total as f64),
-            distinct_blocks,
             replay_error: None,
         })
     }
@@ -763,11 +980,7 @@ impl FileTrace {
     ///
     /// [`IngestError::Io`] when a trace file can no longer be opened.
     pub fn rewind(&mut self) -> Result<(), IngestError> {
-        self.cursors = self
-            .cursors
-            .iter()
-            .map(|c| Cursor::open(&c.path, c.format, c.stride, c.phase))
-            .collect::<Result<_, _>>()?;
+        self.replay = Replay::open(&self.paths, self.format, self.processors, self.buffers)?;
         self.delivered.fill(0);
         self.replay_error = None;
         Ok(())
@@ -787,19 +1000,21 @@ impl TraceSource for FileTrace {
         if self.replay_error.is_some() {
             return None;
         }
-        let cursor = self.cursors.get_mut(processor)?;
+        if processor >= self.processors {
+            return None;
+        }
         let (delivered, count) = (self.delivered[processor], self.counts[processor]);
-        let (byte_address, is_write) = match cursor.next() {
+        let (byte_address, is_write) = match self.replay.next(processor, &self.delivered) {
             Ok(Some(record)) if delivered < count => record,
             Ok(None) if delivered == count => return None,
             Ok(record) => {
                 let found = if record.is_some() { "more" } else { "fewer" };
+                let (path, line_no) = self.replay.position(processor);
                 self.replay_error = Some(IngestError::Io {
-                    path: cursor.path.display().to_string(),
+                    path: path.display().to_string(),
                     message: format!(
-                        "line {}: processor {processor} has {found} than the {count} records \
-                         counted when the trace was opened; the file changed since",
-                        cursor.lines.line_no
+                        "line {line_no}: processor {processor} has {found} than the {count} \
+                         records counted when the trace was opened; the file changed since"
                     ),
                 });
                 return None;
@@ -812,7 +1027,7 @@ impl TraceSource for FileTrace {
         self.delivered[processor] += 1;
         let address = byte_address / self.options.bytes_per_word;
         let block = address / self.options.words_per_block;
-        let stream = self.streams.get(&block).copied().unwrap_or(Stream::Private);
+        let stream = self.blocks.get(&block).map_or(Stream::Private, |s| s.stream());
         Some(TraceRecord { processor, address, is_write, stream })
     }
 
@@ -973,6 +1188,49 @@ mod tests {
             assert_eq!(replay(&mut t), fresh, "{format}");
             assert!(t.replay_error().is_none());
         }
+    }
+
+    #[test]
+    fn a_block_table_entry_takes_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Sharing)>(), 16);
+    }
+
+    #[test]
+    fn draining_one_label_processor_first_keeps_the_queues_bounded() {
+        // More records than the queues of all three processors hold.
+        const N: usize = 3;
+        let records = QUEUE_CAP * N + 1000;
+        let line = |i: usize| {
+            let op = if i.is_multiple_of(7) { 's' } else { 'l' };
+            format!("{op} {:#x}\n", (i * 52 % 40_960) * 4)
+        };
+        let f = temp_file("deep.trace", &(0..records).map(line).collect::<String>());
+        let options = IngestOptions { processors: N, ..IngestOptions::default() };
+        let mut t = FileTrace::open(&[f], TraceFormat::Label, options).unwrap();
+
+        let mut peak = 0;
+        let mut got = vec![Vec::new(); N];
+        for (p, records) in got.iter_mut().enumerate() {
+            while let Some(r) = t.next_for(p) {
+                records.push((r.address, r.is_write));
+                let Replay::Label(dealer) = &t.replay else { panic!("a label replay") };
+                peak = peak.max(dealer.queued());
+            }
+        }
+        assert!(peak <= QUEUE_CAP * N, "{peak} records queued");
+        // Processors 1 and 2 filled their queues, then detached.
+        assert!(peak >= QUEUE_CAP, "{peak} records queued");
+        let Replay::Label(dealer) = &t.replay else { panic!("a label replay") };
+        assert!(dealer.feeds[1..].iter().all(|feed| matches!(feed, Feed::Own(_))));
+        for (p, records) in got.iter().enumerate() {
+            let want: Vec<_> = (p..records.len() * N)
+                .step_by(N)
+                .map(|i| ((i * 52 % 40_960) as u64, i.is_multiple_of(7)))
+                .collect();
+            assert_eq!(records.len() as u64, t.record_counts()[p]);
+            assert!(records == &want, "processor {p} differs");
+        }
+        assert!(t.replay_error().is_none());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The byte-level trace parser against the `String`-based parser it
 //! replaced, kept here as the oracle: on every line both must accept the
 //! same values or report the same `(col, message)`, and invalid UTF-8 must
-//! fail as `BufRead::read_line` fails. `FileTrace::open` must not panic on
-//! arbitrary bytes.
+//! fail as `BufRead::read_line` fails, however the reader's buffer cuts the
+//! lines. `FileTrace::open` must not panic on arbitrary bytes, and replay
+//! must deliver each processor the records the oracle shards to it, in
+//! every consumer order.
 
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -131,8 +133,8 @@ fn oracle_lines(bytes: &[u8], format: TraceFormat) -> Vec<LineOutcome> {
     }
 }
 
-fn byte_lines(bytes: &[u8], format: TraceFormat) -> Vec<LineOutcome> {
-    let mut lines = Lines::new(bytes);
+fn byte_lines<R: BufRead>(reader: R, format: TraceFormat) -> Vec<LineOutcome> {
+    let mut lines = Lines::new(reader);
     let mut out = Vec::new();
     loop {
         match lines.next_line() {
@@ -267,17 +269,17 @@ proptest! {
 
     /// Both dialects: the byte parser returns exactly the oracle's value
     /// or `(col, message)` on every line, and the same I/O error on
-    /// invalid UTF-8.
+    /// invalid UTF-8, whether a line lies whole in the reader's buffer or
+    /// straddles its end.
     #[test]
-    fn byte_parser_matches_the_oracle(lines in lines_strategy()) {
+    fn byte_parser_matches_the_oracle(lines in lines_strategy(), capacity in 1usize..24) {
         let bytes = trace_bytes(&lines);
         for format in [TraceFormat::Assignment, TraceFormat::Label] {
-            prop_assert_eq!(
-                byte_lines(&bytes, format),
-                oracle_lines(&bytes, format),
-                "{:?}",
-                String::from_utf8_lossy(&bytes)
-            );
+            let want = oracle_lines(&bytes, format);
+            let text = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(&byte_lines(&bytes[..], format), &want, "{:?}", text);
+            let small = BufReader::with_capacity(capacity, &bytes[..]);
+            prop_assert_eq!(&byte_lines(small, format), &want, "capacity {}: {:?}", capacity, text);
         }
         // A label cursor's skip test agrees with a full parse on every
         // line the prescan accepts.
@@ -336,5 +338,237 @@ proptest! {
         }
         let _ = FileTrace::open_auto(std::slice::from_ref(&path), IngestOptions::default());
         fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Whitespace that separates fields: ASCII and Unicode.
+const SPACES: &[&str] = &[" ", "\t", "  ", "\x0b", "\x0c", "\u{a0}", "\u{3000}", "\u{2028}"];
+
+/// One line of a valid trace: a record with its layout, or a line with
+/// none.
+#[derive(Debug, Clone)]
+enum ValidLine {
+    Record { op: usize, block: u64, offset: u64, style: usize, space: usize, note: bool },
+    Think { cycles: u64, space: usize },
+    Blank { space: usize, note: bool },
+}
+
+impl ValidLine {
+    fn write(&self, format: TraceFormat, out: &mut String) {
+        match *self {
+            ValidLine::Record { op, block, offset, style, space, note } => {
+                const LABELS: &[&str] = &["l", "L", "r", "s", "S", "w", "load", "STORE", "Write"];
+                let op = match format {
+                    TraceFormat::Assignment => ["0", "1"][op % 2],
+                    TraceFormat::Label => LABELS[op % LABELS.len()],
+                };
+                let address = block * 16 + offset;
+                let value = match style % 4 {
+                    0 => format!("{address:#x}"),
+                    1 => format!("{address:X}"),
+                    2 => format!("0X{address:08x}"),
+                    _ => format!("{address:x}"),
+                };
+                let sep = SPACES[space % SPACES.len()];
+                if space % 3 == 0 {
+                    out.push_str(sep);
+                }
+                out.push_str(&format!("{op}{sep}{value}"));
+                if note {
+                    out.push_str(&format!("{sep}# café {block}"));
+                }
+            }
+            ValidLine::Think { cycles, space } => match format {
+                TraceFormat::Assignment => {
+                    out.push_str(&format!("2{}{cycles}", SPACES[space % SPACES.len()]));
+                }
+                TraceFormat::Label => out.push_str("# no think lines here"),
+            },
+            ValidLine::Blank { space, note } => {
+                out.push_str(SPACES[space % SPACES.len()]);
+                if note {
+                    out.push_str("#\u{3000}comment");
+                }
+            }
+        }
+    }
+}
+
+/// Six records to each think line and each blank line; `crlf` ends the
+/// line with CRLF.
+fn valid_line() -> impl Strategy<Value = (ValidLine, bool)> {
+    (0usize..8, 0usize..20, 0u64..12, 0u64..16, 0usize..8, 0usize..40, 0u8..5, 0u64..100, 0u8..2)
+        .prop_map(|(kind, op, block, offset, style, space, note, cycles, crlf)| {
+            let line = match kind {
+                0 => ValidLine::Think { cycles, space },
+                1 => ValidLine::Blank { space, note: note < 2 },
+                _ => ValidLine::Record { op, block, offset, style, space, note: note == 0 },
+            };
+            (line, crlf == 1)
+        })
+}
+
+/// Writes `lines` as one trace file: LF and CRLF endings, and no newline
+/// after the last line when `open_end` is set.
+fn valid_trace(lines: &[(ValidLine, bool)], format: TraceFormat, open_end: bool) -> Vec<u8> {
+    let mut out = String::new();
+    for (i, (line, crlf)) in lines.iter().enumerate() {
+        line.write(format, &mut out);
+        if i + 1 < lines.len() || !open_end {
+            out.push_str(if *crlf { "\r\n" } else { "\n" });
+        }
+    }
+    out.into_bytes()
+}
+
+/// The records the oracle parses from one file, as `(byte address, is_write)`.
+fn oracle_records(bytes: &[u8], format: TraceFormat) -> Vec<(u64, bool)> {
+    oracle_lines(bytes, format)
+        .into_iter()
+        .filter_map(|line| match line.expect("valid UTF-8").expect("valid line") {
+            Some(ParsedLine::Record { address, is_write }) => Some((address, is_write)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The trace records of per-processor `(byte address, is_write)` streams,
+/// with each block classified by its sharers and writes.
+fn oracle_replay(streams: &[Vec<(u64, bool)>]) -> Vec<Vec<TraceRecord>> {
+    let mut sharers: std::collections::BTreeMap<u64, (Vec<usize>, bool)> = Default::default();
+    for (p, stream) in streams.iter().enumerate() {
+        for &(address, is_write) in stream {
+            let entry = sharers.entry(address / 16).or_default();
+            if !entry.0.contains(&p) {
+                entry.0.push(p);
+            }
+            entry.1 |= is_write;
+        }
+    }
+    streams
+        .iter()
+        .enumerate()
+        .map(|(processor, stream)| {
+            stream
+                .iter()
+                .map(|&(address, is_write)| {
+                    let stream = match &sharers[&(address / 16)] {
+                        (who, _) if who.len() == 1 => Stream::Private,
+                        (_, true) => Stream::SharedWritable,
+                        (_, false) => Stream::SharedReadOnly,
+                    };
+                    TraceRecord { processor, address: address / 4, is_write, stream }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// How a consumer pulls the processors' streams.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// One record from each processor in turn.
+    RoundRobin,
+    /// Processor `p` pulls `2p + 1` records a round, so later processors
+    /// run ahead.
+    Skewed,
+    /// Processor 0's whole stream, then processor 1's, and so on.
+    ZeroFirst,
+}
+
+/// Drains `trace` in `order`, checking after every pull that the label
+/// queues hold at most `cap` records per processor.
+fn replay_in(trace: &mut FileTrace, order: Order, cap: usize) -> Vec<Vec<TraceRecord>> {
+    let n = trace.processors();
+    let mut out = vec![Vec::new(); n];
+    let mut pull = |trace: &mut FileTrace, p: usize| {
+        let record = trace.next_for(p);
+        if let Replay::Label(dealer) = &trace.replay {
+            assert!(dealer.queued() <= cap * n, "{} queued", dealer.queued());
+        }
+        out[p].extend(record);
+        record.is_some()
+    };
+    match order {
+        Order::ZeroFirst => {
+            for p in 0..n {
+                while pull(trace, p) {}
+            }
+        }
+        Order::RoundRobin | Order::Skewed => {
+            let mut live: Vec<usize> = (0..n).collect();
+            while !live.is_empty() {
+                live.retain(|&p| {
+                    let pulls = if matches!(order, Order::Skewed) { 2 * p + 1 } else { 1 };
+                    (0..pulls).all(|_| pull(trace, p))
+                });
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Replay delivers each processor exactly the records the oracle
+    /// shards to it, classified by the oracle's sharer sets, for both
+    /// dialects, 1–8 processors, reader buffers that cut lines anywhere,
+    /// and small label queues that force processors to detach.
+    #[test]
+    fn replay_matches_the_oracle(
+        lines in prop::collection::vec(valid_line(), 1..80),
+        processors in 1usize..=8,
+        open_end in 0u8..2,
+        read in 1usize..28,
+        queue in 1usize..6,
+    ) {
+        // The largest draws stand for the default sizes.
+        let read = if read > 24 { READ_CAPACITY } else { read };
+        let queue = if queue > 4 { QUEUE_CAP } else { queue };
+        let buffers = Buffers { read, queue };
+        let open_end = open_end == 1;
+        // Assignment: line i goes to processor i mod n's file.
+        let files: Vec<Vec<(ValidLine, bool)>> = (0..processors)
+            .map(|p| lines.iter().skip(p).step_by(processors).cloned().collect())
+            .collect();
+        let assignment: Vec<Vec<u8>> =
+            files.iter().map(|f| valid_trace(f, TraceFormat::Assignment, open_end)).collect();
+        let label = valid_trace(&lines, TraceFormat::Label, open_end);
+        let mut label_streams = vec![Vec::new(); processors];
+        for (i, record) in oracle_records(&label, TraceFormat::Label).into_iter().enumerate() {
+            label_streams[i % processors].push(record);
+        }
+        let cases: [(Vec<PathBuf>, _, _); 2] = [
+            (
+                assignment.iter().map(|bytes| temp_trace(bytes)).collect::<Vec<_>>(),
+                TraceFormat::Assignment,
+                oracle_replay(
+                    &assignment
+                        .iter()
+                        .map(|bytes| oracle_records(bytes, TraceFormat::Assignment))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            (vec![temp_trace(&label)], TraceFormat::Label, oracle_replay(&label_streams)),
+        ];
+        let options = IngestOptions { processors, ..IngestOptions::default() };
+        for (paths, format, want) in cases {
+            let opened = FileTrace::open_with(&paths, format, options, buffers);
+            if want.iter().all(Vec::is_empty) {
+                prop_assert!(matches!(opened, Err(IngestError::Config(_))), "{:?}", opened);
+            } else {
+                let mut trace = opened.unwrap();
+                for order in [Order::RoundRobin, Order::Skewed, Order::ZeroFirst] {
+                    let got = replay_in(&mut trace, order, queue);
+                    prop_assert!(trace.replay_error().is_none(), "{:?}", trace.replay_error());
+                    prop_assert_eq!(&got, &want, "{} {:?}", format, order);
+                    trace.rewind().unwrap();
+                }
+            }
+            for path in paths {
+                fs::remove_file(path).unwrap();
+            }
+        }
     }
 }

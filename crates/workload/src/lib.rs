@@ -57,6 +57,7 @@ pub mod synth;
 pub mod timing;
 pub mod trace;
 
+mod block_hash;
 mod error;
 
 pub use error::WorkloadError;

@@ -17,12 +17,11 @@
 //! statistics. Per-window derivation runs through the deterministic
 //! parallel executor, so results are bit-identical at any thread count.
 
-use std::collections::HashSet;
-
 use snoop_numeric::exec::{par_map, ExecOptions};
 use snoop_numeric::stats::{t_critical, RunningStats};
 use snoop_protocol::ModSet;
 
+use crate::block_hash::BlockSet;
 use crate::derived::ModelInputs;
 use crate::params::WorkloadParams;
 use crate::synth::Stream;
@@ -382,7 +381,7 @@ pub fn measure_source<S: TraceSource>(
     let mut caches: Vec<MeasureCache> =
         (0..n).map(|_| MeasureCache::new(config.sets.max(1), config.ways.max(1))).collect();
     let mut window_counters = vec![ParameterCounters::default(); windows];
-    let mut blocks_seen: HashSet<u64> = HashSet::new();
+    let mut blocks_seen = BlockSet::default();
     let words_per_block = source.words_per_block().max(1);
 
     let mut alive: Vec<bool> = vec![true; n];

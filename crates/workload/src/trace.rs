@@ -39,8 +39,9 @@ pub struct TraceRecord {
 /// simulator interleaves by simulated time, the estimator round-robins).
 ///
 /// Implementations must stream with bounded memory: a conforming source
-/// never needs to materialize the whole trace, only per-processor cursors
-/// and whatever classification state it builds up front.
+/// never needs to materialize the whole trace, only per-processor read
+/// positions, bounded buffers and whatever classification state it builds
+/// up front.
 pub trait TraceSource {
     /// Number of processors issuing references.
     fn processors(&self) -> usize;
