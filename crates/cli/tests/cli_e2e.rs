@@ -45,6 +45,19 @@ fn bad_flag_value_fails_cleanly() {
 }
 
 #[test]
+fn convergence_reports_an_exhausted_budget() {
+    // Write-Once at 1% sharing, N = 222: plain substitution's linear rate
+    // is closest to 1 here, and the paper's 500-iteration budget runs out.
+    let out = snoop(&["convergence", "--sharing", "1", "--n", "222"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("no convergence after 500 iterations (residual 4.027e-1)"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn figure_csv_is_parseable() {
     let out = snoop(&["figure", "--csv"]);
     assert!(out.status.success());

@@ -25,6 +25,8 @@ const CASES: &[(&str, &[&str])] = &[
     ("dot_dragon", &["dot", "--protocol", "dragon"]),
     ("traffic", &["traffic"]),
     ("convergence", &["convergence"]),
+    // Plain substitution at 20% sharing, N = 100: 331 iterations.
+    ("convergence_saturated", &["convergence", "--sharing", "20", "--n", "100"]),
     ("sensitivity", &["sensitivity"]),
     ("stress", &["stress"]),
     ("waits", &["waits"]),

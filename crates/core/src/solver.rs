@@ -17,7 +17,6 @@
 //! Plain substitution slows to hundreds of iterations near saturation,
 //! where its linear rate approaches 1; the bracketed root does not.
 
-use snoop_numeric::fixed_point::{FixedPoint, Options};
 use snoop_numeric::NumericError;
 use snoop_protocol::ModSet;
 use snoop_workload::derived::ModelInputs;
@@ -57,16 +56,6 @@ impl SolverOptions {
     /// compares against the GTPN).
     pub fn paper() -> Self {
         SolverOptions { max_iterations: 500, tolerance: 1e-3, damping: 1.0 }
-    }
-}
-
-/// Plain-substitution fixed-point options for `options` at `damping`.
-fn fixed_point_options(options: &SolverOptions, damping: f64) -> Options {
-    Options {
-        max_iterations: options.max_iterations,
-        tolerance: options.tolerance,
-        damping,
-        ..Options::default()
     }
 }
 
@@ -131,17 +120,15 @@ impl MvaModel {
 
     /// One application of the mean-value map: `[w_bus, w_mem, R] →
     /// [w_bus′, w_mem′, R′]`, evaluating the equations in dependency order.
-    fn step(&self, n: usize, interference: &Interference, state: &[f64], out: &mut [f64]) {
+    fn step(&self, n: usize, interference: &Interference, state: [f64; 3]) -> [f64; 3] {
         let inputs = &self.inputs;
-        let (w_bus, w_mem, r_prev) = (state[0], state[1], state[2]);
+        let [w_bus, w_mem, r_prev] = state;
         // A non-positive or non-finite R is a diverged iterate, not a
-        // recoverable state: emit NaN so the fixed-point layer reports a
-        // structured `Diverged` failure instead of the old behaviour of
-        // clamping R to 1e-12 and producing a plausible-looking queue
+        // recoverable state: emit NaN so that `solve_traced` stops with
+        // `NoConvergence` instead of producing a plausible-looking queue
         // length from garbage.
         if !r_prev.is_finite() || r_prev <= 0.0 {
-            out.fill(f64::NAN);
-            return;
+            return [f64::NAN; 3];
         }
 
         let Response { q_bus, r, .. } = self.response(n, interference, w_bus, w_mem, r_prev);
@@ -158,9 +145,7 @@ impl MvaModel {
         let p_busy_mem = eq::p_busy(u_mem, n);
         let w_mem_next = eq::memory_waiting_time(inputs, p_busy_mem);
 
-        out[0] = w_bus_next;
-        out[1] = w_mem_next;
-        out[2] = r;
+        [w_bus_next, w_mem_next, r]
     }
 
     /// The zero-wait response time `R₀`: Eq. (1) with every waiting time
@@ -173,22 +158,6 @@ impl MvaModel {
             eq::r_broadcast(inputs, 0.0, 0.0),
             eq::r_remote_read(inputs, 0.0),
         )
-    }
-
-    /// Runs the mean-value fixed point by substitution from zero waiting
-    /// times with explicit numeric options: the primitive under
-    /// [`MvaModel::solve_traced`].
-    fn run_map(
-        &self,
-        n: usize,
-        options: &Options,
-    ) -> Result<snoop_numeric::fixed_point::Solution, NumericError> {
-        let _probe_span = snoop_numeric::probe::span("mva_solve");
-        let interference = Interference::compute(&self.inputs, n);
-        FixedPoint::new(options.clone())
-            .solve(vec![0.0, 0.0, self.zero_wait_r()], |x, out| {
-                self.step(n, &interference, x, out)
-            })
     }
 
     /// The scalar map at a trial response time `r`: the waits a fixed point
@@ -269,7 +238,11 @@ impl MvaModel {
         // The last evaluation's `[w_bus, w_mem, R]`, when its waits were
         // finite, and the relative changes between successive ones.
         let mut previous: Option<[f64; 3]> = None;
+        // The trajectory is kept only for the probe registry, so that an
+        // untraced solve allocates nothing.
+        let record = snoop_numeric::probe::enabled();
         let mut trajectory = Vec::new();
+        let mut last_change = f64::INFINITY;
         for evaluation in 1..=options.max_iterations {
             let r = match hi {
                 None if evaluation == 1 => lo.0,
@@ -281,7 +254,12 @@ impl MvaModel {
                 Some([w_bus, w_mem, r_next]) => {
                     let state = [w_bus, w_mem, r];
                     let change = previous.map(|p| max_relative_change(&p, &state));
-                    trajectory.extend(change);
+                    if let Some(change) = change {
+                        last_change = change;
+                        if record {
+                            trajectory.push(change);
+                        }
+                    }
                     if r == r_next || change.is_some_and(|c| c < options.tolerance) {
                         snoop_numeric::probe::counter_add("fixed_point.solves", 1);
                         snoop_numeric::probe::hist_record(
@@ -320,7 +298,7 @@ impl MvaModel {
         snoop_numeric::probe::record_many("fixed_point.residual_trajectory", &trajectory);
         Err(NumericError::NoConvergence {
             iterations: options.max_iterations,
-            residual: trajectory.last().copied().unwrap_or(f64::INFINITY),
+            residual: last_change,
         })
     }
 
@@ -355,14 +333,20 @@ impl MvaModel {
     /// Solves the model by the paper's plain successive substitution and
     /// returns the full iterate trajectory `(w_bus, w_mem, R)` per
     /// iteration — the raw material of the paper's Section 3.2 convergence
-    /// claim, and the data behind the CLI's `convergence` command. The
-    /// solution is packaged from the traced run's own final iterate, so
-    /// `history.len() − 1` is its iteration count.
+    /// claim, and the data behind the CLI's `convergence` command.
+    ///
+    /// From `[0, 0, R₀]`, each iteration applies the map once and moves to
+    /// `d·f(x) + (1 − d)·x` for damping `d`, until no component changes by
+    /// `options.tolerance` (relative) or more. The solution is packaged
+    /// from the final iterate, so `history.len() − 1` is its iteration
+    /// count.
     ///
     /// # Errors
     ///
-    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and propagates
-    /// non-convergence and divergence as [`MvaError::Numeric`].
+    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0`,
+    /// [`NumericError::InvalidArgument`] for a damping outside `(0, 1]`,
+    /// and [`NumericError::NoConvergence`] when the budget runs out or an
+    /// iterate turns non-finite (both as [`MvaError::Numeric`]).
     pub fn solve_traced(
         &self,
         n: usize,
@@ -371,13 +355,26 @@ impl MvaModel {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
-        let traced = self.run_map(
-            n,
-            &Options { record_history: true, ..fixed_point_options(options, options.damping) },
-        )?;
-        let history: Vec<[f64; 3]> =
-            traced.history.iter().map(|v| [v[0], v[1], v[2]]).collect();
-        Ok((self.package_solution(n, &traced.values, traced.iterations), history))
+        check_damping(options.damping)?;
+        let d = options.damping;
+        let interference = Interference::compute(&self.inputs, n);
+        let mut x = [0.0, 0.0, self.zero_wait_r()];
+        let mut history = vec![x];
+        let mut residual = f64::INFINITY;
+        for iteration in 1..=options.max_iterations {
+            let fx = self.step(n, &interference, x);
+            let next = [0, 1, 2].map(|i| d * fx[i] + (1.0 - d) * x[i]);
+            if next.iter().any(|v| !v.is_finite()) {
+                return Err(NumericError::NoConvergence { iterations: iteration, residual }.into());
+            }
+            residual = max_relative_change(&x, &next);
+            x = next;
+            history.push(x);
+            if residual < options.tolerance {
+                return Ok((self.package_solution(n, &x, iteration), history));
+            }
+        }
+        Err(NumericError::NoConvergence { iterations: options.max_iterations, residual }.into())
     }
 
     /// Solves the model for `n` processors as the scalar root of
@@ -395,13 +392,7 @@ impl MvaModel {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
-        if !(options.damping > 0.0 && options.damping <= 1.0) {
-            return Err(NumericError::InvalidArgument(format!(
-                "damping must lie in (0, 1], got {}",
-                options.damping
-            ))
-            .into());
-        }
+        check_damping(options.damping)?;
         let (state, evaluations) = self.solve_root(n, options)?;
         Ok(self.package_solution(n, &state, evaluations))
     }
@@ -416,6 +407,15 @@ struct Response {
     n_interference: f64,
     r_local: f64,
     r: f64,
+}
+
+/// `Ok` for a damping factor in `(0, 1]`.
+fn check_damping(damping: f64) -> Result<(), NumericError> {
+    if damping > 0.0 && damping <= 1.0 {
+        Ok(())
+    } else {
+        Err(NumericError::InvalidArgument(format!("damping must lie in (0, 1], got {damping}")))
+    }
 }
 
 /// Largest componentwise relative change between two states; NaN when
@@ -612,9 +612,9 @@ mod tests {
     /// undamped, then damped 0.5 and 0.1, from cold.
     fn plain_substitution(model: &MvaModel, n: usize, options: &SolverOptions) -> MvaSolution {
         [1.0, 0.5, 0.1]
-            .iter()
-            .find_map(|&d| model.run_map(n, &fixed_point_options(options, d)).ok())
-            .map(|s| model.package_solution(n, &s.values, s.iterations))
+            .into_iter()
+            .find_map(|damping| model.solve_traced(n, &SolverOptions { damping, ..*options }).ok())
+            .map(|(s, _)| s)
             .expect("plain substitution converges")
     }
 
@@ -728,12 +728,40 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_iterate_is_no_convergence() {
+        // A negative think time puts R₀ below zero, where `step` emits NaN:
+        // the traced loop stops with `NoConvergence` instead of returning it.
+        let model = MvaModel::for_protocol(&WorkloadParams::default(), ModSet::new()).unwrap();
+        let broken = MvaModel::new(ModelInputs { tau: -1e3, ..*model.inputs() });
+        match broken.solve_traced(4, &SolverOptions::paper()) {
+            Err(MvaError::Numeric(NumericError::NoConvergence { iterations, residual })) => {
+                assert_eq!((iterations, residual), (1, f64::INFINITY));
+            }
+            other => panic!("expected no convergence, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rejects_damping_outside_the_unit_interval() {
         let model = MvaModel::for_protocol(&WorkloadParams::default(), ModSet::new()).unwrap();
         for damping in [0.0, -1.0, 1.5, f64::NAN] {
             let base = SolverOptions { damping, ..SolverOptions::default() };
             let err = model.solve(10, &base).unwrap_err();
             assert!(err.to_string().contains(&format!("got {damping}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn traced_solve_rejects_bad_damping() {
+        let model = MvaModel::for_protocol(&WorkloadParams::default(), ModSet::new()).unwrap();
+        for damping in [0.0, -1.0, 1.5, f64::NAN] {
+            let base = SolverOptions { damping, ..SolverOptions::default() };
+            match model.solve_traced(10, &base) {
+                Err(MvaError::Numeric(NumericError::InvalidArgument(msg))) => {
+                    assert!(msg.contains(&format!("got {damping}")), "{msg}");
+                }
+                other => panic!("damping {damping}: expected InvalidArgument, got {other:?}"),
+            }
         }
     }
 
@@ -767,10 +795,12 @@ mod tests {
             ModSet::new(),
         )
         .unwrap();
-        let plain = model.solve(10, &SolverOptions::default()).unwrap();
-        let damped = model
-            .solve(10, &SolverOptions { damping: 0.5, ..SolverOptions::default() })
+        // `solve` has no use for damping; the traced substitution does.
+        let (plain, plain_history) = model.solve_traced(10, &SolverOptions::default()).unwrap();
+        let (damped, damped_history) = model
+            .solve_traced(10, &SolverOptions { damping: 0.5, ..SolverOptions::default() })
             .unwrap();
+        assert_ne!(plain_history, damped_history);
         assert!((plain.r - damped.r).abs() < 1e-8);
     }
 

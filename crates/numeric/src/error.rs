@@ -1,7 +1,5 @@
 use std::fmt;
 
-use crate::fixed_point::ConvergenceFailure;
-
 /// Error type for the numeric substrate.
 ///
 /// Every fallible public function in this crate returns
@@ -17,14 +15,6 @@ pub enum NumericError {
         /// Residual (method-specific norm) at the last iterate.
         residual: f64,
     },
-    /// An iterative method was abandoned early because its trajectory was
-    /// detectably hopeless: non-finite or overflowing iterates, residuals
-    /// growing over a sliding window, or a period-2/3 limit cycle.
-    ///
-    /// Carries the full [`ConvergenceFailure`] diagnosis, including the
-    /// trailing residual trajectory and the last finite iterate (a valid
-    /// restart point for a damped retry).
-    Diverged(ConvergenceFailure),
     /// A matrix was singular (or numerically singular) where a solve was
     /// requested.
     SingularMatrix {
@@ -59,9 +49,6 @@ impl fmt::Display for NumericError {
                 f,
                 "no convergence after {iterations} iterations (residual {residual:.3e})"
             ),
-            NumericError::Diverged(failure) => {
-                write!(f, "iteration abandoned: {failure}")
-            }
             NumericError::SingularMatrix { pivot } => {
                 write!(f, "matrix is singular at pivot column {pivot}")
             }
@@ -87,20 +74,6 @@ mod tests {
     fn display_no_convergence() {
         let e = NumericError::NoConvergence { iterations: 10, residual: 0.5 };
         assert!(e.to_string().contains("10 iterations"));
-    }
-
-    #[test]
-    fn display_diverged() {
-        let e = NumericError::Diverged(ConvergenceFailure {
-            reason: crate::fixed_point::DivergenceReason::LimitCycle { period: 2 },
-            iterations: 7,
-            residual: 1.0,
-            residual_trajectory: vec![1.0; 7],
-            last_finite: vec![0.0],
-        });
-        let text = e.to_string();
-        assert!(text.contains("period-2 limit cycle"), "{text}");
-        assert!(text.contains("7 iterations"), "{text}");
     }
 
     #[test]

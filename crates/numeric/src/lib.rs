@@ -3,13 +3,8 @@
 //! This crate provides the numerical machinery that the analytic models and
 //! the detailed comparator models are built on:
 //!
-//! * [`fixed_point`] — a damped fixed-point iteration framework with
-//!   convergence tracking and early divergence detection, used to solve the
-//!   cyclic mean-value equations of the paper (its Section 3.2 reports
-//!   convergence within 15 iterations).
-//! * [`fault`] — a deterministic fault-injection wrapper ([`fault::FaultyMap`])
-//!   for proving that solvers built on [`fixed_point`] fail cleanly under
-//!   NaN, spike and stall corruption.
+//! * [`fault`] — deterministic storage-fault schedules
+//!   ([`fault::StoragePlan`]) for the store's crash-safety tests.
 //! * [`exec`] — a dependency-free chunked parallel executor on scoped
 //!   threads ([`exec::par_map`]), with deterministic result ordering and a
 //!   process-wide ceiling on helper threads, used by the engine batch,
@@ -30,15 +25,24 @@
 //!
 //! # Example
 //!
-//! Solving a tiny fixed point `x = cos(x)`:
+//! The steady state of a two-state Markov chain, the kind of solve the
+//! GTPN runs on its reachability graph:
 //!
 //! ```
-//! use snoop_numeric::fixed_point::{FixedPoint, Options};
+//! use snoop_numeric::markov::steady_state_sparse;
+//! use snoop_numeric::sparse::{CsrMatrix, Triplet};
 //!
-//! let solution = FixedPoint::new(Options::default())
-//!     .solve(vec![0.0], |x, out| out[0] = x[0].cos())
-//!     .expect("converges");
-//! assert!((solution.values[0] - 0.739_085).abs() < 1e-5);
+//! # fn main() -> Result<(), snoop_numeric::NumericError> {
+//! let p = CsrMatrix::from_triplets(2, 2, &[
+//!     Triplet { row: 0, col: 0, value: 0.9 },
+//!     Triplet { row: 0, col: 1, value: 0.1 },
+//!     Triplet { row: 1, col: 0, value: 0.2 },
+//!     Triplet { row: 1, col: 1, value: 0.8 },
+//! ])?;
+//! let pi = steady_state_sparse(&p, None)?.pi;
+//! assert!((pi[0] - 2.0 / 3.0).abs() < 1e-12);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +53,6 @@
 
 pub mod exec;
 pub mod fault;
-pub mod fixed_point;
 pub mod histogram;
 pub mod json;
 pub mod lu;
@@ -62,4 +65,3 @@ pub mod stats;
 mod error;
 
 pub use error::NumericError;
-pub use fixed_point::{ConvergenceFailure, DivergenceReason};

@@ -1,14 +1,11 @@
 //! Property-based tests of the numeric substrate.
 
 use proptest::prelude::*;
-use snoop_numeric::fault::{Fault, FaultyMap};
-use snoop_numeric::fixed_point::{DivergenceReason, FixedPoint, Options};
 use snoop_numeric::histogram::Histogram;
 use snoop_numeric::lu::Lu;
 use snoop_numeric::matrix::Matrix;
 use snoop_numeric::sparse::{CsrMatrix, Triplet};
 use snoop_numeric::stats::RunningStats;
-use snoop_numeric::NumericError;
 
 /// Strategy: a strictly diagonally dominant n×n matrix (always invertible,
 /// well conditioned enough for tight residual checks).
@@ -102,107 +99,6 @@ proptest! {
         // raw sum).
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         prop_assert!((h.mean() - mean).abs() < 1e-9);
-    }
-
-    /// Any affine map — contractive, expansive, or oscillating — over
-    /// random finite inputs either converges to finite values or returns
-    /// a structured failure. It never panics and never leaks NaN/∞
-    /// through `Solution::values` or `ConvergenceFailure::last_finite`.
-    #[test]
-    fn fixed_point_converges_or_fails_structurally(
-        a in prop::collection::vec(prop::collection::vec(-1.5f64..1.5, 3), 3),
-        b in prop::collection::vec(-5.0f64..5.0, 3),
-        initial in prop::collection::vec(-10.0f64..10.0, 3),
-        damping in 0.05f64..1.0,
-    ) {
-        let options = Options { max_iterations: 300, damping, ..Options::default() };
-        let result = FixedPoint::new(options).solve(initial, |x, out| {
-            for (out_i, row) in out.iter_mut().zip(&a) {
-                *out_i = row.iter().zip(x).map(|(c, xi)| c * xi).sum::<f64>();
-            }
-            for (out_i, bi) in out.iter_mut().zip(&b) {
-                *out_i += bi;
-            }
-        });
-        match result {
-            Ok(sol) => {
-                prop_assert!(sol.values.iter().all(|v| v.is_finite()), "{:?}", sol.values);
-                prop_assert!(sol.residual.is_finite() && sol.residual >= 0.0);
-            }
-            Err(NumericError::NoConvergence { residual, .. }) => {
-                prop_assert!(residual.is_finite());
-            }
-            Err(NumericError::Diverged(failure)) => {
-                prop_assert!(
-                    failure.last_finite.iter().all(|v| v.is_finite()),
-                    "{:?}",
-                    failure.last_finite
-                );
-                prop_assert!(failure.iterations <= 300);
-                prop_assert!(failure.residual_trajectory.iter().all(|r| r.is_finite()));
-            }
-            Err(e) => prop_assert!(false, "unexpected error class: {e}"),
-        }
-    }
-
-    /// Pure reflections `x ← c − x` oscillate with period 2 around `c/2`
-    /// from any start away from the fixed point; the limit-cycle detector
-    /// must flag every one of them long before the iteration budget.
-    #[test]
-    fn reflection_maps_are_flagged_as_period_2(
-        c in -5.0f64..5.0,
-        offset in 1.0f64..10.0,
-    ) {
-        let result = FixedPoint::new(Options::default())
-            .solve(vec![c / 2.0 + offset], |x, out| out[0] = c - x[0]);
-        match result {
-            Err(NumericError::Diverged(failure)) => {
-                prop_assert_eq!(
-                    failure.reason,
-                    DivergenceReason::LimitCycle { period: 2 }
-                );
-                prop_assert!(failure.iterations < 50, "{}", failure.iterations);
-            }
-            other => prop_assert!(false, "expected limit-cycle diagnosis, got {other:?}"),
-        }
-    }
-
-    /// A contraction wrecked by injected NaN, spike, and stall faults is
-    /// either solved (finite values) or abandoned with a structured,
-    /// finite diagnosis — the faults never escape as non-finite output.
-    #[test]
-    fn faulty_contraction_never_emits_non_finite(
-        b in prop::collection::vec(0.5f64..4.0, 3),
-        component in 0usize..3,
-        call in 1usize..20,
-        period in 0usize..8,
-        factor in -100.0f64..100.0,
-    ) {
-        let base = b.clone();
-        let contraction = move |x: &[f64], out: &mut [f64]| {
-            out[0] = 0.4 * x[1] + base[0];
-            out[1] = 0.3 * x[2] + base[1];
-            out[2] = 0.2 * x[0] + base[2];
-        };
-        let mut faulty = FaultyMap::new(contraction)
-            .with_fault(Fault::Nan { component, call })
-            .with_fault(Fault::Spike { component, period, factor })
-            .with_fault(Fault::Stall { component: (component + 1) % 3, from: call });
-        let options = Options { max_iterations: 200, ..Options::default() };
-        let result =
-            FixedPoint::new(options).solve(vec![0.0; 3], |x, out| faulty.apply(x, out));
-        match result {
-            Ok(sol) => {
-                prop_assert!(sol.values.iter().all(|v| v.is_finite()), "{:?}", sol.values);
-            }
-            Err(NumericError::Diverged(failure)) => {
-                prop_assert!(failure.last_finite.iter().all(|v| v.is_finite()));
-            }
-            Err(NumericError::NoConvergence { residual, .. }) => {
-                prop_assert!(residual.is_finite());
-            }
-            Err(e) => prop_assert!(false, "unexpected error class: {e}"),
-        }
     }
 
     /// Transposing twice is the identity; A^T x = x^T A.

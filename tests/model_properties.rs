@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use snoop::mva::asymptote::asymptotic;
 use snoop::mva::equations as eq;
 use snoop::mva::interference::Interference;
-use snoop::mva::{MvaModel, SolverOptions};
+use snoop::mva::{MvaError, MvaModel, SolverOptions};
+use snoop::numeric::NumericError;
 use snoop::protocol::ModSet;
 use snoop::workload::derived::ModelInputs;
 use snoop::workload::params::WorkloadParams;
@@ -181,6 +182,39 @@ proptest! {
         // by |F(R*)|.
         let (below, above) = (f(s.r * (1.0 - 1e-9)), f(s.r * (1.0 + 1e-9)));
         prop_assert!(below <= 0.0 && above > 0.0, "N={n}: F = {below}, {above} around R*");
+    }
+
+    /// The paper's plain substitution never panics and never returns a
+    /// non-finite value: at any damping in [0.05, 1] it either converges,
+    /// with a finite history from `[0, 0, R₀]` one entry longer than its
+    /// iteration count, or reports `NoConvergence`.
+    #[test]
+    fn traced_substitution_converges_or_reports_no_convergence(
+        params in params_strategy(),
+        bits in 0u8..16,
+        n in 1usize..=2000,
+        damping in 0.05f64..=1.0,
+    ) {
+        let mods = ModSet::power_set()[bits as usize];
+        let model = MvaModel::for_protocol(&params, mods).expect("valid params");
+        let options = SolverOptions { damping, ..SolverOptions::paper() };
+        match model.solve_traced(n, &options) {
+            Ok((s, history)) => {
+                let inputs = model.inputs();
+                let r0 = eq::response_time(
+                    inputs,
+                    0.0,
+                    eq::r_broadcast(inputs, 0.0, 0.0),
+                    eq::r_remote_read(inputs, 0.0),
+                );
+                prop_assert_eq!(history[0], [0.0, 0.0, r0]);
+                prop_assert_eq!(history.len() - 1, s.iterations);
+                prop_assert!(history.iter().flatten().all(|v| v.is_finite()), "N={n}");
+                prop_assert!(s.r.is_finite() && s.speedup.is_finite(), "N={n}: {s}");
+            }
+            Err(MvaError::Numeric(NumericError::NoConvergence { .. })) => {}
+            Err(e) => prop_assert!(false, "N={n} damping {damping}: {e}"),
+        }
     }
 
     /// The bus imposes a throughput ceiling: speedup cannot exceed
