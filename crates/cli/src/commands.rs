@@ -1375,6 +1375,7 @@ mod tests {
         let json = std::fs::read_to_string(&gtpn_path).unwrap();
         assert!(json.contains("gtpn_reachability"), "{json}");
         assert!(json.contains("gtpn.wave_size"), "{json}");
+        assert!(json.contains("\"gtpn.leaves\""), "{json}");
         let sens_path = dir.join("sens-metrics.json");
         run_tokens(&[
             "sensitivity",

@@ -163,7 +163,8 @@ impl CoherenceNet {
 
         // Classification (immediate, weights = routing probabilities). All
         // branches read the one classify place, so each queued token is
-        // routed independently by these weights, as in per-processor copies.
+        // routed independently by these weights, as in per-processor copies;
+        // the explorer settles them as one routing group.
         let mut bus_transitions = Vec::new();
         let mut wait_places = Vec::new();
         if inputs.p_local > 0.0 {
@@ -353,11 +354,12 @@ mod tests {
 
     #[test]
     fn oversized_net_fails_fast_instead_of_accumulating_leaves() {
-        // At N = 8 the classification race inside one settlement (every
-        // ordering of up to eight simultaneous classifications) enumerates
-        // far more pre-dedup leaves than a 500-state budget allows; the
-        // explorer must stop at the successor budget rather than grow the
-        // distribution unboundedly before interning ever sees it.
+        // At N = 8 the counted net has about 3,000 states, so a 500-state
+        // budget must stop the exploration promptly with the budget error.
+        // The routing groups settle each classification burst as one
+        // multinomial draw, so here interning is what trips; the guard on
+        // pre-dedup leaves is tested on a race no reduction merges
+        // (`reachability::tests::successor_budget_stops_an_unreducible_race`).
         let i = inputs(SharingLevel::Twenty, &[]);
         let net = CoherenceNet::build(&i, 8).unwrap();
         let start = std::time::Instant::now();

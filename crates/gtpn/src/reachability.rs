@@ -17,8 +17,8 @@
 //! time unit and the embedded Markov chain's stationary distribution *is*
 //! the time-average distribution.
 //!
-//! Two exact reductions keep the enumeration from visiting orderings that
-//! cannot change the successor distribution:
+//! Three exact reductions keep the enumeration from visiting orderings
+//! that cannot change the successor distribution:
 //!
 //! * **Commuting starts.** A timed start only consumes tokens, so it can
 //!   neither enable nor reweight another candidate. A start candidate
@@ -31,6 +31,18 @@
 //!   complete, `j = 0..=k` with probability `C(k,j)·p^j·(1−p)^(k−j)`,
 //!   instead of over the `2^k` subsets that merge into those `k + 1`
 //!   successors anyway.
+//! * **Multinomial routing.** A *routing group* is the set of immediate
+//!   transitions that read a place `p` when each member's only input arc
+//!   is `(p, k)` with one `k` for all, every immediate reading `p` is a
+//!   member at one priority, no member has a token weight, no immediate
+//!   outputs to `p` and no member outputs to an input place of any
+//!   immediate. Its firings then neither enable, disable nor reweight any
+//!   other zero-time firing, and no other firing touches `p`, so in every
+//!   ordering all `n = ⌊m_p/k⌋` routings happen and each picks member `i`
+//!   independently with probability `w_i/W`. The settle fires them at
+//!   once, branching over the compositions `(a_1…a_r)` of `n` with
+//!   probability `n!/∏a_i! · ∏(w_i/W)^{a_i}`, instead of over the `r^n`
+//!   orderings (and their interleavings with the other immediates).
 
 use std::cell::RefCell;
 
@@ -164,6 +176,8 @@ pub fn explore(net: &Net, options: &ReachabilityOptions) -> Result<StateGraph, G
     let mut edges: Vec<Vec<(usize, f64)>> = Vec::new();
     let mut firing_rates: Vec<Vec<f64>> = Vec::new();
     let mut next_unexpanded = 0usize;
+    // Successor leaves before dedup, summed here and reported once.
+    let mut leaves = 0u64;
     while next_unexpanded < explorer.arena.len() {
         let wave_end = explorer.arena.len();
         let wave: Vec<usize> = (next_unexpanded..wave_end).collect();
@@ -183,6 +197,7 @@ pub fn explore(net: &Net, options: &ReachabilityOptions) -> Result<StateGraph, G
             };
         for outcome in outcomes {
             let (dist, counts) = outcome?;
+            leaves += dist.len() as u64;
             let mut row: Vec<(usize, f64)> = Vec::new();
             for (s, p) in dist {
                 let id = explorer.intern(&s)?;
@@ -205,6 +220,7 @@ pub fn explore(net: &Net, options: &ReachabilityOptions) -> Result<StateGraph, G
     }
 
     snoop_numeric::probe::counter_add("gtpn.states", explorer.arena.len() as u64);
+    snoop_numeric::probe::counter_add("gtpn.leaves", leaves);
     Ok(StateGraph { states: explorer.arena.into_states(), edges, firing_rates, initial })
 }
 
@@ -247,6 +263,58 @@ fn shared_inputs(net: &Net) -> Vec<bool> {
     shares
 }
 
+/// Immediate transitions that route the tokens of one place by constant
+/// weights and commute with every other zero-time firing (module doc,
+/// "Multinomial routing").
+struct RoutingGroup {
+    place: usize,
+    /// Tokens each routing consumes from `place`.
+    multiplicity: u32,
+    /// Members in transition order.
+    members: Vec<usize>,
+    /// `shares[i] = w_i / (w_i + … + w_r)`: member `i`'s chance among the
+    /// members not yet assigned, so the multinomial is a product of
+    /// binomials.
+    shares: Vec<f64>,
+}
+
+/// Every routing group of `net`, one per qualifying place.
+fn routing_groups(net: &Net) -> Vec<RoutingGroup> {
+    let ts = net.transitions();
+    let immediates =
+        || ts.iter().enumerate().filter(|(_, t)| matches!(t.firing, Firing::Immediate));
+    let immediate_input =
+        |q: usize| immediates().any(|(_, u)| u.inputs.iter().any(|&(r, _)| r.index() == q));
+    let mut groups = Vec::new();
+    for place in 0..net.places().len() {
+        let members: Vec<usize> = immediates()
+            .filter(|(_, t)| t.inputs.iter().any(|&(p, _)| p.index() == place))
+            .map(|(i, _)| i)
+            .collect();
+        let Some(&first) = members.first() else {
+            continue;
+        };
+        let (multiplicity, priority) = (ts[first].inputs[0].1, ts[first].priority);
+        let routes = multiplicity > 0
+            && members.iter().all(|&i| {
+                let t = &ts[i];
+                t.inputs.len() == 1
+                    && t.inputs[0].1 == multiplicity
+                    && t.priority == priority
+                    && t.weight_tokens.is_none()
+                    && t.outputs.iter().all(|&(q, _)| !immediate_input(q.index()))
+            });
+        let fed = immediates().any(|(_, t)| t.outputs.iter().any(|&(q, _)| q.index() == place));
+        if !routes || fed {
+            continue;
+        }
+        let weights: Vec<f64> = members.iter().map(|&i| ts[i].weight).collect();
+        let shares = (0..weights.len()).map(|i| weights[i] / weights[i..].iter().sum::<f64>());
+        groups.push(RoutingGroup { place, multiplicity, shares: shares.collect(), members });
+    }
+    groups
+}
+
 /// `C(k, j)·p^j·(1−p)^(k−j)`: the probability that exactly `j` of `k`
 /// concurrent memoryless firings with completion probability `p`
 /// complete in one tick.
@@ -266,6 +334,8 @@ struct Explorer<'a> {
     options: &'a ReachabilityOptions,
     /// [`shared_inputs`] of the net.
     shares_input: Vec<bool>,
+    /// [`routing_groups`] of the net.
+    routing: Vec<RoutingGroup>,
     arena: StateArena,
 }
 
@@ -275,6 +345,7 @@ impl<'a> Explorer<'a> {
             net,
             options,
             shares_input: shared_inputs(net),
+            routing: routing_groups(net),
             arena: StateArena::new(net.initial_marking().len()),
         }
     }
@@ -427,9 +498,10 @@ impl<'a> Explorer<'a> {
         self.settle(marking, active, prob, 0, counts, out, settle_work)
     }
 
-    /// Zero-time activity: immediate firings (priority then weight race),
-    /// then timed starts (commuting starts fired outright, the rest in a
-    /// weight race), until quiescent. Iterative with an explicit worklist
+    /// Zero-time activity: routing groups (all routings at once), other
+    /// immediate firings (priority then weight race), then timed starts
+    /// (commuting starts fired outright, the rest in a weight race), until
+    /// quiescent. Iterative with an explicit worklist
     /// — livelocked nets would otherwise recurse until the stack overflows
     /// before the firing budget triggers. The worklist itself (`work`) is
     /// caller-provided scratch so its allocation is reused across every
@@ -449,6 +521,7 @@ impl<'a> Explorer<'a> {
         work.clear();
         work.push((marking, active, prob, zero_time_firings));
         let mut candidates: Vec<usize> = Vec::new();
+        let mut split: Vec<u32> = Vec::new();
 
         while let Some((mut marking, mut active, prob, mut fired)) = work.pop() {
             if prob < self.options.probability_floor {
@@ -456,6 +529,17 @@ impl<'a> Explorer<'a> {
             }
             if fired > self.options.max_zero_time_firings {
                 return Err(GtpnError::ImmediateLivelock);
+            }
+
+            // A routing group's firings commute with every other zero-time
+            // firing, so the first enabled group routes all its tokens now.
+            if let Some(group) = self.routing.iter().find(|g| marking[g.place] >= g.multiplicity) {
+                let n = marking[group.place] / group.multiplicity;
+                marking[group.place] -= n * group.multiplicity;
+                let fired = fired + n as usize;
+                let item = (marking.as_slice(), active.as_slice(), fired);
+                self.branch_routing(group, n, prob, &mut split, item, counts, work)?;
+                continue;
             }
 
             // Highest-priority enabled immediate class.
@@ -510,8 +594,9 @@ impl<'a> Explorer<'a> {
             if candidates.is_empty() {
                 // Guard the successor accumulator itself: the race
                 // enumeration below is factorial in the number of enabled
-                // transitions, so a large system can build a distribution
-                // of billions of (mostly duplicate) leaves — exhausting
+                // transitions outside routing groups, so a large system
+                // can build a distribution of billions of (mostly
+                // duplicate) leaves — exhausting
                 // memory long before `intern` ever sees a state and checks
                 // `max_states`. A distribution wider than the entire
                 // permitted state space cannot contain new information
@@ -546,6 +631,60 @@ impl<'a> Explorer<'a> {
             self.fire_candidate(last, branch_prob, &mut m, &mut a, counts)?;
             work.push((m, a, branch_prob, fired + 1));
         }
+        Ok(())
+    }
+
+    /// Queues one settle branch per composition of a routing group's `n`
+    /// routings over its members: member `i` takes `a_i` of the routings
+    /// left by members `..i` with the binomial probability of its share,
+    /// so a branch's probability is the product
+    /// `n!/∏a_i! · ∏(w_i/W)^{a_i}`. `split` is a push/pop backtracking
+    /// buffer holding the `a_i` chosen so far; `item` is the marking with
+    /// the routed tokens already consumed, the active firings and the
+    /// zero-time firings including all `n` routings.
+    #[allow(clippy::too_many_arguments)]
+    fn branch_routing(
+        &self,
+        group: &RoutingGroup,
+        left: u32,
+        prob: f64,
+        split: &mut Vec<u32>,
+        item: (&[u32], &[ActiveFiring], usize),
+        counts: &mut [f64],
+        work: &mut Vec<SettleItem>,
+    ) -> Result<(), GtpnError> {
+        if prob < self.options.probability_floor {
+            return Ok(());
+        }
+        let i = split.len();
+        if i + 1 < group.members.len() {
+            // Most routings to the first member first, as in
+            // `branch_geometrics`.
+            for a in (0..=left).rev() {
+                let weight = binomial(left, a, group.shares[i]);
+                if weight == 0.0 {
+                    continue;
+                }
+                split.push(a);
+                self.branch_routing(group, left - a, prob * weight, split, item, counts, work)?;
+                split.pop();
+            }
+            return Ok(());
+        }
+
+        // The last member takes the rest.
+        let (marking, active, fired) = item;
+        let mut m = marking.to_vec();
+        for (&t, &a) in group.members.iter().zip(split.iter().chain([&left])) {
+            counts[t] += prob * f64::from(a);
+            for &(p, k) in &self.net.transitions()[t].outputs {
+                m[p.index()] = m[p.index()].saturating_add(a.saturating_mul(k));
+                if m[p.index()] > self.options.token_bound {
+                    return Err(GtpnError::UnboundedPlace { place: p.index() });
+                }
+            }
+        }
+        work.push((m, active.to_vec(), prob, fired));
         Ok(())
     }
 
@@ -589,7 +728,13 @@ impl<'a> Explorer<'a> {
 mod tests {
     use std::collections::HashMap;
 
+    use snoop_protocol::ModSet;
+    use snoop_workload::derived::ModelInputs;
+    use snoop_workload::params::{SharingLevel, WorkloadParams};
+    use snoop_workload::timing::TimingModel;
+
     use super::*;
+    use crate::models::coherence::CoherenceNet;
     use crate::net::{Firing, NetBuilder};
 
     #[test]
@@ -862,9 +1007,11 @@ mod tests {
                 *out.entry(TimedState::new(m, a)).or_default() += prob;
                 return;
             }
-            let total: f64 = candidates.iter().map(|&i| net.transitions()[i].weight).sum();
+            let weight = |i: usize| net.transitions()[i].race_weight(&m);
+            let total: f64 = candidates.iter().map(|&i| weight(i)).sum();
             for &i in &candidates {
                 let t = &net.transitions()[i];
+                let share = weight(i) / total;
                 let (mut m, mut a) = (m.clone(), a.clone());
                 for &(p, k) in &t.inputs {
                     m[p.index()] -= k;
@@ -882,7 +1029,7 @@ mod tests {
                         a.push(ActiveFiring { transition: i, remaining: Remaining::Memoryless })
                     }
                 }
-                settle(net, m, a, prob * t.weight / total, out);
+                settle(net, m, a, prob * share, out);
             }
         }
         let mut out = HashMap::new();
@@ -930,6 +1077,104 @@ mod tests {
         out
     }
 
+    /// The coherence net at `n` processors for `mods` at `level`.
+    fn coherence_net(mods: &[u8], level: SharingLevel, n: usize) -> Net {
+        let inputs = ModelInputs::derive_adjusted(
+            &WorkloadParams::appendix_a(level),
+            ModSet::from_numbers(mods).unwrap(),
+            &TimingModel::default(),
+        )
+        .unwrap();
+        CoherenceNet::build(&inputs, n).unwrap().net
+    }
+
+    /// Two routing groups (one consuming two tokens a routing) and a
+    /// higher-priority token-weighted immediate that a tick can enable
+    /// together with both.
+    fn two_group_net() -> Net {
+        let mut b = NetBuilder::new();
+        let pool = b.place("pool", 3);
+        let c = b.place("c", 0);
+        let d = b.place("d", 0);
+        let e = b.place("e", 0);
+        let f = b.place("f", 0);
+        b.timed("arrive", Firing::Geometric(0.5), &[(pool, 1)], &[(c, 1), (d, 1)]);
+        for (i, w) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            let x = b.place(&format!("x{i}"), 0);
+            b.immediate_weighted(&format!("route-{i}"), w, 0, &[(c, 1)], &[(x, 1)]);
+            b.timed(
+                &format!("back-{i}"),
+                Firing::Deterministic(i as u32 + 1),
+                &[(x, 1)],
+                &[(pool, 1)],
+            );
+        }
+        for (i, w) in [1.0, 3.0].into_iter().enumerate() {
+            let y = b.place(&format!("y{i}"), 0);
+            b.immediate_weighted(&format!("pair-{i}"), w, 0, &[(d, 2)], &[(y, 1)]);
+            b.timed(&format!("lift-{i}"), Firing::Deterministic(1), &[(y, 1)], &[(e, 1)]);
+        }
+        let urgent = b.immediate_weighted("urgent", 1.0, 1, &[(e, 1)], &[(f, 1)]);
+        b.weight_by_tokens(urgent, e);
+        b.timed("drain", Firing::Deterministic(2), &[(f, 1)], &[]);
+        b.build().unwrap()
+    }
+
+    /// Looks like a routing group on `p`, but `x`'s output feeds `z`,
+    /// which races `u` for `s`: routing both tokens up front would let
+    /// `z` join that race more often than any ordering does.
+    fn lookalike_net() -> Net {
+        let mut b = NetBuilder::new();
+        let p = b.place("p", 2);
+        let s = b.place("s", 1);
+        let q = b.place("q", 0);
+        let r = b.place("r", 0);
+        let won = b.place("won", 0);
+        let lost = b.place("lost", 0);
+        b.immediate_weighted("x", 1.0, 0, &[(p, 1)], &[(q, 1)]);
+        b.immediate_weighted("y", 2.0, 0, &[(p, 1)], &[(r, 1)]);
+        b.immediate("u", &[(s, 1)], &[(lost, 1)]);
+        b.immediate("z", &[(q, 1), (s, 1)], &[(won, 1)]);
+        b.timed("back-q", Firing::Deterministic(1), &[(q, 1)], &[(p, 1)]);
+        b.timed("back-r", Firing::Deterministic(1), &[(r, 1)], &[(p, 1)]);
+        b.timed("back-won", Firing::Deterministic(2), &[(won, 1)], &[(p, 1), (s, 1)]);
+        b.timed("back-lost", Firing::Deterministic(1), &[(lost, 1)], &[(s, 1)]);
+        b.build().unwrap()
+    }
+
+    /// Names of each routing group's place and members.
+    fn group_names(net: &Net) -> Vec<(String, Vec<String>)> {
+        routing_groups(net)
+            .iter()
+            .map(|g| {
+                let members = g.members.iter().map(|&t| net.transitions()[t].name.clone());
+                (net.places()[g.place].name.clone(), members.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn routing_groups_are_found_only_where_they_commute() {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            group_names(&coherence_net(&[], SharingLevel::Twenty, 2)),
+            [
+                ("classify".to_string(), names(&["local", "bc", "rr"])),
+                ("rr-done".to_string(), names(&["release", "req-wb"])),
+            ]
+        );
+        let net = two_group_net();
+        assert_eq!(
+            group_names(&net),
+            [
+                ("c".to_string(), names(&["route-0", "route-1", "route-2"])),
+                ("d".to_string(), names(&["pair-0", "pair-1"])),
+            ]
+        );
+        assert_eq!(routing_groups(&net)[1].multiplicity, 2);
+        assert!(routing_groups(&lookalike_net()).is_empty());
+    }
+
     #[test]
     fn reductions_leave_unweighted_graphs_unchanged() {
         use crate::models::classic::MachineRepairman;
@@ -950,16 +1195,90 @@ mod tests {
         );
         b.timed("slow", Firing::Deterministic(3), &[(z, 1), (bus, 1)], &[(a, 1), (bus, 1)]);
         nets.push(b.build().unwrap());
-        for net in &nets {
-            let g = explore(net, &ReachabilityOptions::default()).unwrap();
-            for (s, row) in g.edges.iter().enumerate() {
-                let expected = reference_successors(net, &g.states[s]);
-                assert_eq!(row.len(), expected.len(), "state {s}: successor count");
-                for &(t, p) in row {
-                    let q = expected[&g.states[t]];
-                    assert!((p - q).abs() < 1e-15, "state {s} → {t}: {p} vs {q}");
+        // Routing groups: the coherence net's two, a synthetic pair, and
+        // a look-alike that must be enumerated in order.
+        for n in [2, 3] {
+            for mods in [&[][..], &[1, 4]] {
+                for level in [SharingLevel::One, SharingLevel::Twenty] {
+                    nets.push(coherence_net(mods, level, n));
                 }
             }
         }
+        nets.push(two_group_net());
+        nets.push(lookalike_net());
+        // No floor: a trimmed ordering would trim different mass from the
+        // brute force than from a merged composition.
+        let options = ReachabilityOptions { probability_floor: 0.0, ..Default::default() };
+        for (i, net) in nets.iter().enumerate() {
+            let g = explore(net, &options).unwrap();
+            for (s, row) in g.edges.iter().enumerate() {
+                let expected = reference_successors(net, &g.states[s]);
+                assert_eq!(row.len(), expected.len(), "net {i} state {s}: successor count");
+                for &(t, p) in row {
+                    let q = expected[&g.states[t]];
+                    assert!((p - q).abs() < 1e-15, "net {i} state {s} → {t}: {p} vs {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successor_budget_stops_an_unreducible_race() {
+        // Five starts race for five bus tokens among four token-weighted
+        // classes: no reduction applies, so the settle enumerates 4^5
+        // orderings of at most C(8, 3) = 56 distinct states. Settling
+        // never interns, so the error can only come from the guard.
+        let mut b = NetBuilder::new();
+        let bus = b.place("bus", 5);
+        for i in 0..4 {
+            let queue = b.place(&format!("queue-{i}"), 5);
+            let serve = b.timed(
+                &format!("serve-{i}"),
+                Firing::Deterministic(1),
+                &[(queue, 1), (bus, 1)],
+                &[(bus, 1)],
+            );
+            b.weight_by_tokens(serve, queue);
+        }
+        let net = b.build().unwrap();
+        let settle = |max_states: usize| {
+            let options = ReachabilityOptions { max_states, ..ReachabilityOptions::default() };
+            let mut out = Vec::new();
+            Explorer::new(&net, &options)
+                .settle(
+                    net.initial_marking(),
+                    Vec::new(),
+                    1.0,
+                    0,
+                    &mut [0.0; 4],
+                    &mut out,
+                    &mut Vec::new(),
+                )
+                .map(|()| out)
+        };
+        let leaves = settle(1_000).unwrap();
+        assert_eq!(leaves.len(), 4usize.pow(5));
+        let distinct: std::collections::HashSet<_> = leaves.iter().map(|(s, _)| s).collect();
+        assert_eq!(distinct.len(), 56);
+        assert_eq!(settle(10).unwrap_err(), GtpnError::StateSpaceExplosion { limit: 10 });
+    }
+
+    #[test]
+    fn leaves_counter_sums_pre_dedup_successors() {
+        let net = lookalike_net();
+        let options = ReachabilityOptions::default();
+        let _session = snoop_numeric::probe::session();
+        let g = explore(&net, &options).unwrap();
+        let snapshot = snoop_numeric::probe::snapshot();
+        let leaves = snapshot.counters.iter().find(|(name, _)| name == "gtpn.leaves");
+        let (_, leaves) = leaves.expect("gtpn.leaves recorded");
+        let explorer = Explorer::new(&net, &options);
+        let expected: usize =
+            g.states.iter().map(|s| explorer.step(&s.marking, &s.active).unwrap().0.len()).sum();
+        let edges: usize = g.edges.iter().map(Vec::len).sum();
+        assert!(expected > edges, "the net must reach some successor twice");
+        // Other tests may explore while this session collects, so the
+        // counter can only exceed this explore's own leaves.
+        assert!(*leaves >= expected as u64, "{leaves} < {expected}");
     }
 }

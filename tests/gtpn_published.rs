@@ -4,10 +4,11 @@
 //! points of the value measured when the counted net made these sizes
 //! reachable. The pins track drift in either direction; they are not an
 //! accuracy bound. Write-Once drifts furthest because the net omits memory
-//! contention and cache interference. Release only (about a minute):
+//! contention and cache interference. The 27 solves take a few seconds in
+//! a release build and under half a minute in a debug one:
 //!
 //! ```text
-//! cargo test --release --test gtpn_published -- --ignored
+//! cargo test --release --test gtpn_published
 //! ```
 
 use snoop::engine::{BackendId, Engine, Scenario};
@@ -32,7 +33,6 @@ const PINNED_ERR_PCT: [[f64; 3]; 9] = [
 const COLUMNS: [usize; 3] = [3, 4, 5];
 
 #[test]
-#[ignore = "solves 27 large GTPNs; run in release with --ignored"]
 fn published_gtpn_cells_at_six_to_ten_processors() {
     let rows = table_4_1();
     assert_eq!(rows.len(), PINNED_ERR_PCT.len());
