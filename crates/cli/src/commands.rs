@@ -635,9 +635,14 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
     );
     let mut it = results.into_iter();
     for (i, scenario) in scenarios.iter().enumerate() {
-        let _ = writeln!(out, "[{i}] {scenario}  (hash {:016x})", scenario.content_hash());
-        for id in &backends {
-            let r = next_result(&mut it, *id, format!("{:016x}", scenario.content_hash()))?;
+        // Hashed only if a missing result's error is printed.
+        let label = std::fmt::from_fn(|f| write!(f, "{:016x}", scenario.content_hash()));
+        for (b, id) in backends.iter().enumerate() {
+            let r = next_result(&mut it, *id, &label)?;
+            if b == 0 {
+                // The engine keyed every job by this hash already.
+                let _ = writeln!(out, "[{i}] {scenario}  (hash {:016x})", r.key.hash);
+            }
             match r.result {
                 Ok(eval) => {
                     let _ = writeln!(out, "    {}", eval.summary());

@@ -255,7 +255,7 @@ impl Engine {
             Tally::add(counter, 1);
             let hit_tier = match cached {
                 Some(hit) => {
-                    job_trace.arg("cache", "hit".to_string());
+                    job_trace.arg("cache", "hit");
                     outcomes.push(Some(Ok(hit)));
                     Some("engine.cache.hit_ms")
                 }
@@ -264,12 +264,12 @@ impl Engine {
                 // in this batch hit there.
                 None => match self.store_get(*key, &tally) {
                     Some(eval) => {
-                        job_trace.arg("cache", "store".to_string());
+                        job_trace.arg("cache", "store");
                         outcomes.push(Some(Ok(eval)));
                         Some("store.hit_ms")
                     }
                     None => {
-                        job_trace.arg("cache", "miss".to_string());
+                        job_trace.arg("cache", "miss");
                         if let Entry::Vacant(slot) = first_seen.entry(*key) {
                             slot.insert(ji);
                             missing.push(ji);

@@ -9,12 +9,14 @@
 //! compared across backends. The three `to_*` conversions here are the
 //! only blessed paths from a scenario to a concrete model configuration.
 
-use std::fmt::Write as _;
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
 
 use snoop_gtpn::models::coherence::CoherenceNet;
-use snoop_numeric::json::{write_f64, JsonValue};
+use snoop_numeric::json::JsonValue;
 use snoop_protocol::ModSet;
 use snoop_sim::SimConfig;
+use snoop_store::Fnv1a64;
 use snoop_workload::params::{SharingLevel, WorkloadParams};
 
 use super::evaluation::{BackendId, EvalError};
@@ -142,44 +144,70 @@ impl Scenario {
     /// produce byte-identical serializations regardless of how they were
     /// constructed or spelled in a batch file.
     pub fn canonical_json(&self) -> String {
-        // Every piece is written straight into one buffer; `fmt::Write`
-        // into a `String` cannot fail.
         let mut s = String::with_capacity(640);
-        let _ = write!(s, r#"{{"schema":"{SCHEMA}","protocol":"{}","sharing":"#, self.protocol);
-        match self.sharing {
-            Some(level) => {
-                let _ = write!(s, r#""{}""#, sharing_code(level));
-            }
-            None => s.push_str("null"),
-        }
-        let _ = write!(s, r#","n":{},"params":{{"#, self.n);
-        for (i, (name, value)) in param_fields(&self.params).iter().enumerate() {
-            let _ = write!(s, r#"{}"{name}":"#, if i > 0 { "," } else { "" });
-            write_f64(&mut s, *value);
-        }
-        let _ = write!(
-            s,
-            r#"}},"solver":{{"max_iterations":{},"tolerance":"#,
-            self.solver.max_iterations
-        );
-        write_f64(&mut s, self.solver.tolerance);
-        s.push_str(r#","damping":"#);
-        write_f64(&mut s, self.solver.damping);
-        let sim = &self.sim;
-        let _ = write!(
-            s,
-            r#"}},"sim":{{"seed":{},"warmup":{},"measured":{},"replications":{},"confidence":"#,
-            sim.seed, sim.warmup_references, sim.measured_references, sim.replications,
-        );
-        write_f64(&mut s, sim.confidence);
-        let _ = write!(s, r#"}},"gtpn":{{"max_states":{}}}}}"#, self.gtpn.max_states);
+        self.write_canonical(&mut s);
         s
     }
 
     /// 64-bit FNV-1a hash of the canonical serialization — the cache and
-    /// dedup key (combined with a backend id by the engine).
+    /// dedup key (combined with a backend id by the engine). The bytes
+    /// stream straight into the hash state; no string is built.
     pub fn content_hash(&self) -> u64 {
-        fnv1a(self.canonical_json().as_bytes())
+        let mut hash = Fnv1a64::new();
+        self.write_canonical(&mut hash);
+        hash.finish()
+    }
+
+    /// The one canonical writer behind [`Scenario::canonical_json`] and
+    /// [`Scenario::content_hash`].
+    fn write_canonical(&self, out: &mut impl CanonicalSink) {
+        out.put(br#"{"schema":""#);
+        out.put(SCHEMA.as_bytes());
+        out.put(br#"","protocol":""#);
+        // Both sinks accept every write, so the mod-set's `Display`
+        // cannot fail.
+        let _ = write!(out, "{}", self.protocol);
+        out.put(br#"","sharing":"#);
+        match self.sharing {
+            Some(level) => {
+                out.put(b"\"");
+                out.put(sharing_code(level).as_bytes());
+                out.put(b"\"");
+            }
+            None => out.put(b"null"),
+        }
+        out.put(br#","n":"#);
+        put_uint(out, self.n as u64);
+        out.put(br#","params":{"#);
+        for (i, (name, value)) in param_fields(&self.params).iter().enumerate() {
+            if i > 0 {
+                out.put(b",");
+            }
+            out.put(b"\"");
+            out.put(name.as_bytes());
+            out.put(b"\":");
+            put_f64(out, *value);
+        }
+        out.put(br#"},"solver":{"max_iterations":"#);
+        put_uint(out, self.solver.max_iterations as u64);
+        out.put(br#","tolerance":"#);
+        put_f64(out, self.solver.tolerance);
+        out.put(br#","damping":"#);
+        put_f64(out, self.solver.damping);
+        let sim = &self.sim;
+        out.put(br#"},"sim":{"seed":"#);
+        put_uint(out, sim.seed);
+        out.put(br#","warmup":"#);
+        put_uint(out, sim.warmup_references as u64);
+        out.put(br#","measured":"#);
+        put_uint(out, sim.measured_references as u64);
+        out.put(br#","replications":"#);
+        put_uint(out, sim.replications as u64);
+        out.put(br#","confidence":"#);
+        put_f64(out, sim.confidence);
+        out.put(br#"},"gtpn":{"max_states":"#);
+        put_uint(out, self.gtpn.max_states as u64);
+        out.put(b"}}");
     }
 
     /// Blessed conversion to an MVA model (applies the paper's Appendix-A
@@ -367,14 +395,115 @@ impl std::fmt::Display for Scenario {
     }
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+/// Where [`Scenario::write_canonical`] sends its bytes: a `String` (the
+/// canonical JSON) or an FNV-1a state (the content hash). Every byte is
+/// ASCII; `fmt::Write` carries the mod-set's `Display`.
+trait CanonicalSink: fmt::Write {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl CanonicalSink for String {
+    fn put(&mut self, bytes: &[u8]) {
+        self.push_str(std::str::from_utf8(bytes).expect("canonical bytes are ASCII"));
     }
-    hash
+}
+
+impl CanonicalSink for Fnv1a64 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// Writes `v` in decimal, formatted by hand on the stack.
+fn put_uint(out: &mut impl CanonicalSink, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        // `v % 10 < 10`, so the cast cannot truncate.
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.put(&digits[at..]);
+}
+
+/// Slots in the per-thread float memo (a power of two).
+const FLOAT_MEMO_SLOTS: usize = 64;
+
+/// Room for one float's text. `{:?}` of a finite `f64` is at most 24
+/// bytes (`-2.2250738585072014e-308`).
+const FLOAT_TEXT_MAX: usize = 32;
+
+/// One memo slot: a finite float's bits and its `{:?}` text. `len == 0`
+/// marks an empty slot (no float prints as nothing).
+#[derive(Clone, Copy)]
+struct FloatText {
+    bits: u64,
+    len: u8,
+    text: [u8; FLOAT_TEXT_MAX],
+}
+
+impl FloatText {
+    const EMPTY: FloatText = FloatText { bits: 0, len: 0, text: [0; FLOAT_TEXT_MAX] };
+}
+
+impl fmt::Write for FloatText {
+    /// Appends to `text`; fails rather than overflow it.
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let at = usize::from(self.len);
+        let end = at + s.len();
+        if end > FLOAT_TEXT_MAX {
+            return Err(fmt::Error);
+        }
+        self.text[at..end].copy_from_slice(s.as_bytes());
+        // `end <= FLOAT_TEXT_MAX`, which fits a `u8`.
+        self.len = end as u8;
+        Ok(())
+    }
+}
+
+thread_local! {
+    /// Direct-mapped memo of float texts keyed by `f64::to_bits`: sweeps
+    /// and the serve pool repeat a few parameter values across thousands
+    /// of scenarios, and formatting a float costs more than hashing its
+    /// text. A slot holds exactly what `{:?}` printed, so the bytes are
+    /// the same with or without the memo.
+    static FLOAT_MEMO: RefCell<[FloatText; FLOAT_MEMO_SLOTS]> =
+        const { RefCell::new([FloatText::EMPTY; FLOAT_MEMO_SLOTS]) };
+}
+
+/// The memo slot of a float's bits: the top bits of a Fibonacci hash, so
+/// values differing only in low mantissa bits still spread.
+fn float_slot(bits: u64) -> usize {
+    // The shift leaves log2(FLOAT_MEMO_SLOTS) bits, so the cast is exact.
+    let shift = 64 - FLOAT_MEMO_SLOTS.trailing_zeros();
+    (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
+}
+
+/// Writes `v` exactly as [`snoop_numeric::json::write_f64`] does
+/// (`{:?}`, `null` when not finite), through the per-thread memo.
+fn put_f64(out: &mut impl CanonicalSink, v: f64) {
+    if !v.is_finite() {
+        out.put(b"null");
+        return;
+    }
+    let bits = v.to_bits();
+    FLOAT_MEMO.with_borrow_mut(|memo| {
+        let slot = &mut memo[float_slot(bits)];
+        if slot.len == 0 || slot.bits != bits {
+            let mut text = FloatText { bits, ..FloatText::EMPTY };
+            if write!(text, "{v:?}").is_err() {
+                // Unreachable (see `FLOAT_TEXT_MAX`); stay exact anyway.
+                let _ = write!(out, "{v:?}");
+                return;
+            }
+            *slot = text;
+        }
+        out.put(&slot.text[..usize::from(slot.len)]);
+    });
 }
 
 /// The canonical short code of a sharing level (`"1"`, `"5"`, `"20"`).
@@ -500,6 +629,7 @@ fn read_object(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn wo5(n: usize) -> Scenario {
         Scenario::appendix_a(ModSet::new(), SharingLevel::Five, n)
@@ -569,6 +699,135 @@ mod tests {
         ] {
             assert_eq!(scenario.canonical_json(), json);
             assert_eq!(scenario.content_hash(), content, "{json}");
+        }
+    }
+
+    /// Floats whose text sits at a `{:?}` boundary or is hard to print:
+    /// signed zero, the smallest subnormal, both sides of the decimal /
+    /// exponent switches at 1e-4 and 1e16, and values with 17 digits.
+    const EDGE_FLOATS: [f64; 13] = [
+        -0.0,
+        0.0,
+        5e-324,
+        1e-5,
+        1e-4,
+        9.999e15,
+        1e16,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        -2.2250738585072014e-308,
+        f64::MAX,
+        f64::NAN,
+        f64::NEG_INFINITY,
+    ];
+
+    /// An edge float, any bit pattern, or a plain value.
+    fn any_float() -> impl Strategy<Value = f64> {
+        (0u8..3, 0..EDGE_FLOATS.len(), 0u64..=u64::MAX, -1e3f64..1e3).prop_map(
+            |(kind, edge, bits, plain)| match kind {
+                0 => EDGE_FLOATS[edge],
+                1 => f64::from_bits(bits),
+                _ => plain,
+            },
+        )
+    }
+
+    /// The scenario's 19 floats, in canonical order, with their keys.
+    fn float_fields(s: &Scenario) -> Vec<(&'static str, f64)> {
+        let mut fields = param_fields(&s.params).to_vec();
+        fields.extend([
+            ("tolerance", s.solver.tolerance),
+            ("damping", s.solver.damping),
+            ("confidence", s.sim.confidence),
+        ]);
+        fields
+    }
+
+    /// The memo-free text of one float.
+    fn plain_text(v: f64) -> String {
+        let mut text = String::new();
+        snoop_numeric::json::write_f64(&mut text, v);
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The hash sink and the string sink see the same bytes, and every
+        /// float in them is exactly what `json::write_f64` prints.
+        #[test]
+        fn content_hash_is_fnv1a_of_canonical_json(
+            shape in (0usize..16, 0u8..4, 0usize..1_000_000, 0u64..=u64::MAX),
+            counts in (
+                0usize..100_000, 0usize..100_000, 0usize..1_000, 0usize..1_000_000, 0usize..100,
+            ),
+            floats in prop::collection::vec(any_float(), 19),
+        ) {
+            let (mods, sharing, n, seed) = shape;
+            let (max_iterations, warmup, measured, max_states, replications) = counts;
+            let protocol = ModSet::power_set()[mods];
+            let mut s = match sharing {
+                0 => Scenario::appendix_a(protocol, SharingLevel::One, n),
+                1 => Scenario::appendix_a(protocol, SharingLevel::Five, n),
+                2 => Scenario::appendix_a(protocol, SharingLevel::Twenty, n),
+                _ => Scenario::with_params(protocol, WorkloadParams::default(), n),
+            };
+            let p = &mut s.params;
+            for (field, &v) in [
+                &mut p.tau, &mut p.p_private, &mut p.p_sro, &mut p.p_sw, &mut p.h_private,
+                &mut p.h_sro, &mut p.h_sw, &mut p.r_private, &mut p.r_sw, &mut p.amod_private,
+                &mut p.amod_sw, &mut p.csupply_sro, &mut p.csupply_sw, &mut p.wb_csupply,
+                &mut p.rep_p, &mut p.rep_sw, &mut s.solver.tolerance, &mut s.solver.damping,
+                &mut s.sim.confidence,
+            ]
+            .into_iter()
+            .zip(&floats)
+            {
+                *field = v;
+            }
+            s.solver.max_iterations = max_iterations;
+            s.sim.seed = seed;
+            s.sim.warmup_references = warmup;
+            s.sim.measured_references = measured;
+            s.sim.replications = replications;
+            s.gtpn.max_states = max_states;
+
+            let json = s.canonical_json();
+            prop_assert_eq!(s.content_hash(), snoop_store::fnv1a64(json.as_bytes()));
+            for (name, v) in float_fields(&s) {
+                let field = format!("\"{name}\":{}", plain_text(v));
+                let written =
+                    json.contains(&format!("{field},")) || json.contains(&format!("{field}}}"));
+                prop_assert!(written, "{} = {:?} is not written as {} in {}", name, v, field, json);
+            }
+            let seed_field = format!("\"seed\":{seed},");
+            prop_assert!(json.contains(&seed_field));
+        }
+    }
+
+    #[test]
+    fn floats_sharing_a_memo_slot_keep_their_own_text() {
+        let values: Vec<f64> = (1..=FLOAT_MEMO_SLOTS + 1).map(|k| k as f64 / 7.0).collect();
+        // 65 values in 64 slots: some pair must collide.
+        let (a, b) = values
+            .iter()
+            .enumerate()
+            .find_map(|(i, &a)| {
+                values[i + 1..]
+                    .iter()
+                    .find(|b| float_slot(b.to_bits()) == float_slot(a.to_bits()))
+                    .map(|&b| (a, b))
+            })
+            .expect("pigeonhole");
+        let base = wo5(10);
+        let base_json = base.canonical_json();
+        for v in [a, b, a, a, b, b, a, b] {
+            let mut s = base;
+            s.params.tau = v;
+            let memo_free =
+                base_json.replacen("\"tau\":2.5,", &format!("\"tau\":{},", plain_text(v)), 1);
+            assert_eq!(s.canonical_json(), memo_free, "tau = {v:?}");
+            assert_eq!(s.content_hash(), snoop_store::fnv1a64(memo_free.as_bytes()));
         }
     }
 

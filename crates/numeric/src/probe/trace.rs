@@ -195,10 +195,10 @@ pub struct TraceSpan {
 impl TraceSpan {
     /// Attaches an argument that becomes known only while the span is
     /// running (e.g. a cache-lookup outcome); it is emitted on the end
-    /// event. No-op on an inert span.
-    pub fn arg(&mut self, key: &'static str, value: String) {
+    /// event. No-op on an inert span, which allocates nothing.
+    pub fn arg(&mut self, key: &'static str, value: &'static str) {
         if self.recorded.is_some() {
-            self.late_args.push((key, value));
+            self.late_args.push((key, value.to_string()));
         }
     }
 }
@@ -405,7 +405,7 @@ mod tests {
         let _session = session();
         {
             let mut s = span("trace_test_late");
-            s.arg("cache", "hit".to_string());
+            s.arg("cache", "hit");
         }
         let trace = drain();
         let end = trace
@@ -422,7 +422,7 @@ mod tests {
         disable();
         {
             let mut s = span("trace_test_disabled");
-            s.arg("k", "v".to_string());
+            s.arg("k", "v");
         }
         let trace = drain();
         assert!(trace.events.iter().all(|e| e.name != "trace_test_disabled"));

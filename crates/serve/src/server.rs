@@ -770,9 +770,9 @@ impl Shared {
         let mut writer = ChunkedWriter::start(stream, 200, "application/x-ndjson")?;
         let (mut jobs, mut errors, mut cached) = (0u64, 0u64, 0u64);
         for (index, scenario) in scenarios.iter().enumerate() {
-            let hash = scenario.content_hash();
             for outcome in self.engine.evaluate(scenario) {
                 jobs += 1;
+                let hash = outcome.key.hash;
                 let line = match outcome.result {
                     Ok(mut eval) => {
                         if eval.provenance.cached {

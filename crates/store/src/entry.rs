@@ -80,12 +80,52 @@ impl std::error::Error for DecodeError {}
 /// 64-bit FNV-1a over `bytes` (the same hash the engine uses for
 /// scenario content addresses).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a64::new();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// A running 64-bit FNV-1a state: feeding bytes in any number of
+/// [`Fnv1a64::update`] calls gives the same [`Fnv1a64::finish`] as one
+/// [`fnv1a64`] over their concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The empty-input state (the FNV-1a 64 offset basis).
+    #[inline]
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds `bytes` into the state.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
+}
+
+/// Hashes text as it is formatted (`write!` into the state never fails).
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Serializes one entry (header, key line, payload). The checksum covers
@@ -234,5 +274,10 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut split = Fnv1a64::new();
+        split.update(b"foo");
+        split.update(b"");
+        split.update(b"bar");
+        assert_eq!(split.finish(), fnv1a64(b"foobar"));
     }
 }

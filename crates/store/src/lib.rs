@@ -59,7 +59,7 @@ mod entry;
 mod fs;
 mod store;
 
-pub use entry::{decode_entry, encode_entry, fnv1a64, DecodeError, ENTRY_MAGIC};
+pub use entry::{decode_entry, encode_entry, fnv1a64, DecodeError, Fnv1a64, ENTRY_MAGIC};
 pub use fs::{FaultyFs, RealFs, StoreFs};
 pub use store::{
     DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats, KILL_AFTER_PUTS_ENV,

@@ -12,7 +12,7 @@ use snoop::engine::{figure_4_1_grid, BackendId, Engine, Evaluation, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
 use snoop::mva::paper::TABLE_N;
-use snoop::numeric::exec::ExecOptions;
+use snoop::numeric::exec::{par_map, ExecOptions};
 use snoop::protocol::ModSet;
 use snoop::sim::runner::replicate_exec;
 use snoop::sim::SimConfig;
@@ -57,6 +57,26 @@ fn figure_4_1_grid_identical_across_thread_counts() {
                 s.n
             );
         }
+    }
+}
+
+#[test]
+fn content_hashes_identical_across_thread_counts() {
+    // Each thread formats floats through its own memo; distinct tau
+    // values make the threads' memos fill, collide and evict differently.
+    let scenarios: Vec<Scenario> = figure_scenarios(&[1, 4, 10, 20])
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, s)| {
+            let mut custom = s;
+            custom.params.tau = 1.0 + i as f64 / 7.0;
+            [s, custom]
+        })
+        .collect();
+    let serial: Vec<u64> = scenarios.iter().map(Scenario::content_hash).collect();
+    let execs = THREAD_COUNTS.map(ExecOptions::with_threads);
+    for exec in execs.into_iter().chain([ExecOptions::default()]) {
+        assert_eq!(par_map(&scenarios, &exec, Scenario::content_hash), serial, "{exec:?}");
     }
 }
 
