@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use snoop_mva::asymptote::asymptotic;
 use snoop_mva::engine::{
-    self, BackendId, DiskStore, Engine, EngineResult, EvalError, Evaluation, EvaluationSeries,
+    self, BackendId, CacheKey, DiskStore, Engine, EngineResult, EvalError, Evaluation, EvaluationSeries,
     Scenario, StoreConfig,
 };
 use snoop_mva::paper::{table_4_1, TABLE_N};
@@ -612,8 +612,11 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
             let total = scenarios.len() * backends.len();
             let stored = scenarios
                 .iter()
-                .flat_map(|s| backends.iter().map(move |id| Engine::job_key(*id, s)))
-                .filter(|key| store.contains(key))
+                .flat_map(|s| {
+                    let hash = s.content_hash();
+                    backends.iter().map(move |&backend| CacheKey { backend, hash })
+                })
+                .filter(|key| store.contains(&key.to_string()))
                 .count();
             eprintln!("resume: {stored} of {total} job(s) already in store");
         }

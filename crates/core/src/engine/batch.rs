@@ -10,9 +10,10 @@
 //!    lookup counts toward hit/miss stats) and then the durable store;
 //!    only the first job per unique missing key is computed;
 //! 3. **execute** — each unique miss is one [`snoop_numeric::exec::par_map`]
-//!    item: it runs [`Evaluator::evaluate`] and publishes its result to
-//!    the cache and the store inside its own task. Results are scattered
-//!    back to all duplicate jobs and returned in input order.
+//!    item, the costliest first: it runs [`Evaluator::evaluate`] and
+//!    publishes its result to the cache and the store inside its own
+//!    task. Results are scattered back to all duplicate jobs and returned
+//!    in input order.
 //!
 //! Because `par_map` preserves ordering and every backend is
 //! deterministic, a batched run is result-identical to evaluating each
@@ -292,6 +293,15 @@ impl Engine {
         // persists its own result, so a process killed mid-batch keeps
         // every job completed before the kill (the durability boundary
         // the --resume mode builds on).
+        //
+        // `par_map` claims items in index order, so the misses go longest
+        // first: a costly job claimed last would leave the other workers
+        // idle behind it. Results are scattered back by job index, so the
+        // order changes wall time only.
+        missing.sort_by_key(|&ji| {
+            let (si, _, key) = jobs[ji];
+            std::cmp::Reverse(cost_rank(key.backend, &scenarios[si]))
+        });
         let execute = |&ji: &usize| {
             let (si, bi, key) = jobs[ji];
             let result = self.backends[bi].evaluate(&scenarios[si]);
@@ -398,6 +408,23 @@ impl Engine {
     }
 }
 
+/// How costly one job is expected to be, for the longest-first order of
+/// phase 3 (larger runs earlier; equal ranks keep their input order).
+/// Simulations rank by the references they simulate
+/// (N × (warm-up + measured) × replications); every other backend shares
+/// rank 0.
+fn cost_rank(backend: BackendId, scenario: &Scenario) -> usize {
+    match backend {
+        BackendId::Sim => {
+            let sim = &scenario.sim;
+            (sim.warmup_references.saturating_add(sim.measured_references))
+                .saturating_mul(scenario.n)
+                .saturating_mul(sim.replications)
+        }
+        _ => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::backends::{GtpnBackend, MvaBackend, SimBackend};
@@ -493,29 +520,121 @@ mod tests {
 
     #[test]
     fn batched_equals_one_at_a_time_at_every_thread_count() {
-        let scenarios =
+        let shuffled =
             [scenario(2), scenario(5), scenario(3), scenario(8), scenario(4), scenario(16)];
-        let serial: Vec<EngineResult> = scenarios
-            .iter()
-            .flat_map(|s| {
-                Engine::new()
-                    .with_backends(&[BackendId::Mva, BackendId::ResilientMva])
-                    .evaluate(s)
-            })
-            .collect();
-        for threads in [1, 2, 8] {
-            let engine = Engine::new()
-                .with_exec(ExecOptions::with_threads(threads))
-                .with_backends(&[BackendId::Mva, BackendId::ResilientMva]);
-            let batched = engine.evaluate_batch(&scenarios);
-            assert_eq!(batched.len(), serial.len());
-            for (b, s) in batched.iter().zip(&serial) {
-                assert_eq!(b.key, s.key, "{threads} threads");
-                let (b, s) = (b.result.as_ref().unwrap(), s.result.as_ref().unwrap());
-                assert_eq!(b.speedup.to_bits(), s.speedup.to_bits(), "{threads} threads");
-                assert_eq!(b.r.to_bits(), s.r.to_bits(), "{threads} threads");
-                assert_eq!(b, s, "{threads} threads");
+        // N ascending is the order longest-first execution reverses most.
+        let ascending = [scenario(2), scenario(3), scenario(4), scenario(8), scenario(16)];
+        let cases: [(&[BackendId], &[Scenario]); 2] = [
+            (&[BackendId::Mva, BackendId::ResilientMva], &shuffled),
+            (&[BackendId::Mva, BackendId::Sim], &ascending),
+        ];
+        for (backends, scenarios) in cases {
+            let serial: Vec<EngineResult> = scenarios
+                .iter()
+                .flat_map(|s| Engine::new().with_backends(backends).evaluate(s))
+                .collect();
+            for threads in [1, 2, 8] {
+                let engine = Engine::new()
+                    .with_exec(ExecOptions::with_threads(threads))
+                    .with_backends(backends);
+                let batched = engine.evaluate_batch(scenarios);
+                assert_eq!(batched.len(), serial.len());
+                for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
+                    let at = format!("{backends:?}, {threads} threads, job {i}");
+                    assert_eq!(
+                        (b.scenario, b.backend),
+                        (i / backends.len(), backends[i % backends.len()]),
+                        "{at}"
+                    );
+                    assert_eq!(b.key, s.key, "{at}");
+                    let (b, s) = (b.result.as_ref().unwrap(), s.result.as_ref().unwrap());
+                    assert_eq!(b.speedup.to_bits(), s.speedup.to_bits(), "{at}");
+                    assert_eq!(b.r.to_bits(), s.r.to_bits(), "{at}");
+                    assert_eq!(b, s, "{at}");
+                }
             }
+        }
+    }
+
+    /// Records which thread received which job, in the order each thread
+    /// received them, and returns a placeholder evaluation.
+    struct Recorder {
+        id: BackendId,
+        log: Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, CacheKey)>>>,
+    }
+
+    impl Evaluator for Recorder {
+        fn id(&self) -> BackendId {
+            self.id
+        }
+
+        fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
+            let key = CacheKey { backend: self.id, hash: scenario.content_hash() };
+            self.log.lock().unwrap().push((std::thread::current().id(), key));
+            Ok(Evaluation {
+                backend: self.id,
+                n: scenario.n,
+                r: 1.0,
+                speedup: 1.0,
+                speedup_half_width: None,
+                bus_utilization: 0.0,
+                memory_utilization: None,
+                w_bus: None,
+                w_mem: None,
+                q_bus: None,
+                provenance: super::super::evaluation::Provenance::new(0, 0, 0),
+            })
+        }
+    }
+
+    #[test]
+    fn misses_run_longest_first_with_ties_in_input_order() {
+        // N ascending, with a second N = 4 scenario that differs only in
+        // its seed: its jobs tie with the first N = 4 scenario's.
+        let mut reseeded = scenario(4);
+        reseeded.sim.seed += 1;
+        let scenarios = [scenario(2), scenario(4), reseeded, scenario(8), scenario(16)];
+        let backends = [BackendId::Mva, BackendId::Sim, BackendId::Gtpn];
+        let key = |bi: usize, si: usize| CacheKey {
+            backend: backends[bi],
+            hash: scenarios[si].content_hash(),
+        };
+        let input_order: Vec<CacheKey> =
+            (0..5).flat_map(|si| (0..3).map(move |bi| key(bi, si))).collect();
+        // Simulations by simulated references, the two N = 4 scenarios in
+        // their input order; then the MVA and GTPN jobs, which share one
+        // rank, in input order.
+        let longest_first: Vec<CacheKey> = [4, 3, 1, 2, 0]
+            .map(|si| key(1, si))
+            .into_iter()
+            .chain((0..5).flat_map(|si| [key(0, si), key(2, si)]))
+            .collect();
+
+        for threads in [1, 2, 8] {
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let engine = backends.iter().fold(
+                Engine::new().with_exec(ExecOptions::with_threads(threads)),
+                |engine, &id| engine.with_backend(Recorder { id, log: Arc::clone(&log) }),
+            );
+            let results = engine.evaluate_batch(&scenarios);
+            let keys: Vec<CacheKey> = results.iter().map(|r| r.key).collect();
+            assert_eq!(keys, input_order, "results come back in input order");
+            let log = log.lock().unwrap().clone();
+            let mut received: Vec<CacheKey> = log.iter().map(|&(_, key)| key).collect();
+            // Each participant claims ever later items of `par_map`'s
+            // input, so whatever one thread received must appear in that
+            // thread's order in the longest-first list.
+            let position = |key: &CacheKey| longest_first.iter().position(|k| k == key).unwrap();
+            for (thread, _) in &log {
+                let positions: Vec<usize> = log
+                    .iter()
+                    .filter(|(t, _)| t == thread)
+                    .map(|(_, key)| position(key))
+                    .collect();
+                assert!(positions.is_sorted(), "{threads} threads: {positions:?}");
+            }
+            received.sort_by_key(position);
+            assert_eq!(received, longest_first, "{threads} threads: every miss ran once");
         }
     }
 

@@ -96,6 +96,8 @@ struct Machine {
     /// Per-processor time of warm-up completion / measurement completion.
     warm_at: Vec<Option<f64>>,
     done_at: Vec<Option<f64>>,
+    /// How many entries of `done_at` are set (the run ends when all are).
+    finished: usize,
     /// Global measurement window start (all processors warm).
     meas_start: Option<f64>,
     /// Bus busy time accumulated after `meas_start`.
@@ -137,6 +139,7 @@ impl Machine {
             completed: vec![0; n],
             warm_at: vec![None; n],
             done_at: vec![None; n],
+            finished: 0,
             meas_start: None,
             bus_busy_time: 0.0,
             module_busy_time: 0.0,
@@ -165,7 +168,7 @@ impl Machine {
                 Event::Issue(p) => self.issue(now, p),
                 Event::BusRelease => self.release_bus(now),
             }
-            if self.done_at.iter().all(Option::is_some) {
+            if self.finished == self.config.n {
                 break;
             }
         }
@@ -403,6 +406,7 @@ impl Machine {
             && self.done_at[p].is_none()
         {
             self.done_at[p] = Some(done);
+            self.finished += 1;
         }
         let think = self.generator.think_time();
         self.calendar.schedule(done + think, Event::Issue(p));

@@ -335,6 +335,8 @@ struct TraceMachine<S> {
     completed: Vec<usize>,
     warm_at: Vec<Option<f64>>,
     done_at: Vec<Option<f64>>,
+    /// How many entries of `done_at` are set (the run ends when all are).
+    finished: usize,
     meas_start: Option<f64>,
     bus_busy_time: f64,
     hits: usize,
@@ -366,6 +368,7 @@ impl<S: TraceSource> TraceMachine<S> {
             completed: vec![0; n],
             warm_at: vec![None; n],
             done_at: vec![None; n],
+            finished: 0,
             meas_start: None,
             bus_busy_time: 0.0,
             hits: 0,
@@ -396,7 +399,7 @@ impl<S: TraceSource> TraceMachine<S> {
             }
             // A source that ran dry mid-window makes completion impossible —
             // abort rather than let the surviving processors spin forever.
-            if self.done_at.iter().all(Option::is_some) || self.exhausted {
+            if self.finished == self.config.n || self.exhausted {
                 break;
             }
         }
@@ -671,6 +674,7 @@ impl<S: TraceSource> TraceMachine<S> {
             && self.done_at[p].is_none()
         {
             self.done_at[p] = Some(done);
+            self.finished += 1;
         }
         let think = self.think();
         self.calendar.schedule(done + think, Event::Issue(p));
