@@ -100,3 +100,78 @@ fn check_goldens(cases: &[(&str, &[&str])]) {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// Scenario batches under `tests/batches/`, mostly malformed: each is run
+/// through `snoop eval --scenarios FILE --backends mva`, and the exit
+/// status, stdout and stderr of every run are pinned together in
+/// `eval_errors.txt`. They fix which error a batch with several problems
+/// reports: a JSON syntax error anywhere beats every semantic one; then
+/// the schema, the top-level keys, the `scenarios` array and the
+/// scenarios in index order.
+const BATCHES: &[&str] = &[
+    "semantic_then_syntax",
+    "duplicate_key",
+    "schema_after_scenarios",
+    "schema_last_ok",
+    "empty_array",
+    "n_zero",
+    "n_fraction",
+    "n_negative",
+    "n_exponent",
+    "sharing_7",
+    "params_not_number",
+    "unknown_params_key",
+    "params_invalid",
+    "unknown_solver_key",
+    "unknown_sim_key",
+    "gtpn_negative",
+    "damping_zero",
+    "depth_128",
+    "depth_129",
+    "comment_surrogate_pair",
+    "comment_lone_surrogate",
+    "unknown_top_key",
+    "top_level_array",
+    "scenario_not_object",
+    "scenarios_not_array",
+    "protocol_unknown",
+    "scenario_schema_mismatch",
+    "trailing_garbage",
+    "every_field_ok",
+];
+
+#[test]
+fn scenario_batches_print_their_golden_errors() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest.join("../..");
+    let mut transcript = String::new();
+    for name in BATCHES {
+        let file = format!("crates/cli/tests/batches/{name}.json");
+        let args = ["eval", "--scenarios", file.as_str(), "--backends", "mva"];
+        let out = Command::new(env!("CARGO_BIN_EXE_snoop"))
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .expect("binary runs");
+        transcript.push_str(&format!(
+            "$ snoop {}\n[exit {}]\n",
+            args.join(" "),
+            out.status.code().unwrap_or(-1)
+        ));
+        transcript.push_str(std::str::from_utf8(&out.stdout).expect("stdout is UTF-8"));
+        transcript.push_str(std::str::from_utf8(&out.stderr).expect("stderr is UTF-8"));
+    }
+    let path = manifest.join("tests/golden/eval_errors.txt");
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    if transcript != golden {
+        let line = golden.lines().zip(transcript.lines()).position(|(g, a)| g != a);
+        let line = line.unwrap_or_else(|| golden.lines().count().min(transcript.lines().count()));
+        panic!(
+            "eval_errors.txt differs at line {}:\n  golden: {:?}\n  actual: {:?}",
+            line + 1,
+            golden.lines().nth(line).unwrap_or("<end>"),
+            transcript.lines().nth(line).unwrap_or("<end>"),
+        );
+    }
+}

@@ -281,7 +281,25 @@ fn malformed_batches_are_client_errors_not_crashes() {
     let request = "POST /eval HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\nnot json!";
     let (status, _, body) = roundtrip(&daemon.addr, request);
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("error"), "{body}");
+    assert_eq!(body, "{\"error\":\"invalid scenario: json error at byte 0: expected \\\"null\\\"\"}\n");
+
+    // A semantic error in scenario 0 loses to a syntax error later in the
+    // batch; without one, it is reported with its scenario index.
+    let unknown = r#"{"protocol":"WO","n":4,"typo":1}"#;
+    let (status, _, body) = roundtrip(
+        &daemon.addr,
+        &eval_request(&format!(
+            r#"{{"schema":"snoop-scenario-v1","scenarios":[{unknown},{{"protocol":"WO","n":4,}}]}}"#
+        )),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(body, "{\"error\":\"invalid scenario: json error at byte 99: expected '\\\"'\"}\n");
+    let (status, _, body) = roundtrip(
+        &daemon.addr,
+        &eval_request(&format!(r#"{{"schema":"snoop-scenario-v1","scenarios":[{unknown}]}}"#)),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(body, "{\"error\":\"invalid scenario: scenario 0: unknown key \\\"typo\\\"\"}\n");
 
     let (status, _, _) = roundtrip(&daemon.addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 404);

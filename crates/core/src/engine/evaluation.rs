@@ -186,25 +186,11 @@ pub struct Evaluation {
 
 impl Evaluation {
     /// One deterministic summary line (no timings, no cache state), used
-    /// by `snoop eval` so repeated runs are byte-identical.
-    pub fn summary(&self) -> String {
-        let mut line = format!(
-            "{:<13} N={:<4} speedup={:.6} U_bus={:.6} R={:.6}",
-            self.backend, self.n, self.speedup, self.bus_utilization, self.r
-        );
-        if let Some(hw) = self.speedup_half_width {
-            line.push_str(&format!(" ±{hw:.6}"));
-        }
-        if let Some(u) = self.memory_utilization {
-            line.push_str(&format!(" U_mem={u:.6}"));
-        }
-        if let Some(q) = self.q_bus {
-            line.push_str(&format!(" Q_bus={q:.6}"));
-        }
-        if self.provenance.states > 0 {
-            line.push_str(&format!(" states={}", self.provenance.states));
-        }
-        line
+    /// by `snoop eval` so repeated runs are byte-identical. The line is
+    /// written straight into the formatter it is displayed with; no
+    /// string is built.
+    pub fn summary(&self) -> SummaryLine<'_> {
+        SummaryLine(self)
     }
 
     /// Canonical JSON form, used by durable store entries and the serve
@@ -285,6 +271,36 @@ impl Evaluation {
                 queue_wait_ms: 0.0,
             },
         })
+    }
+}
+
+/// [`Evaluation::summary`]'s line: the backend, `N`, speedup, `U_bus`
+/// and `R`, then whichever of the half-width, `U_mem`, `Q_bus` and the
+/// GTPN state count the backend reports.
+#[derive(Debug, Clone, Copy)]
+pub struct SummaryLine<'a>(&'a Evaluation);
+
+impl fmt::Display for SummaryLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let eval = self.0;
+        write!(
+            f,
+            "{:<13} N={:<4} speedup={:.6} U_bus={:.6} R={:.6}",
+            eval.backend, eval.n, eval.speedup, eval.bus_utilization, eval.r
+        )?;
+        if let Some(hw) = eval.speedup_half_width {
+            write!(f, " ±{hw:.6}")?;
+        }
+        if let Some(u) = eval.memory_utilization {
+            write!(f, " U_mem={u:.6}")?;
+        }
+        if let Some(q) = eval.q_bus {
+            write!(f, " Q_bus={q:.6}")?;
+        }
+        if eval.provenance.states > 0 {
+            write!(f, " states={}", eval.provenance.states)?;
+        }
+        Ok(())
     }
 }
 
@@ -375,11 +391,29 @@ mod tests {
 
     #[test]
     fn summary_is_deterministic_and_readable() {
-        let line = sample().summary();
+        let line = sample().summary().to_string();
         assert!(line.contains("mva"), "{line}");
         assert!(line.contains("speedup=5.299123"), "{line}");
         assert!(!line.contains("ms"), "{line}");
-        assert_eq!(line, sample().summary());
+        assert_eq!(line, sample().summary().to_string());
+        // Every optional field, at the widths `snoop eval` prints.
+        assert_eq!(
+            line,
+            "mva N=10   speedup=5.299123 U_bus=0.871200 R=6.602500 U_mem=0.205000 Q_bus=1.770000"
+        );
+        let gtpn = Evaluation {
+            backend: BackendId::Gtpn,
+            n: 12345,
+            speedup_half_width: Some(0.012_345_67),
+            memory_utilization: None,
+            q_bus: None,
+            provenance: Provenance::new(0, 0, 5431),
+            ..sample()
+        };
+        assert_eq!(
+            gtpn.summary().to_string(),
+            "gtpn N=12345 speedup=5.299123 U_bus=0.871200 R=6.602500 ±0.012346 states=5431"
+        );
     }
 
     #[test]

@@ -55,6 +55,7 @@
 mod backends;
 mod batch;
 mod cache;
+mod decode;
 mod evaluation;
 mod scenario;
 
@@ -66,6 +67,6 @@ pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CAPACITY};
 // The durable second cache tier (re-exported so engine users don't need
 // a direct snoop-store dependency).
 pub use snoop_store::{DiskStore, RecoveryReport, StoreConfig, StoreError, StoreStats};
-pub use evaluation::{BackendId, EvalError, Evaluation, Provenance};
+pub use evaluation::{BackendId, EvalError, Evaluation, Provenance, SummaryLine};
 pub use scenario::{GtpnSettings, Scenario, SimSettings, SCHEMA};
 pub use series::{figure_4_1_grid, EvaluationSeries};

@@ -13,7 +13,6 @@ use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 
 use snoop_gtpn::models::coherence::CoherenceNet;
-use snoop_numeric::json::JsonValue;
 use snoop_protocol::ModSet;
 use snoop_sim::SimConfig;
 use snoop_store::Fnv1a64;
@@ -253,42 +252,16 @@ impl Scenario {
     /// `"protocol"` and `"n"`; `"sharing"` (default `"5"`), `"params"`
     /// (paper-name overrides on the Appendix-A preset), `"solver"`,
     /// `"sim"` and `"gtpn"` are optional. Unknown keys are rejected so
-    /// typos fail loudly instead of silently evaluating the default.
+    /// typos fail loudly instead of silently evaluating the default. The
+    /// bytes are decoded straight into scenarios, in one pass.
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::InvalidScenario`] naming the offending
-    /// scenario index and field.
+    /// Returns [`EvalError::InvalidScenario`]: a JSON syntax error with
+    /// its byte offset, wherever it is in the document; otherwise the
+    /// first problem naming the offending scenario index and field.
     pub fn parse_batch(text: &str) -> Result<Vec<Scenario>, EvalError> {
-        let invalid = |message: String| EvalError::InvalidScenario(message);
-        let doc = JsonValue::parse(text).map_err(|e| invalid(e.to_string()))?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some(SCHEMA) => {}
-            Some(other) => {
-                return Err(invalid(format!(
-                    "unsupported schema {other:?}, expected {SCHEMA:?}"
-                )))
-            }
-            None => return Err(invalid(format!("missing \"schema\": {SCHEMA:?}"))),
-        }
-        for (key, _) in doc.as_object().unwrap_or(&[]) {
-            if !matches!(key.as_str(), "schema" | "scenarios" | "comment") {
-                return Err(invalid(format!("unknown top-level key {key:?}")));
-            }
-        }
-        let list = doc
-            .get("scenarios")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| invalid("missing \"scenarios\" array".to_string()))?;
-        if list.is_empty() {
-            return Err(invalid("\"scenarios\" array is empty".to_string()));
-        }
-        list.iter()
-            .enumerate()
-            .map(|(i, item)| {
-                Scenario::from_json(item).map_err(|e| invalid(format!("scenario {i}: {e}")))
-            })
-            .collect()
+        super::decode::batch(text).map_err(EvalError::InvalidScenario)
     }
 
     /// Serializes scenarios as a batch file ([`SCHEMA`]), one canonical
@@ -305,84 +278,6 @@ impl Scenario {
         }
         out.push_str("\n]}\n");
         out
-    }
-
-    /// Parses one scenario object.
-    fn from_json(item: &JsonValue) -> Result<Scenario, String> {
-        let pairs = item.as_object().ok_or("expected an object")?;
-        for (key, _) in pairs {
-            if !matches!(
-                key.as_str(),
-                "schema" | "protocol" | "sharing" | "n" | "params" | "solver" | "sim" | "gtpn"
-                    | "comment"
-            ) {
-                return Err(format!("unknown key {key:?}"));
-            }
-        }
-        // Canonical scenario objects embed the schema tag; when present it
-        // must match.
-        if let Some(tag) = item.get("schema") {
-            match tag.as_str() {
-                Some(SCHEMA) => {}
-                _ => return Err(format!("schema must be {SCHEMA:?}")),
-            }
-        }
-        let protocol: ModSet = item
-            .get("protocol")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing \"protocol\" string")?
-            .parse()
-            .map_err(|e: snoop_protocol::ProtocolError| e.to_string())?;
-        // Absent defaults to the paper's 5%; an explicit null means "the
-        // params are custom, not an Appendix-A preset".
-        let sharing = match item.get("sharing") {
-            None => Some(SharingLevel::Five),
-            Some(JsonValue::Null) => None,
-            Some(v) => Some(parse_sharing(v)?),
-        };
-        let n = item
-            .get("n")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing or invalid \"n\" (positive integer)")?;
-        if n == 0 {
-            return Err("\"n\" must be at least 1".to_string());
-        }
-        let mut scenario =
-            Scenario::appendix_a(protocol, sharing.unwrap_or(SharingLevel::Five), n);
-        scenario.sharing = sharing;
-        if let Some(overrides) = item.get("params") {
-            apply_param_overrides(&mut scenario.params, overrides)?;
-            scenario
-                .params
-                .validate()
-                .map_err(|e| format!("params: {e}"))?;
-        }
-        if let Some(solver) = item.get("solver") {
-            let s = &mut scenario.solver;
-            read_object(solver, "solver", &mut [
-                ("max_iterations", Slot::Usize(&mut s.max_iterations)),
-                ("tolerance", Slot::F64(&mut s.tolerance)),
-                ("damping", Slot::F64(&mut s.damping)),
-            ])?;
-            if !(s.damping > 0.0 && s.damping <= 1.0) {
-                return Err(format!("solver.damping must lie in (0, 1], got {}", s.damping));
-            }
-        }
-        if let Some(sim) = item.get("sim") {
-            let s = &mut scenario.sim;
-            read_object(sim, "sim", &mut [
-                ("seed", Slot::U64(&mut s.seed)),
-                ("warmup", Slot::Usize(&mut s.warmup_references)),
-                ("measured", Slot::Usize(&mut s.measured_references)),
-                ("replications", Slot::Usize(&mut s.replications)),
-                ("confidence", Slot::F64(&mut s.confidence)),
-            ])?;
-        }
-        if let Some(gtpn) = item.get("gtpn") {
-            let s = &mut scenario.gtpn;
-            read_object(gtpn, "gtpn", &mut [("max_states", Slot::Usize(&mut s.max_states))])?;
-        }
-        Ok(scenario)
     }
 }
 
@@ -515,121 +410,100 @@ fn sharing_code(level: SharingLevel) -> &'static str {
     }
 }
 
-fn parse_sharing(v: &JsonValue) -> Result<SharingLevel, String> {
-    let code = match v {
-        JsonValue::String(s) => s.trim_end_matches('%').to_string(),
-        JsonValue::Number(_) => v
-            .as_usize()
-            .map(|u| u.to_string())
-            .ok_or("invalid \"sharing\" number")?,
-        _ => return Err("\"sharing\" must be \"1\", \"5\" or \"20\"".to_string()),
-    };
-    match code.as_str() {
-        "1" => Ok(SharingLevel::One),
-        "5" => Ok(SharingLevel::Five),
-        "20" => Ok(SharingLevel::Twenty),
-        other => Err(format!("unknown sharing level {other:?}, expected 1, 5 or 20")),
-    }
-}
-
-/// The workload parameters in canonical (paper) order, matching
+/// The workload parameter names in canonical (paper) order, matching
 /// `snoop_workload::file`.
+const PARAM_NAMES: [&str; 16] = [
+    "tau",
+    "p_private",
+    "p_sro",
+    "p_sw",
+    "h_private",
+    "h_sro",
+    "h_sw",
+    "r_private",
+    "r_sw",
+    "amod_private",
+    "amod_sw",
+    "csupply_sro",
+    "csupply_sw",
+    "wb_csupply",
+    "rep_p",
+    "rep_sw",
+];
+
+/// Where a parameter name sits in [`PARAM_NAMES`].
+pub(super) fn param_index(name: &str) -> Option<usize> {
+    Some(match name {
+        "tau" => 0,
+        "p_private" => 1,
+        "p_sro" => 2,
+        "p_sw" => 3,
+        "h_private" => 4,
+        "h_sro" => 5,
+        "h_sw" => 6,
+        "r_private" => 7,
+        "r_sw" => 8,
+        "amod_private" => 9,
+        "amod_sw" => 10,
+        "csupply_sro" => 11,
+        "csupply_sw" => 12,
+        "wb_csupply" => 13,
+        "rep_p" => 14,
+        "rep_sw" => 15,
+        _ => return None,
+    })
+}
+
+/// The workload parameters with their names, in [`PARAM_NAMES`] order.
 fn param_fields(p: &WorkloadParams) -> [(&'static str, f64); 16] {
+    let values = [
+        p.tau,
+        p.p_private,
+        p.p_sro,
+        p.p_sw,
+        p.h_private,
+        p.h_sro,
+        p.h_sw,
+        p.r_private,
+        p.r_sw,
+        p.amod_private,
+        p.amod_sw,
+        p.csupply_sro,
+        p.csupply_sw,
+        p.wb_csupply,
+        p.rep_p,
+        p.rep_sw,
+    ];
+    std::array::from_fn(|i| (PARAM_NAMES[i], values[i]))
+}
+
+/// The workload parameters as places to write, in [`PARAM_NAMES`] order.
+pub(super) fn param_slots(p: &mut WorkloadParams) -> [&mut f64; 16] {
     [
-        ("tau", p.tau),
-        ("p_private", p.p_private),
-        ("p_sro", p.p_sro),
-        ("p_sw", p.p_sw),
-        ("h_private", p.h_private),
-        ("h_sro", p.h_sro),
-        ("h_sw", p.h_sw),
-        ("r_private", p.r_private),
-        ("r_sw", p.r_sw),
-        ("amod_private", p.amod_private),
-        ("amod_sw", p.amod_sw),
-        ("csupply_sro", p.csupply_sro),
-        ("csupply_sw", p.csupply_sw),
-        ("wb_csupply", p.wb_csupply),
-        ("rep_p", p.rep_p),
-        ("rep_sw", p.rep_sw),
+        &mut p.tau,
+        &mut p.p_private,
+        &mut p.p_sro,
+        &mut p.p_sw,
+        &mut p.h_private,
+        &mut p.h_sro,
+        &mut p.h_sw,
+        &mut p.r_private,
+        &mut p.r_sw,
+        &mut p.amod_private,
+        &mut p.amod_sw,
+        &mut p.csupply_sro,
+        &mut p.csupply_sw,
+        &mut p.wb_csupply,
+        &mut p.rep_p,
+        &mut p.rep_sw,
     ]
-}
-
-fn apply_param_overrides(params: &mut WorkloadParams, overrides: &JsonValue) -> Result<(), String> {
-    let pairs = overrides.as_object().ok_or("\"params\" must be an object")?;
-    for (name, value) in pairs {
-        let value = value
-            .as_f64()
-            .ok_or_else(|| format!("params.{name} must be a number"))?;
-        let slot = match name.as_str() {
-            "tau" => &mut params.tau,
-            "p_private" => &mut params.p_private,
-            "p_sro" => &mut params.p_sro,
-            "p_sw" => &mut params.p_sw,
-            "h_private" => &mut params.h_private,
-            "h_sro" => &mut params.h_sro,
-            "h_sw" => &mut params.h_sw,
-            "r_private" => &mut params.r_private,
-            "r_sw" => &mut params.r_sw,
-            "amod_private" => &mut params.amod_private,
-            "amod_sw" => &mut params.amod_sw,
-            "csupply_sro" => &mut params.csupply_sro,
-            "csupply_sw" => &mut params.csupply_sw,
-            "wb_csupply" => &mut params.wb_csupply,
-            "rep_p" => &mut params.rep_p,
-            "rep_sw" => &mut params.rep_sw,
-            other => return Err(format!("unknown parameter {other:?}")),
-        };
-        *slot = value;
-    }
-    Ok(())
-}
-
-/// A typed destination for one optional object field.
-enum Slot<'a> {
-    Usize(&'a mut usize),
-    U64(&'a mut u64),
-    F64(&'a mut f64),
-}
-
-/// Reads the known fields of a settings object, rejecting unknown keys.
-fn read_object(
-    value: &JsonValue,
-    section: &str,
-    slots: &mut [(&str, Slot<'_>)],
-) -> Result<(), String> {
-    let pairs = value
-        .as_object()
-        .ok_or_else(|| format!("\"{section}\" must be an object"))?;
-    for (key, v) in pairs {
-        let Some((_, slot)) = slots.iter_mut().find(|(name, _)| name == key) else {
-            return Err(format!("unknown key {section}.{key}"));
-        };
-        match slot {
-            Slot::Usize(dest) => {
-                **dest = v
-                    .as_usize()
-                    .ok_or_else(|| format!("{section}.{key} must be a non-negative integer"))?;
-            }
-            Slot::U64(dest) => {
-                **dest = v
-                    .as_u64()
-                    .ok_or_else(|| format!("{section}.{key} must be a non-negative integer"))?;
-            }
-            Slot::F64(dest) => {
-                **dest = v
-                    .as_f64()
-                    .ok_or_else(|| format!("{section}.{key} must be a number"))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use snoop_numeric::json::JsonValue;
 
     fn wo5(n: usize) -> Scenario {
         Scenario::appendix_a(ModSet::new(), SharingLevel::Five, n)
@@ -803,6 +677,19 @@ mod tests {
             let seed_field = format!("\"seed\":{seed},");
             prop_assert!(json.contains(&seed_field));
         }
+    }
+
+    #[test]
+    fn param_slots_and_fields_agree_on_the_order() {
+        let mut p = WorkloadParams::default();
+        for (i, slot) in param_slots(&mut p).into_iter().enumerate() {
+            *slot = i as f64;
+        }
+        for (i, (name, value)) in param_fields(&p).into_iter().enumerate() {
+            assert_eq!((name, value), (PARAM_NAMES[i], i as f64));
+            assert_eq!(param_index(name), Some(i));
+        }
+        assert_eq!(param_index("bogus"), None);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! `t_res` (Eqs. 7–10). Eq. (5)'s bus wait is affine in `w_bus` through
 //! `Q̄_bus` (Eq. 6), so `w_bus = max(0, c/(1 − β))` with
 //! `β = (N−1)(p_bc + p_rr)·t_bus/R`. What is left is
-//! `F(R) = R − R′(R) = 0`, solved by bracketed false position (Illinois).
+//! `F(R) = R − R′(R) = 0`, solved by bracketed false position
+//! (Anderson–Björck) from a lower end where `β` has just fallen to 1.
 //! Plain substitution slows to hundreds of iterations near saturation,
 //! where its linear rate approaches 1; the bracketed root does not.
 
@@ -210,30 +211,40 @@ impl MvaModel {
         Response { r_bc, r_rr, q_bus, n_interference, r_local, r }
     }
 
-    /// Finds the root of `F(R) = R − R′(R)` by false position (Illinois)
-    /// and returns the fixed point `[w_bus, w_mem, R]` with the number of
-    /// scalar-map evaluations spent.
+    /// Finds the root of `F(R) = R − R′(R)` by false position
+    /// (Anderson–Björck) and returns the fixed point `[w_bus, w_mem, R]`
+    /// with the number of scalar-map evaluations spent.
     ///
-    /// The bracket starts at `R₀`, where `F ≤ 0` (no wait is negative), and
-    /// doubles R until `F > 0`; `F` counts as −∞ where `β ≥ 1`, and such a
-    /// lower end is bisected rather than interpolated. The solve stops when
-    /// every component of `[w_bus, w_mem, R]` changed by less than the
-    /// tolerance (relative) since the previous evaluation: near saturation
+    /// The bracket's lower end is the larger of `R₀`, where `F ≤ 0` (no
+    /// wait is negative), and `R_β = (N−1)(p_bc + p_rr)·t_bus(w_mem = 0)`.
+    /// `t_bus` grows with `w_mem ≥ 0`, so `β ≥ 1` for every `R ≤ R_β`:
+    /// `F` counts as −∞ there, and that lower end needs no evaluation.
+    /// R doubles from the lower end until `F > 0`; a lower end where `F`
+    /// is −∞ is bisected rather than interpolated. An end kept twice in a
+    /// row has its `F` scaled by `1 − F_new/F_old` (Anderson–Björck),
+    /// where `F_new` replaced `F_old` at the other end, or by ½ when that
+    /// factor is not positive. The solve stops when every component of
+    /// `[w_bus, w_mem, R]` changed by less than the tolerance (relative)
+    /// since the previous evaluation: near saturation
     /// `w_bus = c/(1 − β)` amplifies the error in R, so R's bracket alone
     /// is not a sufficient test.
     fn solve_root(
         &self,
         n: usize,
+        interference: &Interference,
         options: &SolverOptions,
     ) -> Result<([f64; 3], usize), NumericError> {
         let _probe_span = snoop_numeric::probe::span("mva_solve");
-        let interference = Interference::compute(&self.inputs, n);
+        let inputs = &self.inputs;
+        let r0 = self.zero_wait_r();
+        let r_beta =
+            (n - 1) as f64 * (inputs.p_bc + inputs.p_rr) * eq::mean_bus_access(inputs, 0.0);
         // (R, F(R)) at the ends of the bracket; `hi` is unknown until some
         // F > 0 has been seen.
-        let mut lo = (self.zero_wait_r(), f64::NEG_INFINITY);
+        let mut lo = (r0.max(r_beta), f64::NEG_INFINITY);
         let mut hi: Option<(f64, f64)> = None;
         // Which end the last evaluation replaced (true: `hi`), for the
-        // Illinois halving of an end that is kept twice in a row.
+        // scaling of an end that is kept twice in a row.
         let mut last_replaced_hi: Option<bool> = None;
         // The last evaluation's `[w_bus, w_mem, R]`, when its waits were
         // finite, and the relative changes between successive ones.
@@ -245,12 +256,13 @@ impl MvaModel {
         let mut last_change = f64::INFINITY;
         for evaluation in 1..=options.max_iterations {
             let r = match hi {
-                None if evaluation == 1 => lo.0,
+                // F(R₀) may be finite; F(R_β) is −∞ by construction.
+                None if evaluation == 1 && r0 >= r_beta => lo.0,
                 None => 2.0 * lo.0,
                 Some(hi) if lo.1 == f64::NEG_INFINITY => 0.5 * (lo.0 + hi.0),
                 Some(hi) => hi.0 - hi.1 * (hi.0 - lo.0) / (hi.1 - lo.1),
             };
-            let f = match self.reduced_map(n, &interference, r) {
+            let f = match self.reduced_map(n, interference, r) {
                 Some([w_bus, w_mem, r_next]) => {
                     let state = [w_bus, w_mem, r];
                     let change = previous.map(|p| max_relative_change(&p, &state));
@@ -281,14 +293,14 @@ impl MvaModel {
                 }
             };
             if f > 0.0 {
-                if last_replaced_hi == Some(true) {
-                    lo.1 *= 0.5;
+                if let (Some(true), Some(old)) = (last_replaced_hi, hi) {
+                    lo.1 *= anderson_bjorck(f, old.1);
                 }
                 last_replaced_hi = hi.map(|_| true);
                 hi = Some((r, f));
             } else {
                 if let (Some(false), Some(hi)) = (last_replaced_hi, hi.as_mut()) {
-                    hi.1 *= 0.5;
+                    hi.1 *= anderson_bjorck(f, lo.1);
                 }
                 last_replaced_hi = hi.map(|_| false);
                 lo = (r, f);
@@ -304,12 +316,17 @@ impl MvaModel {
 
     /// Recomputes every reported measure from a converged state so the
     /// outputs are mutually consistent, and packages them.
-    fn package_solution(&self, n: usize, values: &[f64], iterations: usize) -> MvaSolution {
+    fn package_solution(
+        &self,
+        n: usize,
+        interference: &Interference,
+        values: &[f64],
+        iterations: usize,
+    ) -> MvaSolution {
         let inputs = &self.inputs;
-        let interference = Interference::compute(inputs, n);
         let (w_bus, w_mem) = (values[0], values[1]);
         let Response { r_bc, r_rr, q_bus, n_interference, r_local, r } =
-            self.response(n, &interference, w_bus, w_mem, values[2]);
+            self.response(n, interference, w_bus, w_mem, values[2]);
 
         MvaSolution {
             n,
@@ -371,7 +388,7 @@ impl MvaModel {
             x = next;
             history.push(x);
             if residual < options.tolerance {
-                return Ok((self.package_solution(n, &x, iteration), history));
+                return Ok((self.package_solution(n, &interference, &x, iteration), history));
             }
         }
         Err(NumericError::NoConvergence { iterations: options.max_iterations, residual }.into())
@@ -393,8 +410,9 @@ impl MvaModel {
             return Err(MvaError::InvalidSystemSize(0));
         }
         check_damping(options.damping)?;
-        let (state, evaluations) = self.solve_root(n, options)?;
-        Ok(self.package_solution(n, &state, evaluations))
+        let interference = Interference::compute(&self.inputs, n);
+        let (state, evaluations) = self.solve_root(n, &interference, options)?;
+        Ok(self.package_solution(n, &interference, &state, evaluations))
     }
 }
 
@@ -407,6 +425,18 @@ struct Response {
     n_interference: f64,
     r_local: f64,
     r: f64,
+}
+
+/// Anderson–Björck's scale for the end of the bracket that is kept twice
+/// in a row: `1 − f_new/f_old`, where `f_new` replaced `f_old` at the
+/// other end; ½ (Illinois) when that is not positive or not a number.
+fn anderson_bjorck(f_new: f64, f_old: f64) -> f64 {
+    let m = 1.0 - f_new / f_old;
+    if m > 0.0 {
+        m
+    } else {
+        0.5
+    }
 }
 
 /// `Ok` for a damping factor in `(0, 1]`.
@@ -593,7 +623,8 @@ mod tests {
         // not a second (scalar-root) solve.
         let last = history.last().unwrap();
         assert_eq!([traced.w_bus, traced.w_mem], [last[0], last[1]]);
-        assert_eq!(traced, model.package_solution(10, last, history.len() - 1));
+        let interference = Interference::compute(model.inputs(), 10);
+        assert_eq!(traced, model.package_solution(10, &interference, last, history.len() - 1));
         // History starts at zero waits.
         assert_eq!(history[0][0], 0.0);
         assert_eq!(history[0][1], 0.0);
@@ -674,7 +705,64 @@ mod tests {
         evaluations.sort_unstable();
         let quantile = |q: usize| evaluations[(evaluations.len() - 1) * q / 100];
         let (p50, p99, max) = (quantile(50), quantile(99), quantile(100));
-        assert!(p99 <= 40, "evaluations p50 {p50}, p99 {p99}, max {max}");
+        assert!(p99 <= 24, "evaluations p50 {p50}, p99 {p99}, max {max}");
+    }
+
+    #[test]
+    fn the_bracket_starts_where_beta_reaches_one() {
+        // Below R_β every β is at least 1 (t_bus only grows with w_mem), so
+        // the scalar map has no finite bus wait there and the root lies
+        // above the bracket's lower end.
+        let sizes = [2, 3, 10, 100, 1000, 10_000];
+        for params in SharingLevel::ALL
+            .iter()
+            .map(|&level| WorkloadParams::appendix_a(level))
+            .chain([WorkloadParams::stress()])
+        {
+            for mods in ModSet::power_set() {
+                let model = MvaModel::for_protocol(&params, mods).unwrap();
+                let inputs = model.inputs();
+                for n in sizes {
+                    let interference = Interference::compute(inputs, n);
+                    let r_beta = (n - 1) as f64
+                        * (inputs.p_bc + inputs.p_rr)
+                        * eq::mean_bus_access(inputs, 0.0);
+                    for below in [r_beta, 0.75 * r_beta, 0.5 * r_beta] {
+                        assert!(
+                            model.reduced_map(n, &interference, below).is_none(),
+                            "{mods} N={n}: finite bus wait at R = {below} <= R_β = {r_beta}"
+                        );
+                    }
+                    let s = model.solve(n, &SolverOptions::default()).unwrap();
+                    assert!(s.r > r_beta.max(model.zero_wait_r()), "{mods} N={n}: {s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_saturation_needs_few_evaluations() {
+        // Write-Once at 5% sharing: deep in saturation the root sits just
+        // above R_β, so the bracket needs few doublings.
+        let model = MvaModel::for_protocol(
+            &WorkloadParams::appendix_a(SharingLevel::Five),
+            ModSet::new(),
+        )
+        .unwrap();
+        for (n, most) in [(10, 12), (100, 15), (1000, 19), (10_000, 24)] {
+            let s = model.solve(n, &SolverOptions::default()).unwrap();
+            assert!(s.iterations <= most, "N={n}: {} evaluations", s.iterations);
+        }
+    }
+
+    #[test]
+    fn anderson_bjorck_scale_falls_back_to_illinois() {
+        assert_eq!(anderson_bjorck(1.0, 4.0), 0.75);
+        assert_eq!(anderson_bjorck(-1.0, -4.0), 0.75);
+        // F did not shrink at the replaced end, or it was −∞.
+        for (f_new, f_old) in [(4.0, 4.0), (5.0, 4.0), (f64::NEG_INFINITY, f64::NEG_INFINITY)] {
+            assert_eq!(anderson_bjorck(f_new, f_old), 0.5, "{f_new} {f_old}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The repository is offline-first (no serde): the probe layer hand-rolls
 //! its metrics JSON, and the evaluation engine needs to *read* scenario
 //! batch files and round-trip cached results. This module provides the
-//! shared primitive: a [`JsonValue`] tree with a strict recursive-descent
-//! parser and a deterministic writer.
+//! shared primitive: a strict pull reader ([`JsonReader`]), the
+//! [`JsonValue`] tree it builds, and a deterministic writer. Callers that
+//! decode a document into their own types (the scenario batch decoder)
+//! read it straight off the [`JsonReader`] and build no tree.
 //!
 //! Design points:
 //!
@@ -15,6 +17,7 @@
 //!   finite `f64`. Integers up to 2^53 round-trip exactly.
 //! * Non-finite numbers serialize as `null` (JSON has no NaN/Inf).
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser (stack-overflow guard).
@@ -61,13 +64,9 @@ impl JsonValue {
     ///
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut reader = JsonReader::new(text);
+        let value = reader.tree()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -92,14 +91,7 @@ impl JsonValue {
     /// The value as a non-negative integer (rejects fractions and numbers
     /// beyond exact `f64` integer range).
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Number(v)
-                if *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 =>
-            {
-                Some(*v as usize)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_usize)
     }
 
     /// The value as a `u64` (same exactness constraints as
@@ -188,6 +180,16 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// `v` as a non-negative integer, when it is one no larger than 2^53 (the
+/// range where every integer is an exact `f64`).
+pub fn exact_usize(v: f64) -> Option<usize> {
+    if v >= 0.0 && v.fract() == 0.0 && v <= 9_007_199_254_740_992.0 {
+        Some(v as usize)
+    } else {
+        None
+    }
+}
+
 /// Formats an `f64` as a JSON number with shortest round-trip precision;
 /// non-finite values become `null`.
 pub fn format_f64(v: f64) -> String {
@@ -235,13 +237,282 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-struct Parser<'a> {
+/// One step of a [`JsonReader`]: a scalar read in full, or the bracket
+/// that opens an array or an object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Number(f64),
+    /// A string, borrowed from the input unless it holds escapes.
+    String(Cow<'a, str>),
+    /// `[`: read the elements with [`JsonReader::element`].
+    ArrayStart,
+    /// `{`: read the members with [`JsonReader::member`].
+    ObjectStart,
+}
+
+/// A pull reader over one JSON document: the strict lexer behind
+/// [`JsonValue::parse`], for callers that decode straight into their own
+/// types instead of building a tree.
+///
+/// Read a value with [`JsonReader::value`]. After an `ArrayStart`, call
+/// [`JsonReader::element`] before each element and once more to close
+/// the array; after an `ObjectStart`, call [`JsonReader::member`] before
+/// each value and once more to close the object. Finish with
+/// [`JsonReader::finish`]. Every error — nesting depth, duplicate keys,
+/// escapes, trailing characters — carries the byte offset and message
+/// [`JsonValue::parse`] reports for the same document, since that parser
+/// is this reader.
+///
+/// ```
+/// use snoop_numeric::json::{JsonReader, Token};
+///
+/// let mut reader = JsonReader::new(r#"{"n": 4, "tags": ["a"]}"#);
+/// assert_eq!(reader.value().unwrap(), Token::ObjectStart);
+/// let mut n = None;
+/// while let Some(key) = reader.member().unwrap() {
+///     match (&*key, reader.value().unwrap()) {
+///         ("n", Token::Number(v)) => n = Some(v),
+///         (_, token) => reader.skip_rest(&token).unwrap(),
+///     }
+/// }
+/// reader.finish().unwrap();
+/// assert_eq!(n, Some(4.0));
+/// ```
+pub struct JsonReader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the next value.
+    depth: usize,
+    /// The container opened last has not been asked for its first entry.
+    fresh: bool,
+    /// The keys read so far in every open object, innermost last: where
+    /// each key's text sits between its quotes, and whether it holds
+    /// escapes (then only its decoded form can be compared).
+    keys: Vec<(usize, usize, bool)>,
+    /// Where each open object's keys start in `keys`.
+    objects: Vec<usize>,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader positioned at the document's first value.
+    pub fn new(text: &'a str) -> Self {
+        let mut reader = JsonReader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+            keys: Vec::new(),
+            objects: Vec::new(),
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// Reads the next value: a scalar in full, or the opening bracket of
+    /// an array or object.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or nesting deeper than 128 levels.
+    #[inline]
+    pub fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'"') => self.string().map(Token::String),
+            Some(b'[') => {
+                self.open();
+                Ok(Token::ArrayStart)
+            }
+            Some(b'{') => {
+                self.open();
+                self.objects.push(self.keys.len());
+                Ok(Token::ObjectStart)
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Token::Number),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Whether the open array has another element; `false` closes it.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn element(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.fresh) {
+            if self.peek() != Some(b']') {
+                return Ok(true);
+            }
+        } else {
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    return Ok(true);
+                }
+                Some(b']') => {}
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(false)
+    }
+
+    /// The open object's next key, positioned at its value; `None`
+    /// closes the object.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or a key the object already has.
+    #[inline]
+    pub fn member(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        let close = if std::mem::take(&mut self.fresh) {
+            self.peek() == Some(b'}')
+        } else {
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    false
+                }
+                Some(b'}') => true,
+                _ => return Err(self.err("expected ',' or '}' in object")),
+            }
+        };
+        if close {
+            self.pos += 1;
+            self.depth -= 1;
+            let first = self.objects.pop().unwrap_or(0);
+            self.keys.truncate(first);
+            return Ok(None);
+        }
+        let start = self.pos + 1;
+        let key = self.string()?;
+        let raw = (start, self.pos - 1, matches!(key, Cow::Owned(_)));
+        let first = self.objects.last().copied().unwrap_or(0);
+        if self.keys[first..].iter().any(|&earlier| self.same_key(earlier, raw, &key)) {
+            return Err(self.err(&format!("duplicate object key {key:?}")));
+        }
+        self.keys.push(raw);
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Reads what is left of a value whose first token was `token`: the
+    /// rest of an array or object; nothing for a scalar.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn skip_rest(&mut self, token: &Token<'a>) -> Result<(), JsonError> {
+        match token {
+            Token::ArrayStart => {
+                while self.element()? {
+                    self.skip()?;
+                }
+            }
+            Token::ObjectStart => {
+                while self.member()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Reads the next value whole and discards it.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        let token = self.value()?;
+        self.skip_rest(&token)
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    ///
+    /// # Errors
+    ///
+    /// Trailing characters after the document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
+        }
+    }
+
+    /// The next value as a [`JsonValue`] tree.
+    fn tree(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.value()? {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Number(v) => JsonValue::Number(v),
+            Token::String(s) => JsonValue::String(s.into_owned()),
+            Token::ArrayStart => {
+                let mut items = Vec::new();
+                while self.element()? {
+                    items.push(self.tree()?);
+                }
+                JsonValue::Array(items)
+            }
+            Token::ObjectStart => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.member()? {
+                    let value = self.tree()?;
+                    pairs.push((key.into_owned(), value));
+                }
+                JsonValue::Object(pairs)
+            }
+        })
+    }
+
+    /// Whether the key at `earlier` spells `key`, which sits at `raw`.
+    /// Two keys without escapes compare as raw bytes; otherwise the
+    /// earlier key is decoded again.
+    fn same_key(
+        &self,
+        earlier: (usize, usize, bool),
+        raw: (usize, usize, bool),
+        key: &str,
+    ) -> bool {
+        let (start, end, escaped) = earlier;
+        if !escaped && !raw.2 {
+            return self.bytes[start..end] == self.bytes[raw.0..raw.1];
+        }
+        // The earlier key decoded without error when it was read.
+        JsonReader::new(&self.text[start - 1..=end]).string().is_ok_and(|k| k == key)
+    }
+
+    fn open(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError { offset: self.pos, message: message.to_string() }
     }
@@ -265,110 +536,52 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(&format!("expected {word:?}")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
+    /// Where the run of plain characters starting at `pos` ends: the next
+    /// `"` or `\`, or the end of the input. Both delimiters are ASCII and
+    /// a run starts right after an ASCII byte (or at the opening quote),
+    /// so both ends of the run fall on char boundaries of `text`.
+    fn run_end(&self) -> usize {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |len| self.pos + len)
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs: Vec<(String, JsonValue)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate object key {key:?}")));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string; it borrows from the input unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            // Copy the run of plain characters up to the next `"` or `\`
-            // in one step. Both delimiters are ASCII and the run starts
-            // right after an ASCII byte (or at the opening quote), so both
-            // ends of the slice fall on char boundaries of `text`.
-            let run = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .map_or(self.bytes.len(), |len| self.pos + len);
-            out.push_str(&self.text[self.pos..run]);
+            let run = self.run_end();
+            if let Some(out) = owned.as_mut() {
+                out.push_str(&self.text[self.pos..run]);
+            }
             self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        Some(out) => Cow::Owned(out),
+                        None => Cow::Borrowed(&self.text[start..run]),
+                    });
                 }
                 Some(_) => {
                     // The backslash of an escape.
+                    let out = owned.get_or_insert_with(|| self.text[start..run].to_string());
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let c = self.escape()?;
+                    out.push(c);
                 }
             }
         }
@@ -434,7 +647,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -459,7 +672,7 @@ impl<'a> Parser<'a> {
         }
         let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(JsonValue::Number(v)),
+            Ok(v) if v.is_finite() => Ok(v),
             _ => Err(JsonError {
                 offset: start,
                 message: format!("invalid number {text:?}"),

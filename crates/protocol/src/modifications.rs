@@ -188,13 +188,15 @@ impl FromStr for ModSet {
     /// Parses `"WO"`, `"WO+1"`, `"WO+1+4"`, … (case-insensitive), or a named
     /// protocol (see [`NamedProtocol`]).
     fn from_str(s: &str) -> Result<Self, ProtocolError> {
-        if let Ok(named) = s.parse::<NamedProtocol>() {
+        if let Some(named) = NamedProtocol::lookup(s) {
             return Ok(named.modifications());
         }
-        let upper = s.to_ascii_uppercase();
-        let mut parts = upper.split('+');
+        let mut parts = s.split('+');
         match parts.next() {
-            Some("WO") | Some("WRITE-ONCE") | Some("WRITEONCE") => {}
+            Some(head)
+                if ["WO", "WRITE-ONCE", "WRITEONCE"]
+                    .iter()
+                    .any(|name| head.eq_ignore_ascii_case(name)) => {}
             _ => return Err(ProtocolError::UnknownProtocol(s.to_string())),
         }
         let mut set = ModSet::new();
@@ -278,20 +280,31 @@ impl fmt::Display for NamedProtocol {
     }
 }
 
+impl NamedProtocol {
+    /// The protocol a name spells, ignoring ASCII case.
+    fn lookup(s: &str) -> Option<Self> {
+        const NAMES: [(&str, NamedProtocol); 11] = [
+            ("write-once", NamedProtocol::WriteOnce),
+            ("writeonce", NamedProtocol::WriteOnce),
+            ("goodman", NamedProtocol::WriteOnce),
+            ("write-through", NamedProtocol::WriteThrough),
+            ("writethrough", NamedProtocol::WriteThrough),
+            ("illinois", NamedProtocol::Illinois),
+            ("mesi", NamedProtocol::Illinois),
+            ("berkeley", NamedProtocol::Berkeley),
+            ("dragon", NamedProtocol::Dragon),
+            ("rwb", NamedProtocol::Rwb),
+            ("synapse", NamedProtocol::Synapse),
+        ];
+        NAMES.iter().find(|(name, _)| s.eq_ignore_ascii_case(name)).map(|&(_, named)| named)
+    }
+}
+
 impl FromStr for NamedProtocol {
     type Err = ProtocolError;
 
     fn from_str(s: &str) -> Result<Self, ProtocolError> {
-        match s.to_ascii_lowercase().as_str() {
-            "write-once" | "writeonce" | "goodman" => Ok(NamedProtocol::WriteOnce),
-            "write-through" | "writethrough" => Ok(NamedProtocol::WriteThrough),
-            "illinois" | "mesi" => Ok(NamedProtocol::Illinois),
-            "berkeley" => Ok(NamedProtocol::Berkeley),
-            "dragon" => Ok(NamedProtocol::Dragon),
-            "rwb" => Ok(NamedProtocol::Rwb),
-            "synapse" => Ok(NamedProtocol::Synapse),
-            _ => Err(ProtocolError::UnknownProtocol(s.to_string())),
-        }
+        NamedProtocol::lookup(s).ok_or_else(|| ProtocolError::UnknownProtocol(s.to_string()))
     }
 }
 
@@ -331,6 +344,59 @@ mod tests {
         assert_eq!("wo+1+4".parse::<ModSet>().unwrap(), ModSet::from_numbers(&[1, 4]).unwrap());
         assert!("WO+7".parse::<ModSet>().is_err());
         assert!("nonsense".parse::<ModSet>().is_err());
+    }
+
+    /// A reference parser that matches lower- and upper-cased copies of
+    /// the whole name.
+    fn parse_by_copying(s: &str) -> Result<ModSet, ProtocolError> {
+        let named = match s.to_ascii_lowercase().as_str() {
+            "write-once" | "writeonce" | "goodman" => Some(NamedProtocol::WriteOnce),
+            "write-through" | "writethrough" => Some(NamedProtocol::WriteThrough),
+            "illinois" | "mesi" => Some(NamedProtocol::Illinois),
+            "berkeley" => Some(NamedProtocol::Berkeley),
+            "dragon" => Some(NamedProtocol::Dragon),
+            "rwb" => Some(NamedProtocol::Rwb),
+            "synapse" => Some(NamedProtocol::Synapse),
+            _ => None,
+        };
+        if let Some(named) = named {
+            return Ok(named.modifications());
+        }
+        let upper = s.to_ascii_uppercase();
+        let mut parts = upper.split('+');
+        match parts.next() {
+            Some("WO") | Some("WRITE-ONCE") | Some("WRITEONCE") => {}
+            _ => return Err(ProtocolError::UnknownProtocol(s.to_string())),
+        }
+        let mut set = ModSet::new();
+        for part in parts {
+            let n: u8 = part
+                .trim()
+                .parse()
+                .map_err(|_| ProtocolError::UnknownProtocol(s.to_string()))?;
+            set = set.with(Modification::from_number(n)?);
+        }
+        Ok(set)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parsing_matches_the_copying_parser(
+            parts in proptest::collection::vec(0usize..22, 0..7),
+        ) {
+            const PIECES: [&str; 22] = [
+                "WO", "wo", "Wo", "write-once", "WriteOnce", "+", "+", "1", "2", "3", "4", "9",
+                "01", " ", "\u{a0}", "dragon", "MESI", "Goodman", "rwB", "é", "x", "-",
+            ];
+            let text: String = parts.iter().map(|&i| PIECES[i]).collect();
+            proptest::prop_assert_eq!(text.parse::<ModSet>(), parse_by_copying(&text), "{:?}", text);
+            let named = text.parse::<NamedProtocol>().map(NamedProtocol::modifications);
+            if named.is_ok() {
+                proptest::prop_assert_eq!(named, parse_by_copying(&text));
+            }
+        }
     }
 
     #[test]
