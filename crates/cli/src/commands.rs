@@ -452,10 +452,12 @@ fn scenarios_from_file(path: &str) -> Result<Vec<Scenario>, String> {
     match Scenario::parse_batch(&text) {
         Ok(scenarios) => Ok(scenarios),
         Err(batch_error) => {
-            // If the document is not JSON at all, re-parse to recover the
-            // failure offset and render a line/column context hint
-            // (parse_batch reports schema-level problems only).
-            if let Err(json_error) = snoop_numeric::json::JsonValue::parse(&text) {
+            // If the document is not JSON at all, read it again without
+            // decoding to recover the failure offset and render a
+            // line/column context hint (parse_batch reports schema-level
+            // problems only).
+            let mut reader = snoop_numeric::json::JsonReader::new(&text);
+            if let Err(json_error) = reader.skip().and_then(|()| reader.finish()) {
                 let (line, col, source) = locate_offset(&text, json_error.offset);
                 return Err(format!(
                     "{path}:{line}:{col}: invalid JSON in --scenarios file: {}\n  {source}\n  {:>col$}",
@@ -1075,24 +1077,16 @@ fn cmd_waits(args: &ParsedArgs) -> Result<String, String> {
         profile.max,
         profile.zero_wait_fraction * 100.0
     );
-    out.push_str(&profile.histogram.render(50));
+    out.push_str(&profile.chart);
     let _ = writeln!(
         out,
         "\nresponse times (completion − issue): mean {:.3} (MVA R − τ: {:.3}), \
          p50 {:.3}, p99 {:.3}",
-        profile.response_times.mean(),
+        profile.response_mean,
         mva.r - params.tau,
-        profile.response_times.quantile(0.5).unwrap_or(0.0),
-        profile.response_times.quantile(0.99).unwrap_or(0.0)
+        profile.response_p50,
+        profile.response_p99
     );
-    if profile.out_of_range() > 0 {
-        let _ = writeln!(
-            out,
-            "note: {} sample(s) fell outside the histogram ranges and are \
-             excluded from the means/quantiles above",
-            profile.out_of_range()
-        );
-    }
     Ok(out)
 }
 

@@ -53,7 +53,6 @@
 
 pub mod exec;
 pub mod fault;
-pub mod histogram;
 pub mod json;
 pub mod lu;
 pub mod markov;

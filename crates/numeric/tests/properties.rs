@@ -1,7 +1,6 @@
 //! Property-based tests of the numeric substrate.
 
 use proptest::prelude::*;
-use snoop_numeric::histogram::Histogram;
 use snoop_numeric::lu::Lu;
 use snoop_numeric::matrix::Matrix;
 use snoop_numeric::sparse::{CsrMatrix, Triplet};
@@ -79,26 +78,6 @@ proptest! {
         prop_assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-7);
         prop_assert_eq!(left.min(), whole.min());
         prop_assert_eq!(left.max(), whole.max());
-    }
-
-    /// Histogram quantiles are monotone in q and bracket the data range.
-    #[test]
-    fn histogram_quantiles_are_monotone(
-        xs in prop::collection::vec(0.0f64..100.0, 1..100),
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, 25).unwrap();
-        h.extend(xs.iter().copied());
-        let mut last = f64::NEG_INFINITY;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            let v = h.quantile(q).unwrap();
-            prop_assert!(v >= last - 1e-12, "quantile({q}) = {v} < {last}");
-            prop_assert!((0.0..=100.0).contains(&v));
-            last = v;
-        }
-        // The histogram mean equals the sample mean exactly (it tracks the
-        // raw sum).
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((h.mean() - mean).abs() < 1e-9);
     }
 
     /// Transposing twice is the identity; A^T x = x^T A.

@@ -30,6 +30,8 @@ pub mod stats;
 pub mod trace_mode;
 
 mod error;
+mod histogram;
+mod window;
 
 pub use config::SimConfig;
 pub use error::SimError;

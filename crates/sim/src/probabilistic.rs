@@ -29,7 +29,9 @@ use snoop_workload::synth::{ReferenceEvent, ReferenceGenerator, Stream};
 
 use crate::config::SimConfig;
 use crate::event::Calendar;
+use crate::histogram::Bins;
 use crate::stats::SimMeasures;
+use crate::window::RunWindow;
 use crate::SimError;
 
 /// Probability that a given other cache holds a copy of a referenced
@@ -91,16 +93,8 @@ struct Machine {
     /// (used for snoop busy times).
     module_busy: Vec<f64>,
     cache_busy: Vec<f64>,
-    /// Per-processor completed references.
-    completed: Vec<usize>,
-    /// Per-processor time of warm-up completion / measurement completion.
-    warm_at: Vec<Option<f64>>,
-    done_at: Vec<Option<f64>>,
-    /// How many entries of `done_at` are set (the run ends when all are).
-    finished: usize,
-    /// Global measurement window start (all processors warm).
-    meas_start: Option<f64>,
-    /// Bus busy time accumulated after `meas_start`.
+    window: RunWindow,
+    /// Bus busy time accumulated while the window is open.
     bus_busy_time: f64,
     module_busy_time: f64,
     /// Bus transactions granted within measurement, the sum of their
@@ -136,11 +130,7 @@ impl Machine {
             bus_busy: false,
             module_busy: vec![0.0; 4],
             cache_busy: vec![0.0; n],
-            completed: vec![0; n],
-            warm_at: vec![None; n],
-            done_at: vec![None; n],
-            finished: 0,
-            meas_start: None,
+            window: RunWindow::new(n, config.warmup_references, config.measured_references),
             bus_busy_time: 0.0,
             module_busy_time: 0.0,
             bus_grants: 0,
@@ -168,7 +158,7 @@ impl Machine {
                 Event::Issue(p) => self.issue(now, p),
                 Event::BusRelease => self.release_bus(now),
             }
-            if self.finished == self.config.n {
+            if self.window.all_done() {
                 break;
             }
         }
@@ -177,8 +167,7 @@ impl Machine {
             snoop_numeric::probe::counter_add("sim.events", events);
             snoop_numeric::probe::counter_add("sim.bus_transactions", self.bus_grants);
             snoop_numeric::probe::counter_add("sim.bus_queue_waits", self.bus_queue_waits);
-            let completed: usize = self.completed.iter().sum();
-            snoop_numeric::probe::counter_add("sim.references", completed as u64);
+            snoop_numeric::probe::counter_add("sim.references", self.window.references() as u64);
         }
         self.finish()
     }
@@ -252,7 +241,7 @@ impl Machine {
             return;
         };
         self.bus_busy = true;
-        if self.meas_start.is_some() {
+        if self.window.measuring() {
             let wait = now - job.enqueued();
             self.bus_grants += 1;
             self.bus_wait_sum += wait;
@@ -312,7 +301,7 @@ impl Machine {
             }
         };
 
-        if self.meas_start.is_some() {
+        if self.window.measuring() {
             self.bus_busy_time += release - now;
         }
         self.calendar.schedule(release, Event::BusRelease);
@@ -325,7 +314,7 @@ impl Machine {
     fn occupy_module(&mut self, m: usize, from: f64) {
         let start = from.max(self.module_busy[m]);
         let end = start + self.config.timing.memory_latency;
-        if self.meas_start.is_some() {
+        if self.window.measuring() {
             self.module_busy_time += end - start;
         }
         self.module_busy[m] = end;
@@ -391,66 +380,28 @@ impl Machine {
 
     /// Records a completed reference and schedules the next think/issue.
     fn complete(&mut self, done: f64, p: usize) {
-        if let (Some(_), Some(samples)) = (self.meas_start, &mut self.profile) {
+        if let (true, Some(samples)) = (self.window.measuring(), &mut self.profile) {
             samples.response_times.push(done - self.issued_at[p]);
         }
-        self.completed[p] += 1;
-        if self.completed[p] == self.config.warmup_references {
-            self.warm_at[p] = Some(done);
-            if self.warm_at.iter().all(Option::is_some) {
-                self.meas_start = Some(done);
-            }
-        }
-        if self.completed[p]
-            == self.config.warmup_references + self.config.measured_references
-            && self.done_at[p].is_none()
-        {
-            self.done_at[p] = Some(done);
-            self.finished += 1;
-        }
+        self.window.complete(p, done);
         let think = self.generator.think_time();
         self.calendar.schedule(done + think, Event::Issue(p));
     }
 
     fn finish(&self) -> Result<SimMeasures, SimError> {
-        let timing = self.config.timing;
-        let cycle = self.config.params.tau + timing.t_supply;
-        // Per-processor R over its own measurement window. A processor
-        // with no warm-up or done timestamp means the run ended before
-        // its measurement window closed — report typed progress instead
-        // of panicking (this used to be `expect("warmed")`).
-        let mut rs = Vec::with_capacity(self.config.n);
-        let mut ends = Vec::with_capacity(self.config.n);
-        for p in 0..self.config.n {
-            let (Some(start), Some(end)) = (self.warm_at[p], self.done_at[p]) else {
-                return Err(SimError::InsufficientRun {
-                    warmup: self.config.warmup_references,
-                    measured: self.config.measured_references,
-                    progress: self.completed.clone(),
-                });
-            };
-            rs.push((end - start) / self.config.measured_references as f64);
-            ends.push(end);
-        }
-        let speedup: f64 = rs.iter().map(|r| cycle / r).sum();
-        let r_mean = self.config.n as f64 / rs.iter().map(|r| 1.0 / r).sum::<f64>();
-
-        let t0 = self.meas_start.unwrap_or(0.0);
-        let t1 = ends.iter().copied().fold(0.0_f64, f64::max);
-        let window = (t1 - t0).max(1e-9);
+        let window = self.window.finish(self.config.params.tau + self.config.timing.t_supply)?;
         let mean_w_bus = if self.bus_grants == 0 {
             0.0
         } else {
             self.bus_wait_sum / self.bus_grants as f64
         };
-
         Ok(SimMeasures {
             n: self.config.n,
-            r: r_mean,
-            speedup,
-            bus_utilization: (self.bus_busy_time / window).min(1.0),
+            r: window.r,
+            speedup: window.speedup,
+            bus_utilization: (self.bus_busy_time / window.length).min(1.0),
             memory_utilization: (self.module_busy_time
-                / (window * self.module_busy.len() as f64))
+                / (window.length * self.module_busy.len() as f64))
                 .min(1.0),
             w_bus: mean_w_bus,
             references: self.config.n * self.config.measured_references,
@@ -479,11 +430,9 @@ pub fn simulate(config: &SimConfig) -> Result<SimMeasures, SimError> {
 }
 
 /// Distribution of the measured bus waiting times (the quantity the MVA's
-/// Eq. 5 summarizes by its mean).
+/// Eq. 5 summarizes by its mean) and of the response times.
 #[derive(Debug, Clone)]
 pub struct WaitProfile {
-    /// The full histogram (40 bins over the observed range).
-    pub histogram: snoop_numeric::histogram::Histogram,
     /// Median wait.
     pub p50: f64,
     /// 95th-percentile wait.
@@ -492,25 +441,22 @@ pub struct WaitProfile {
     pub max: f64,
     /// Fraction of transactions that waited not at all (< 1e−9 cycles).
     pub zero_wait_fraction: f64,
-    /// Distribution of full response times (completion − issue) per
-    /// reference — the per-request view of the paper's `R`.
-    pub response_times: snoop_numeric::histogram::Histogram,
-}
-
-impl WaitProfile {
-    /// Samples that fell outside the bin ranges of either histogram
-    /// (underflow + overflow). Nonzero means the quantiles and means
-    /// above exclude data and the profile should say so.
-    pub fn out_of_range(&self) -> u64 {
-        self.histogram.underflow()
-            + self.histogram.overflow()
-            + self.response_times.underflow()
-            + self.response_times.overflow()
-    }
+    /// The waits as a bar chart of 40 equal bins over
+    /// `[0, max(1.01·max, 1))`: one line per non-empty bin with its
+    /// centre, its count and up to 50 `#`.
+    pub chart: String,
+    /// Mean response time (completion − issue) per reference — the
+    /// per-request view of the paper's `R − τ`.
+    pub response_mean: f64,
+    /// Median response time.
+    pub response_p50: f64,
+    /// 99th-percentile response time.
+    pub response_p99: f64,
 }
 
 /// Runs one simulation and also returns the bus-wait and response-time
-/// distributions.
+/// distributions. Quantiles interpolate within the 40 bins of
+/// [`WaitProfile::chart`].
 ///
 /// # Errors
 ///
@@ -523,27 +469,19 @@ pub fn simulate_with_profile(config: &SimConfig) -> Result<(SimMeasures, WaitPro
     let mut machine = Machine::new(*config);
     machine.profile = Some(Samples::default());
     let measures = machine.run()?;
-    let Samples { bus_waits: waits, response_times } = machine.profile.unwrap_or_default();
-    let build = |samples: &[f64]| {
-        let max = samples.iter().copied().fold(0.0_f64, f64::max);
-        let mut histogram =
-            snoop_numeric::histogram::Histogram::new(0.0, (max * 1.01).max(1.0), 40)
-                .expect("valid range");
-        histogram.extend(samples.iter().copied());
-        histogram
-    };
-    let histogram = build(&waits);
-    let response_times = build(&response_times);
-    let quantile = |q: f64| histogram.quantile(q).unwrap_or(0.0);
-    let max = waits.iter().copied().fold(0.0_f64, f64::max);
+    let samples = machine.profile.unwrap_or_default();
+    let waits = Bins::new(&samples.bus_waits);
+    let responses = Bins::new(&samples.response_times);
     let zero = machine.bus_grants - machine.bus_queue_waits;
     let profile = WaitProfile {
-        p50: quantile(0.5),
-        p95: quantile(0.95),
-        max,
-        zero_wait_fraction: if waits.is_empty() { 0.0 } else { zero as f64 / waits.len() as f64 },
-        histogram,
-        response_times,
+        p50: waits.quantile(0.5),
+        p95: waits.quantile(0.95),
+        max: waits.max,
+        zero_wait_fraction: if waits.count == 0 { 0.0 } else { zero as f64 / waits.count as f64 },
+        chart: waits.chart(),
+        response_mean: responses.mean(),
+        response_p50: responses.quantile(0.5),
+        response_p99: responses.quantile(0.99),
     };
     Ok((measures, profile))
 }
@@ -580,6 +518,56 @@ mod tests {
             SimError::InsufficientRun { warmup: 0, measured: 1, progress: vec![0, 0] }
         );
         assert!(simulate_with_profile(&config).is_err());
+    }
+
+    #[test]
+    fn both_simulators_report_a_short_run_alike() {
+        use crate::trace_mode::{simulate_trace_source, TraceDriveConfig, TraceSimConfig};
+        use snoop_workload::trace::{TraceRecord, TraceSource};
+
+        /// Hands out `left` records in all, then runs dry.
+        struct Dry<S> {
+            inner: S,
+            left: usize,
+        }
+        impl<S: TraceSource> TraceSource for Dry<S> {
+            fn processors(&self) -> usize {
+                self.inner.processors()
+            }
+            fn words_per_block(&self) -> u64 {
+                self.inner.words_per_block()
+            }
+            fn next_for(&mut self, processor: usize) -> Option<TraceRecord> {
+                self.left = self.left.checked_sub(1)?;
+                self.inner.next_for(processor)
+            }
+        }
+
+        // With no warm-up the probabilistic window never opens; `simulate`
+        // refuses such a configuration up front, so drive the machine.
+        let mut config = quick_config(2, SharingLevel::Five, &[]);
+        config.warmup_references = 0;
+        config.measured_references = 1;
+        let des = Machine::new(config).run().unwrap_err();
+        // The trace source runs dry during the warm-up.
+        let mut drive = TraceDriveConfig::new(2, ModSet::new());
+        drive.warmup_references = 10;
+        drive.measured_references = 100;
+        let inner = TraceSimConfig::new(2, ModSet::new()).generator().unwrap();
+        let trace = simulate_trace_source(&drive, Dry { inner, left: 12 }).unwrap_err();
+
+        let shape = |err: SimError| match err {
+            SimError::InsufficientRun { warmup, measured, progress } => {
+                (warmup, measured, progress)
+            }
+            other => panic!("expected InsufficientRun, got {other:?}"),
+        };
+        // Both processors finished their one measured reference, but the
+        // window never opened.
+        assert_eq!(shape(des), (0, 1, vec![1, 1]));
+        let (warmup, measured, progress) = shape(trace);
+        assert_eq!((warmup, measured, progress.len()), (10, 100, 2));
+        assert!(progress.iter().sum::<usize>() <= 12, "{progress:?}");
     }
 
     #[test]
@@ -643,10 +631,15 @@ mod tests {
 
     #[test]
     fn wait_profile_is_consistent_with_measures() {
-        let (m, profile) = simulate_with_profile(&quick_config(8, SharingLevel::Five, &[]))
-            .unwrap();
-        // The histogram's mean is the same data as m.w_bus.
-        assert!((profile.histogram.mean() - m.w_bus).abs() < 1e-9);
+        let config = quick_config(8, SharingLevel::Five, &[]);
+        let (m, profile) = simulate_with_profile(&config).unwrap();
+        // The sampled waits are the same data as m.w_bus.
+        let mut machine = Machine::new(config);
+        machine.profile = Some(Samples::default());
+        machine.run().unwrap();
+        let waits = Bins::new(&machine.profile.unwrap().bus_waits);
+        assert!((waits.mean() - m.w_bus).abs() < 1e-9);
+        assert_eq!(waits.max, profile.max);
         assert!(profile.p50 <= profile.p95);
         assert!(profile.p95 <= profile.max + 1e-9);
         assert!(profile.zero_wait_fraction > 0.0 && profile.zero_wait_fraction < 1.0);
@@ -658,17 +651,17 @@ mod tests {
         // think time, the per-request response does not).
         let (m, profile) = simulate_with_profile(&quick_config(6, SharingLevel::Five, &[]))
             .unwrap();
-        let mean_response = profile.response_times.mean();
+        let mean_response = profile.response_mean;
         let expected = m.r - 2.5;
         assert!(
             (mean_response - expected).abs() / expected < 0.02,
             "mean response {mean_response} vs R − τ = {expected}"
         );
         // Local hits dominate: the median response is the 1-cycle supply.
-        let p50 = profile.response_times.quantile(0.5).unwrap();
+        let p50 = profile.response_p50;
         assert!(p50 < 2.0, "p50 = {p50}");
         // The tail is bus-bound and much longer.
-        let p99 = profile.response_times.quantile(0.99).unwrap();
+        let p99 = profile.response_p99;
         assert!(p99 > 5.0, "p99 = {p99}");
     }
 

@@ -21,13 +21,6 @@ pub struct ReplicatedMeasures {
     pub w_bus: ConfidenceInterval,
 }
 
-impl ReplicatedMeasures {
-    /// Point estimate of the speedup (mean over replications).
-    pub fn mean_speedup(&self) -> f64 {
-        self.speedup.mean
-    }
-}
-
 /// Runs `replications` independent simulations (seeds derived from the
 /// base configuration's seed) and aggregates them with Student-t intervals
 /// at the given confidence level, running the replications on `exec`.
@@ -111,13 +104,13 @@ mod tests {
         let r = replicate_exec(&quick_config(4), 5, 0.95, &ExecOptions::SERIAL).unwrap();
         assert_eq!(r.replications.len(), 5);
         // Speedup around the MVA's 3.12 with a small relative half-width.
-        assert!(r.speedup.contains(r.mean_speedup()));
+        assert!(r.speedup.contains(r.speedup.mean));
         assert!(
             r.speedup.relative_half_width() < 0.05,
             "half-width {}",
             r.speedup.relative_half_width()
         );
-        assert!((r.mean_speedup() - 3.12).abs() < 0.25, "{}", r.mean_speedup());
+        assert!((r.speedup.mean - 3.12).abs() < 0.25, "{}", r.speedup.mean);
     }
 
     #[test]

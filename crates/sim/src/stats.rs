@@ -22,14 +22,6 @@ pub struct SimMeasures {
     pub references: usize,
 }
 
-impl SimMeasures {
-    /// Processing power `speedup · τ/(τ + T_supply)` given the workload's
-    /// think time.
-    pub fn processing_power(&self, tau: f64, t_supply: f64) -> f64 {
-        self.speedup * tau / (tau + t_supply)
-    }
-}
-
 impl fmt::Display for SimMeasures {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -44,20 +36,6 @@ impl fmt::Display for SimMeasures {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn processing_power_relation() {
-        let m = SimMeasures {
-            n: 9,
-            r: 5.0,
-            speedup: 6.3,
-            bus_utilization: 0.8,
-            memory_utilization: 0.1,
-            w_bus: 1.2,
-            references: 1000,
-        };
-        assert!((m.processing_power(2.5, 1.0) - 6.3 * 2.5 / 3.5).abs() < 1e-12);
-    }
 
     #[test]
     fn display_is_informative() {

@@ -28,6 +28,7 @@ use snoop_workload::trace::{TraceConfig, TraceGenerator, TraceRecord, TraceSourc
 
 use crate::event::Calendar;
 use snoop_workload::measure::ParameterCounters;
+use crate::window::RunWindow;
 use crate::SimError;
 
 /// Policy for distributed-write (modification 4) broadcasts.
@@ -332,12 +333,7 @@ struct TraceMachine<S> {
     caches: Vec<Cache>,
     bus_queue: VecDeque<BusJob>,
     bus_busy: bool,
-    completed: Vec<usize>,
-    warm_at: Vec<Option<f64>>,
-    done_at: Vec<Option<f64>>,
-    /// How many entries of `done_at` are set (the run ends when all are).
-    finished: usize,
-    meas_start: Option<f64>,
+    window: RunWindow,
     bus_busy_time: f64,
     hits: usize,
     misses: usize,
@@ -365,11 +361,7 @@ impl<S: TraceSource> TraceMachine<S> {
             caches: (0..n).map(|_| Cache::new(config.sets, config.ways)).collect(),
             bus_queue: VecDeque::new(),
             bus_busy: false,
-            completed: vec![0; n],
-            warm_at: vec![None; n],
-            done_at: vec![None; n],
-            finished: 0,
-            meas_start: None,
+            window: RunWindow::new(n, config.warmup_references, config.measured_references),
             bus_busy_time: 0.0,
             hits: 0,
             misses: 0,
@@ -399,7 +391,7 @@ impl<S: TraceSource> TraceMachine<S> {
             }
             // A source that ran dry mid-window makes completion impossible —
             // abort rather than let the surviving processors spin forever.
-            if self.finished == self.config.n || self.exhausted {
+            if self.window.all_done() || self.exhausted {
                 break;
             }
         }
@@ -417,7 +409,7 @@ impl<S: TraceSource> TraceMachine<S> {
         let Some(TraceRecord { address, is_write, stream, .. }) = self.source.next_for(p)
         else {
             // Done processors park silently; an unfinished one dooms the run.
-            if self.done_at[p].is_none() {
+            if !self.window.is_done(p) {
                 self.exhausted = true;
             }
             return;
@@ -431,9 +423,9 @@ impl<S: TraceSource> TraceMachine<S> {
             self.protocol.processor_read(state, ctx)
         };
 
-        let measuring =
-            self.meas_start.is_some() || self.completed[p] >= self.config.warmup_references;
-        if measuring {
+        // Reference-side counts start at each processor's own warm-up
+        // (an open window implies every processor is warm).
+        if self.window.is_warm(p) {
             if transition.hit {
                 self.hits += 1;
             } else {
@@ -521,7 +513,7 @@ impl<S: TraceSource> TraceMachine<S> {
                 continue;
             }
             let response = self.protocol.snoop(state, op);
-            if self.meas_start.is_some()
+            if self.window.measuring()
                 && state.is_valid()
                 && response.next_state == CacheState::Invalid
             {
@@ -576,13 +568,13 @@ impl<S: TraceSource> TraceMachine<S> {
         // Apply the requester's own state change / fill.
         let resident = self.caches[p].state(job.block).is_valid();
         if op.requests_data() && !resident {
-            if self.meas_start.is_some() && supplied {
+            if self.window.measuring() && supplied {
                 self.cache_supplied += 1;
             }
             let ctx = MissContext { shared_line: any_shared };
             let fill = self.protocol.fill_state(op, ctx);
             let dirty_victim = self.caches[p].fill(job.block, fill).is_some();
-            if self.meas_start.is_some() {
+            if self.window.measuring() {
                 let stream_idx = stream_index(job.stream);
                 self.counters.fills[stream_idx] += 1;
                 if dirty_victim {
@@ -647,7 +639,7 @@ impl<S: TraceSource> TraceMachine<S> {
         }
 
         let release = now + duration.max(timing.t_write);
-        if self.meas_start.is_some() {
+        if self.window.measuring() {
             self.bus_busy_time += release - now;
         }
         self.calendar.schedule(release, Event::BusRelease);
@@ -662,46 +654,13 @@ impl<S: TraceSource> TraceMachine<S> {
     }
 
     fn complete(&mut self, done: f64, p: usize) {
-        self.completed[p] += 1;
-        if self.completed[p] == self.config.warmup_references {
-            self.warm_at[p] = Some(done);
-            if self.warm_at.iter().all(Option::is_some) {
-                self.meas_start = Some(done);
-            }
-        }
-        if self.completed[p]
-            == self.config.warmup_references + self.config.measured_references
-            && self.done_at[p].is_none()
-        {
-            self.done_at[p] = Some(done);
-            self.finished += 1;
-        }
+        self.window.complete(p, done);
         let think = self.think();
         self.calendar.schedule(done + think, Event::Issue(p));
     }
 
     fn finish(&self) -> Result<TraceSimMeasures, SimError> {
-        if self.warm_at.iter().any(Option::is_none) || self.done_at.iter().any(Option::is_none)
-        {
-            return Err(SimError::InsufficientRun {
-                warmup: self.config.warmup_references,
-                measured: self.config.measured_references,
-                progress: self.completed.clone(),
-            });
-        }
-        let cycle = self.config.tau + self.config.timing.t_supply;
-        let mut speedup = 0.0;
-        let mut inv_r = 0.0;
-        for p in 0..self.config.n {
-            let start = self.warm_at[p].expect("warmed");
-            let end = self.done_at[p].expect("measured");
-            let r = (end - start) / self.config.measured_references as f64;
-            speedup += cycle / r;
-            inv_r += 1.0 / r;
-        }
-        let t0 = self.meas_start.unwrap_or(0.0);
-        let t1 = self.done_at.iter().map(|d| d.unwrap()).fold(0.0_f64, f64::max);
-        let window = (t1 - t0).max(1e-9);
+        let window = self.window.finish(self.config.tau + self.config.timing.t_supply)?;
         let total_refs = (self.hits + self.misses).max(1);
 
         let stream_rate = |idx: usize| {
@@ -714,9 +673,9 @@ impl<S: TraceSource> TraceMachine<S> {
         };
         Ok(TraceSimMeasures {
             n: self.config.n,
-            r: self.config.n as f64 / inv_r,
-            speedup,
-            bus_utilization: (self.bus_busy_time / window).min(1.0),
+            r: window.r,
+            speedup: window.speedup,
+            bus_utilization: (self.bus_busy_time / window.length).min(1.0),
             hit_rate: self.hits as f64 / total_refs as f64,
             cache_supply_rate: if self.misses > 0 {
                 self.cache_supplied as f64 / self.misses as f64

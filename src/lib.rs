@@ -19,8 +19,8 @@
 //!   comparator #1);
 //! * [`sim`] — the discrete-event simulator (detailed comparator #2), in
 //!   probabilistic and trace-driven modes, plus workload measurement;
-//! * [`numeric`] — fixed-point iteration, linear algebra, Markov chains,
-//!   statistics, histograms.
+//! * [`numeric`] — linear algebra, Markov chains, the parallel executor,
+//!   statistics, the probe layer.
 //!
 //! # Example
 //!
